@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .rewrite import Rule
-from .terms import TermError
+from .terms import TermError, subterm_ends
 
 LEAF = ("leaf",)
 
@@ -43,14 +43,7 @@ def grammar_from_rules(rules) -> TreeGrammar:
     for rule in rules:
         _check_signature(rule)
         word = rule.lhs.word
-
-        def subterm_end(i):
-            need = 1
-            while need:
-                t = word[i]
-                need += (0 if isinstance(t, int) else (2 if t == "m" else 1)) - 1
-                i += 1
-            return i
+        ends = subterm_ends(word, rule.lhs.sig)
 
         # Assign states to internal edges breadth-first from the root, so
         # the numbering matches the natural reading of the pattern.
@@ -60,7 +53,7 @@ def grammar_from_rules(rules) -> TreeGrammar:
             sym = word[pos]
             kids = [pos + 1]
             if sym == "m":
-                kids.append(subterm_end(pos + 1))
+                kids.append(ends[pos + 1])
             child_states = []
             for p in kids:
                 if isinstance(word[p], int):

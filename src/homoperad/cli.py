@@ -1,7 +1,9 @@
 """Batch command-line front end.
 
-Exit codes: 0 success, 2 parse error, 3 budget exhausted, 4 order failure
-(a rule or candidate could not be oriented by the active term order).
+Exit codes: 0 success, 1 a failed check (`check-algebra` FAIL, or
+`hilbert --strict` with coefficients not guaranteed stable), 2 parse error,
+3 budget exhausted, 4 order failure (a rule or candidate could not be
+oriented by the active term order).
 """
 
 from __future__ import annotations
@@ -124,6 +126,14 @@ def cmd_ambiguities(args) -> int:
     return EXIT_OK
 
 
+def _parse_grading(text: str) -> tuple[int, int]:
+    """A `K,L` grading: two non-negative decimal integers."""
+    parts = text.split(",")
+    if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
+        raise TermError(f"--stable expects K,L with K, L >= 0, got {text!r}")
+    return int(parts[0]), int(parts[1])
+
+
 def cmd_hilbert(args) -> int:
     if args.free:
         series = free_series(args.degree)
@@ -131,10 +141,10 @@ def cmd_hilbert(args) -> int:
     else:
         if not args.rules:
             raise CliError("hilbert needs --rules or --free", EXIT_PARSE)
+        stable = [_parse_grading(s) for s in args.stable]
         _, _, rules = load_rules_path(args.rules, args.order)
         series = hilbert_series(rules, args.degree)
-        stable = [tuple(map(int, s.split(","))) for s in args.stable]
-        warnings = unstable_degrees(stable, args.degree) if stable else []
+        warnings = unstable_degrees(stable, args.degree)
     sys.stdout.write(format_series(series))
     if warnings:
         print(

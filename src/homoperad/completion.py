@@ -8,16 +8,16 @@ from dataclasses import dataclass, field
 
 from .linear import IncomparableLeading, LinComb, leading_monomial
 from .rewrite import (
-    Redex,
     RewritingSystem,
     Rule,
     RuleError,
-    _match_at,
     apply_redex,
+    find_redexes,
+    is_irreducible,
     make_rule,
     normal_form,
 )
-from .terms import Context, Signature, TermError, grading
+from .terms import Context, Signature, TermError, grading, subterm_ends, word_key
 
 BOX = 0  # placeholder while building a superposition; renumbered afterwards
 
@@ -37,27 +37,19 @@ class Ambiguity:
         return self.site.order
 
 
-def _sub_end(word, sig, start):
-    need, i = 1, start
-    while need:
-        t = word[i]
-        need += (0 if isinstance(t, int) else sig.arity(t)) - 1
-        i += 1
-    return i
-
-
-def _merge(a, i, b, j, sig):
+def _merge(a, i, b, j, sig, ends_a, ends_b):
     """Unify two linear patterns token-wise; boxes are local wildcards.
+    ``ends_a``/``ends_b`` are the words' subterm-end tables.
     Returns (merged tokens, end in a, end in b) or None on symbol clash."""
     ta, tb = a[i], b[j]
     if isinstance(ta, int) and isinstance(tb, int):
         return [BOX], i + 1, j + 1
     if isinstance(ta, int):
-        end = _sub_end(b, sig, j)
+        end = ends_b[j]
         frag = [BOX if isinstance(t, int) else t for t in b[j:end]]
         return frag, i + 1, end
     if isinstance(tb, int):
-        end = _sub_end(a, sig, i)
+        end = ends_a[i]
         frag = [BOX if isinstance(t, int) else t for t in a[i:end]]
         return frag, end, j + 1
     if ta != tb:
@@ -65,7 +57,7 @@ def _merge(a, i, b, j, sig):
     out = [ta]
     i, j = i + 1, j + 1
     for _ in range(sig.arity(ta)):
-        got = _merge(a, i, b, j, sig)
+        got = _merge(a, i, b, j, sig, ends_a, ends_b)
         if got is None:
             return None
         frag, i, j = got
@@ -79,21 +71,22 @@ def _renumber(tokens, sig) -> Context:
     return Context(word, sig, _checked=True)
 
 
-def _superpositions(s1: Rule, s2: Rule, sig: Signature):
+def _superpositions(s1: Rule, s2: Rule, sig: Signature, ends1, ends2):
     """Sites where lhs(s2), rooted at a vertex of lhs(s1), unifies with it.
-    Yields (site, position of the s2 embedding); s1 embeds at the root."""
+    Yields (site, position of the s2 embedding); s1 embeds at the root.
+    ``ends1``/``ends2`` are the subterm-end tables of the two lhs words."""
     w1 = s1.lhs.word
     for p, tok in enumerate(w1):
         if isinstance(tok, int):
             continue
-        got = _merge(w1, p, s2.lhs.word, 0, sig)
+        got = _merge(w1, p, s2.lhs.word, 0, sig, ends1, ends2)
         if got is None:
             continue
         merged, _, jend = got
         if jend != len(s2.lhs.word):
             continue
         head = [BOX if isinstance(t, int) else t for t in w1[:p]]
-        tail = [BOX if isinstance(t, int) else t for t in w1[_sub_end(w1, sig, p) :]]
+        tail = [BOX if isinstance(t, int) else t for t in w1[ends1[p] :]]
         yield _renumber(head + merged + tail, sig), p
 
 
@@ -101,8 +94,9 @@ def overlaps(s1: Rule, s2: Rule, sig: Signature) -> list[Ambiguity]:
     """All plane critical ambiguities between the two rules (both directions,
     deduplicated; the trivial root self-overlap is dropped)."""
     seen = {}
-    for a, b in ((s1, s2), (s2, s1)):
-        for site, p in _superpositions(a, b, sig):
+    e1, e2 = subterm_ends(s1.lhs.word, sig), subterm_ends(s2.lhs.word, sig)
+    for a, b, ea, eb in ((s1, s2, e1, e2), (s2, s1, e2, e1)):
+        for site, p in _superpositions(a, b, sig, ea, eb):
             if p == 0 and a.id == b.id:
                 continue  # identical embeddings, nothing to compare
             key = (site.word, frozenset({(a.id, 0), (b.id, p)}))
@@ -111,11 +105,13 @@ def overlaps(s1: Rule, s2: Rule, sig: Signature) -> list[Ambiguity]:
     return list(seen.values())
 
 
-def _reduction_of(amb_site: Context, rule: Rule, pos: int) -> LinComb:
-    m = _match_at(rule.lhs, amb_site, pos)
-    if m is None:
-        raise TermError(f"rule {rule.id} does not match the ambiguity site")
-    return apply_redex(amb_site, Redex(rule, m.position, m.end, m.bindings))
+def _reduction_of(amb_site: Context, redexes, rule_id: str, pos: int) -> LinComb:
+    """Reduct of the site at the redex of ``rule_id`` rooted at ``pos``,
+    picked from the site's ``find_redexes`` list."""
+    for red in redexes:
+        if red.position == pos and red.rule.id == rule_id:
+            return apply_redex(amb_site, red)
+    raise TermError(f"rule {rule_id} does not match the ambiguity site")
 
 
 @dataclass(frozen=True)
@@ -138,8 +134,9 @@ def resolve(amb: Ambiguity, sys: RewritingSystem):
     """Reduce the site along both redexes; Resolved when the normal forms
     agree, otherwise a Candidate for orientation (Failure when the term
     order cannot orient the difference)."""
-    left = normal_form(_reduction_of(amb.site, sys.rule(amb.rule1), amb.pos1), sys)
-    right = normal_form(_reduction_of(amb.site, sys.rule(amb.rule2), amb.pos2), sys)
+    redexes = find_redexes(amb.site, sys)
+    left = normal_form(_reduction_of(amb.site, redexes, amb.rule1, amb.pos1), sys)
+    right = normal_form(_reduction_of(amb.site, redexes, amb.rule2, amb.pos2), sys)
     d = left - right
     if not d:
         return Resolved()
@@ -168,10 +165,6 @@ class CompletionState:
         for r in self.system:
             out[r.order] = out.get(r.order, 0) + 1
         return dict(sorted(out.items()))
-
-
-def _word_key(word):
-    return tuple((0, t, "") if isinstance(t, int) else (1, 0, t) for t in word)
 
 
 def _candidate_rule(diff: LinComb, order, rule_id: str) -> Rule:
@@ -218,7 +211,7 @@ def complete(
             if amb.order <= max_order:
                 key = (
                     amb.order,
-                    _word_key(amb.site.word),
+                    word_key(amb.site.word),
                     tuple(sorted((amb.rule1, amb.rule2))),
                 )
                 heapq.heappush(heap, (key, next(seq), amb))
@@ -253,8 +246,6 @@ def complete(
             if not inter_reduce:
                 continue
             one = RewritingSystem(sig, order, [new])
-            from .rewrite import find_redexes, is_irreducible
-
             for rid in list(rules):
                 if rid == new.id:
                     continue

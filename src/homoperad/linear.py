@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .terms import Context, Permutation, TermError, act, compose, print_term
+from .terms import Context, Permutation, TermError, act, compose, print_term, word_key
 
 
 class IncomparableLeading(ValueError):
@@ -84,7 +84,7 @@ class LinComb:
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = sorted(self.terms.items(), key=lambda kv: _word_key(kv[0].word))
+        parts = sorted(self.terms.items(), key=lambda kv: word_key(kv[0].word))
         out = []
         for i, (ctx, c) in enumerate(parts):
             sign = "-" if _is_negative(c) else "+"
@@ -97,10 +97,6 @@ class LinComb:
         return " ".join(out)
 
     __repr__ = __str__
-
-
-def _word_key(word):
-    return tuple((0, t, "") if isinstance(t, int) else (1, 0, t) for t in word)
 
 
 def _is_negative(c) -> bool:

@@ -6,23 +6,28 @@ return one of the strings LT, GT, EQ, INC.
 
 from __future__ import annotations
 
-from .terms import Context, TermError
+from functools import lru_cache
+
+from .terms import Context, Signature, TermError
 
 LT, GT, EQ, INC = "LT", "GT", "EQ", "INC"
 
 
-def _symbol_rank(sig, name: str):
+@lru_cache(maxsize=None)
+def _symbol_ranks(sig: Signature) -> dict:
     """Precedence for lex comparison: constants lowest (in declaration
     order), then m below a, then any remaining symbols in declaration order."""
-    arity = sig.arity(name)
-    decl = [n for n, _ in sig.symbols]
-    if arity == 0:
-        return (0, decl.index(name))
-    if name == "m":
-        return (1, 0)
-    if name == "a":
-        return (1, 1)
-    return (1, 2 + decl.index(name))
+    ranks = {}
+    for i, (name, arity) in enumerate(sig.symbols):
+        if arity == 0:
+            ranks[name] = (0, i)
+        elif name == "m":
+            ranks[name] = (1, 0)
+        elif name == "a":
+            ranks[name] = (1, 1)
+        else:
+            ranks[name] = (1, 2 + i)
+    return ranks
 
 
 def lex_ma_compare(x: Context, y: Context) -> str:
@@ -35,7 +40,7 @@ def lex_ma_compare(x: Context, y: Context) -> str:
             continue
         if isinstance(tx, int) or isinstance(ty, int):
             return INC
-        rx, ry = _symbol_rank(x.sig, tx), _symbol_rank(y.sig, ty)
+        rx, ry = _symbol_ranks(x.sig)[tx], _symbol_ranks(y.sig)[ty]
         if rx == ry:
             return INC
         return GT if rx > ry else LT

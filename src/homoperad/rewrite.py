@@ -8,7 +8,7 @@ from fractions import Fraction
 from .linear import LinComb
 from .orders import GT, TermOrder
 from .scalars import parse_scalar
-from .terms import Context, Signature, TermError, planarize
+from .terms import Context, Signature, TermError, planarize, subterm_ends, word_key
 
 
 class RuleError(TermError):
@@ -54,8 +54,16 @@ def make_rule(rule_id: str, lhs: Context, rhs: LinComb, order: TermOrder) -> Rul
     return Rule(rule_id, lhs, rhs)
 
 
+_WILD = 0  # trie edge of a pattern box; box tokens themselves are >= 1
+_RULES = None  # trie key of the rules whose lhs ends at that node
+
+
 class RewritingSystem:
-    """An immutable, validated collection of rules sharing one term order."""
+    """An immutable, validated collection of rules sharing one term order.
+
+    The lhs words are indexed by a discrimination trie: nested dicts keyed
+    by symbol, with every box one ``_WILD`` edge.  Each lhs is plane and
+    linear, so the k-th wildcard on a path is Box_k."""
 
     def __init__(self, sig: Signature, order: TermOrder, rules):
         self.sig = sig
@@ -64,21 +72,18 @@ class RewritingSystem:
         ids = [r.id for r in self.rules]
         if len(set(ids)) != len(ids):
             raise RuleError(f"duplicate rule ids: {ids}")
-        self._by_root = {}
+        self._trie = {}
         for r in self.rules:
-            self._by_root.setdefault(r.lhs.word[0], []).append(r)
+            node = self._trie
+            for tok in r.lhs.word:
+                node = node.setdefault(_WILD if isinstance(tok, int) else tok, {})
+            node.setdefault(_RULES, []).append(r)
 
     def __len__(self):
         return len(self.rules)
 
     def __iter__(self):
         return iter(self.rules)
-
-    def rule(self, rule_id: str) -> Rule:
-        for r in self.rules:
-            if r.id == rule_id:
-                return r
-        raise KeyError(rule_id)
 
 
 @dataclass(frozen=True)
@@ -92,33 +97,34 @@ class Redex:
     bindings: tuple  # bindings[i] = token span for pattern Box_{i+1}
 
 
-def _match_at(lhs: Context, t: Context, pos: int):
-    """Match the plane pattern against the subterm of t rooted at pos;
-    boxes are wildcards capturing whole fragments."""
-    bindings = [None] * lhs.arity
-    j = pos
-    for tok in lhs.word:
-        if isinstance(tok, int):
-            end = t.subterm_end(j)
-            bindings[tok - 1] = t.word[j:end]
-            j = end
-        else:
-            if j >= len(t.word) or t.word[j] != tok:
-                return None
-            j += 1
-    return Redex(None, pos, j, tuple(bindings))
-
-
 def find_redexes(t: Context, sys: RewritingSystem) -> list[Redex]:
-    """All rule matches in t, ordered by Polish position then rule id."""
+    """All rule matches in t, ordered by Polish position then rule id.
+
+    The trie is walked from every symbol of t; a symbol edge consumes one
+    token, a wildcard edge a whole subterm, found in t's end table."""
+    word = t.word
+    ends = subterm_ends(word, t.sig)
+    root = sys._trie
     out = []
-    for pos, tok in enumerate(t.word):
-        if isinstance(tok, int):
+    for pos, tok in enumerate(word):
+        node = root.get(tok)  # None at a box: no trie key is >= 1
+        if node is None:
             continue
-        for r in sys._by_root.get(tok, ()):
-            m = _match_at(r.lhs, t, pos)
-            if m is not None:
-                out.append(Redex(r, m.position, m.end, m.bindings))
+        stack = [(node, pos + 1, ())]
+        while stack:
+            node, j, bindings = stack.pop()
+            rules = node.get(_RULES)
+            if rules is not None:
+                # a complete term is no prefix of another, so this is a leaf
+                out.extend(Redex(r, pos, j, bindings) for r in rules)
+                continue
+            child = node.get(word[j])
+            if child is not None:
+                stack.append((child, j + 1, bindings))
+            child = node.get(_WILD)
+            if child is not None:
+                end = ends[j]
+                stack.append((child, end, bindings + (word[j:end],)))
     out.sort(key=lambda rd: (rd.position, rd.rule.id))
     return out
 
@@ -150,10 +156,6 @@ def is_irreducible(x: LinComb | Context, sys: RewritingSystem) -> bool:
     return all(not find_redexes(m, sys) for m in monos)
 
 
-def _word_key(word):
-    return tuple((0, t, "") if isinstance(t, int) else (1, 0, t) for t in word)
-
-
 def _pick_greatest(monos, order, log):
     """The order-greatest monomial; Polish-lex-least fallback among maximal
     candidates when the order cannot decide, recorded in ``log``."""
@@ -164,50 +166,68 @@ def _pick_greatest(monos, order, log):
     ]
     if len(maximal) == 1:
         return maximal[0]
-    pick = min(maximal, key=lambda m: _word_key(m.word))
+    pick = min(maximal, key=lambda m: word_key(m.word))
     if log is not None:
         log.append(("tie", tuple(sorted(str(m) for m in maximal)), str(pick)))
     return pick
 
 
-def reduce_once(x: LinComb, sys: RewritingSystem, log=None):
-    """One rewriting step at the order-greatest reducible monomial, first
-    redex in Polish position order.  Returns (result, progressed)."""
+def _choose(x: LinComb, redexes, order, log, rng):
+    """The (monomial, redex) one step rewrites, or None when x is in normal
+    form.  Deterministic: the order-greatest reducible monomial and its
+    first redex.  With ``rng``: uniform over every redex of every monomial.
+    ``redexes(mono)`` gives the sorted redex list of a monomial."""
+    if rng is not None:
+        choices = [(mono, red) for mono in x.support() for red in redexes(mono)]
+        return choices[rng.randrange(len(choices))] if choices else None
     reducible = {}
     for mono in x.support():
-        reds = find_redexes(mono, sys)
+        reds = redexes(mono)
         if reds:
             reducible[mono] = reds[0]
     if not reducible:
-        return x, False
-    target = _pick_greatest(list(reducible), sys.order, log)
-    replaced = apply_redex(target, reducible[target]).scale(x.terms[target])
+        return None
+    target = _pick_greatest(list(reducible), order, log)
+    return target, reducible[target]
+
+
+def _rewrite(x: LinComb, mono: Context, red: Redex) -> LinComb:
+    """x with the monomial ``mono`` replaced by its reduct at ``red``."""
+    replaced = apply_redex(mono, red).scale(x.terms[mono])
     rest = LinComb(x.arity)
-    rest.terms = {m: c for m, c in x.terms.items() if m != target}
-    return rest + replaced, True
+    rest.terms = {m: c for m, c in x.terms.items() if m != mono}
+    return rest + replaced
+
+
+def reduce_once(x: LinComb, sys: RewritingSystem, log=None):
+    """One rewriting step at the order-greatest reducible monomial, first
+    redex in Polish position order.  Returns (result, progressed)."""
+    step = _choose(x, lambda mono: find_redexes(mono, sys), sys.order, log, None)
+    if step is None:
+        return x, False
+    return _rewrite(x, *step), True
 
 
 def normal_form(x: LinComb, sys: RewritingSystem, log=None, rng=None) -> LinComb:
     """Iterate reduction to a fixed point.  With ``rng`` supplied, the
     monomial and redex are chosen at random each step instead of by the
-    deterministic strategy; a complete system reaches the same answer."""
+    deterministic strategy; a complete system reaches the same answer.
+
+    Monomials are immutable and ``sys`` is fixed, so the redexes of each
+    distinct monomial are searched once per call and kept until it returns."""
+    memo = {}
+
+    def redexes(mono):
+        reds = memo.get(mono)
+        if reds is None:
+            reds = memo[mono] = find_redexes(mono, sys)
+        return reds
+
     while True:
-        if rng is None:
-            x, progressed = reduce_once(x, sys, log)
-            if not progressed:
-                return x
-        else:
-            choices = []
-            for mono in x.support():
-                for red in find_redexes(mono, sys):
-                    choices.append((mono, red))
-            if not choices:
-                return x
-            mono, red = choices[rng.randrange(len(choices))]
-            replaced = apply_redex(mono, red).scale(x.terms[mono])
-            rest = LinComb(x.arity)
-            rest.terms = {m: c for m, c in x.terms.items() if m != mono}
-            x = rest + replaced
+        step = _choose(x, redexes, sys.order, log, rng)
+        if step is None:
+            return x
+        x = _rewrite(x, *step)
 
 
 def normal_form_term(t: Context, sys: RewritingSystem, log=None, rng=None) -> LinComb:
@@ -256,10 +276,6 @@ def parse_lincomb(text: str, sig: Signature) -> LinComb:
     if result is None:
         raise TermError(f"cannot parse linear combination {text!r}")
     return result
-
-
-def format_lincomb(x: LinComb) -> str:
-    return str(x)
 
 
 def parse_rules(text: str, sig: Signature, order: TermOrder, prefix="r") -> list[Rule]:

@@ -103,10 +103,6 @@ def format_series(x: BivariateSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def series_sub(x: BivariateSeries, y: BivariateSeries) -> BivariateSeries:
-    return x - y
-
-
 def free_series(D: int) -> BivariateSeries:
     """Closed-form count of all plane monomials over {m/2, a/1}: the
     coefficient of a^k m^l is (1/(l+1)) * (k+2l)!/(k! l! l!)."""

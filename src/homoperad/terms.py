@@ -118,15 +118,28 @@ class Context:
                 expect += 1
         return True
 
-    def subterm_end(self, start: int) -> int:
-        """Index one past the subterm whose root token sits at ``start``."""
-        need, i = 1, start
-        word, sig = self.word, self.sig
-        while need:
-            t = word[i]
-            need += (0 if isinstance(t, int) else sig.arity(t)) - 1
-            i += 1
-        return i
+
+def subterm_ends(word: tuple[Token, ...], sig: Signature) -> list[int]:
+    """``ends[i]`` is one past the subterm rooted at ``word[i]``, for every
+    position of a sequence of complete terms, in one right-to-left pass."""
+    ends = [0] * len(word)
+    stack = []  # ends of the complete subterms to the right, nearest last
+    for i in range(len(word) - 1, -1, -1):
+        t = word[i]
+        n = 0 if isinstance(t, int) else sig.arity(t)
+        if n:
+            end = stack[-n]
+            del stack[-n:]
+        else:
+            end = i + 1
+        ends[i] = end
+        stack.append(end)
+    return ends
+
+
+def word_key(word: tuple[Token, ...]) -> tuple:
+    """Polish-lex sort key: boxes (by index) before symbols (by name)."""
+    return tuple((0, t, "") if isinstance(t, int) else (1, 0, t) for t in word)
 
 
 def parse(text: str, sig: Signature) -> Context:

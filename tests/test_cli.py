@@ -134,6 +134,32 @@ def test_hilbert_with_rules_and_strict(capsys):
     assert code == 1
 
 
+def test_hilbert_strict_without_stable_warns_and_fails(capsys):
+    # with no --stable, nothing is declared processed, so a^2 m^3 (111 here,
+    # 110 in the paper's table) is not guaranteed
+    code, out, err = run(capsys, ["hilbert", "--rules", HOMASS, "--degree", "5"])
+    assert code == 0
+    assert "a^2 m^3\t111" in out.splitlines()
+    assert "warning" in err and "a^2m^3" in err
+    code, strict_out, err = run(
+        capsys, ["hilbert", "--rules", HOMASS, "--degree", "5", "--strict"]
+    )
+    assert code == 1
+    assert strict_out == out
+    assert "warning" in err
+
+
+@pytest.mark.parametrize("value", ["5", "a,b", "1,2,3"])
+def test_hilbert_malformed_stable_is_a_parse_error(capsys, value):
+    code, out, err = run(
+        capsys, ["hilbert", "--rules", HOMASS, "--degree", "3", "--stable", value]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error:")
+    assert "Traceback" not in err
+
+
 def test_check_algebra_pass(capsys):
     code, out, _ = run(
         capsys,

@@ -97,3 +97,97 @@ def test_orders_are_irreflexive_and_antisymmetric_on_samples():
                     assert b == GT
                 if a == INC:
                     assert b == INC
+
+
+def _ref_symbol_rank(sig, name):
+    """The rank as computed on every call before the per-signature table."""
+    arity = sig.arity(name)
+    decl = [n for n, _ in sig.symbols]
+    if arity == 0:
+        return (0, decl.index(name))
+    if name == "m":
+        return (1, 0)
+    if name == "a":
+        return (1, 1)
+    return (1, 2 + decl.index(name))
+
+
+def _rank_signatures():
+    import importlib.resources
+
+    from homoperad.homalgebra import envelope_presentation, q_sl2
+    from homoperad.scalars import RatFunc
+
+    text = importlib.resources.files("homoperad").joinpath("data", "leibniz.rules").read_text()
+    leibniz = Signature.parse(
+        "\n".join(line for line in text.splitlines() if line.startswith("op "))
+    )
+    envelope = envelope_presentation(q_sl2(RatFunc.q()), ["e", "f", "h"]).signature
+    return {"hom": HOM_SIGNATURE, "ass": ASS_SIGNATURE, "leibniz": leibniz, "envelope": envelope}
+
+
+def _words(sig, ops, arity):
+    """Every plane Polish word over ``sig`` with exactly ``ops`` operation
+    vertices and ``arity`` boxes, leaves being boxes or constants."""
+    consts = [n for n, a in sig.symbols if a == 0]
+    operations = [(n, a) for n, a in sig.symbols if a > 0]
+
+    def fill(need, ops, boxes):
+        if need == 0:
+            if ops == 0 and boxes == 0:
+                yield ()
+            return
+        for c in consts:
+            for rest in fill(need - 1, ops, boxes):
+                yield (c,) + rest
+        if boxes:
+            for rest in fill(need - 1, ops, boxes - 1):
+                yield (0,) + rest
+        if ops:
+            for n, a in operations:
+                for rest in fill(need - 1 + a, ops - 1, boxes):
+                    yield (n,) + rest
+
+    for w in fill(1, ops, arity):
+        k = iter(range(1, arity + 1))
+        yield tuple(next(k) if t == 0 else t for t in w)
+
+
+@pytest.mark.parametrize("name", ["hom", "ass", "leibniz", "envelope"])
+def test_rank_table_matches_per_call_ranks(name):
+    from homoperad.orders import _symbol_ranks
+    from homoperad.terms import Context
+
+    sig = _rank_signatures()[name]
+    names = [n for n, _ in sig.symbols]
+    ranks = _symbol_ranks(sig)
+    assert ranks == {n: _ref_symbol_rank(sig, n) for n in names}
+
+    def ref_compare(x, y):
+        for tx, ty in zip(x.word, y.word):
+            if tx == ty:
+                continue
+            if isinstance(tx, int) or isinstance(ty, int):
+                return INC
+            rx, ry = _ref_symbol_rank(x.sig, tx), _ref_symbol_rank(y.sig, ty)
+            if rx == ry:
+                return INC
+            return GT if rx > ry else LT
+        if len(x.word) == len(y.word):
+            return EQ
+        return GT if len(x.word) > len(y.word) else LT
+
+    pairs = set()
+    for arity in range(3):
+        contexts = [
+            Context(w, sig) for ops in range(3) for w in _words(sig, ops, arity)
+        ]
+        for x in contexts:
+            for y in contexts:
+                assert lex_ma_compare(x, y) == ref_compare(x, y)
+                for tx, ty in zip(x.word, y.word):
+                    if tx != ty:
+                        pairs.add((tx, ty))
+                        break
+    # every ordered pair of distinct symbols decided a comparison above
+    assert {(x, y) for x in names for y in names if x != y} <= pairs

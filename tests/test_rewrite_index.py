@@ -1,0 +1,390 @@
+"""The trie-indexed redex search and the memoized normal form, checked
+against the by-root scan and the reduction loop they replaced, which are
+kept here as references."""
+
+import importlib.resources
+import random
+from fractions import Fraction
+from functools import lru_cache
+
+from hypothesis import given, settings, strategies as st
+
+from homoperad import rewrite
+from homoperad.completion import complete
+from homoperad.homalgebra import envelope_presentation, q_sl2
+from homoperad.linear import LinComb
+from homoperad.orders import GT, LEX_MA, RIGHT_COMB
+from homoperad.rewrite import (
+    Redex,
+    RewritingSystem,
+    apply_redex,
+    find_redexes,
+    normal_form,
+    parse_rules,
+)
+from homoperad.scalars import RatFunc
+from homoperad.terms import Context, HOM_SIGNATURE, Signature, enumerate_plane
+
+
+# --- references -------------------------------------------------------------
+
+
+def ref_subterm_end(t: Context, start: int) -> int:
+    need, i = 1, start
+    while need:
+        tok = t.word[i]
+        need += (0 if isinstance(tok, int) else t.sig.arity(tok)) - 1
+        i += 1
+    return i
+
+
+def ref_match_at(lhs: Context, t: Context, pos: int):
+    bindings = [None] * lhs.arity
+    j = pos
+    for tok in lhs.word:
+        if isinstance(tok, int):
+            end = ref_subterm_end(t, j)
+            bindings[tok - 1] = t.word[j:end]
+            j = end
+        else:
+            if j >= len(t.word) or t.word[j] != tok:
+                return None
+            j += 1
+    return pos, j, tuple(bindings)
+
+
+def ref_find_redexes(t: Context, sys: RewritingSystem) -> list[Redex]:
+    by_root = {}
+    for r in sys.rules:
+        by_root.setdefault(r.lhs.word[0], []).append(r)
+    out = []
+    for pos, tok in enumerate(t.word):
+        if isinstance(tok, int):
+            continue
+        for r in by_root.get(tok, ()):
+            m = ref_match_at(r.lhs, t, pos)
+            if m is not None:
+                out.append(Redex(r, *m))
+    out.sort(key=lambda rd: (rd.position, rd.rule.id))
+    return out
+
+
+def ref_word_key(word):
+    return tuple((0, t, "") if isinstance(t, int) else (1, 0, t) for t in word)
+
+
+def ref_pick_greatest(monos, order, log):
+    maximal = [
+        m
+        for m in monos
+        if not any(order.compare(o, m) == GT for o in monos if o is not m)
+    ]
+    if len(maximal) == 1:
+        return maximal[0]
+    pick = min(maximal, key=lambda m: ref_word_key(m.word))
+    if log is not None:
+        log.append(("tie", tuple(sorted(str(m) for m in maximal)), str(pick)))
+    return pick
+
+
+def ref_normal_form(x: LinComb, sys: RewritingSystem, log=None, rng=None):
+    """One fresh redex search per monomial per step, as before the memo."""
+    while True:
+        if rng is None:
+            reducible = {}
+            for mono in x.support():
+                reds = ref_find_redexes(mono, sys)
+                if reds:
+                    reducible[mono] = reds[0]
+            if not reducible:
+                return x
+            mono = ref_pick_greatest(list(reducible), sys.order, log)
+            red = reducible[mono]
+        else:
+            choices = [(m, r) for m in x.support() for r in ref_find_redexes(m, sys)]
+            if not choices:
+                return x
+            mono, red = choices[rng.randrange(len(choices))]
+        replaced = apply_redex(mono, red).scale(x.terms[mono])
+        rest = LinComb(x.arity)
+        rest.terms = {m: c for m, c in x.terms.items() if m != mono}
+        x = rest + replaced
+
+
+# --- systems ----------------------------------------------------------------
+
+
+def data_text(name):
+    return importlib.resources.files("homoperad").joinpath("data", name).read_text()
+
+
+def rules_file_system(name, order):
+    lines = data_text(name).splitlines()
+    ops = "\n".join(line for line in lines if line.strip().startswith("op "))
+    rest = "\n".join(line for line in lines if not line.strip().startswith("op "))
+    sig = Signature.parse(ops) if ops else HOM_SIGNATURE
+    return RewritingSystem(sig, order, parse_rules(rest, sig, order))
+
+
+@lru_cache(maxsize=None)
+def homass12():
+    state = complete(rules_file_system("homass.rules", LEX_MA), 12)
+    assert state.status == "complete"
+    return state.system
+
+
+@lru_cache(maxsize=None)
+def assoc():
+    return rules_file_system("assoc.rules", RIGHT_COMB)
+
+
+@lru_cache(maxsize=None)
+def leibniz():
+    return rules_file_system("leibniz.rules", RIGHT_COMB)
+
+
+@lru_cache(maxsize=None)
+def envelope():
+    p = envelope_presentation(q_sl2(RatFunc.q()), ["e", "f", "h"])
+    return RewritingSystem(p.signature, p.order, p.rules)
+
+
+SYSTEMS = {"homass12": homass12, "assoc": assoc, "leibniz": leibniz, "envelope": envelope}
+
+
+# --- random plane monomials ---------------------------------------------------
+
+
+@st.composite
+def plane_words(draw, sig: Signature, max_ops: int, boxes: bool = True):
+    """A plane Polish word over ``sig``: a top-down fill of open slots,
+    each an operation while the budget lasts, else a leaf (a constant or
+    the next box)."""
+    ops = [n for n, a in sig.symbols if a > 0]
+    consts = [n for n, a in sig.symbols if a == 0]
+    leaves = consts + ([0] if boxes else [])
+    budget = draw(st.integers(1, max_ops))
+    word, need = [], 1
+    while need:
+        if budget and draw(st.integers(0, 3)):
+            sym = draw(st.sampled_from(ops))
+            budget -= 1
+            need += sig.arity(sym) - 1
+        else:
+            sym = draw(st.sampled_from(leaves))
+            need -= 1
+        word.append(sym)
+    k = iter(range(1, len(word) + 1))
+    return Context(tuple(next(k) if t == 0 else t for t in word), sig)
+
+
+@st.composite
+def with_embedded_lhs(draw, name: str, max_ops: int):
+    """A random monomial with a random lhs of the system grafted into one
+    of its boxes, so that deep patterns match often."""
+    sys_ = SYSTEMS[name]()
+    host = draw(plane_words(sys_.sig, max_ops))
+    lhs = draw(st.sampled_from(sys_.rules)).lhs
+    if not host.arity:
+        return host
+    slot = draw(st.integers(1, host.arity))
+    word = []
+    for t in host.word:
+        if t == slot:
+            word.extend(lhs.word)
+        else:
+            word.append(t)
+    k = iter(range(1, len(word) + 1))
+    return Context(tuple(next(k) if isinstance(t, int) else t for t in word), sys_.sig)
+
+
+def monomials(name, max_ops):
+    return st.deferred(
+        lambda: st.one_of(
+            plane_words(SYSTEMS[name]().sig, max_ops), with_embedded_lhs(name, max_ops)
+        )
+    )
+
+
+# --- find_redexes -------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomials("homass12", 16))
+def test_trie_equals_scan_homass12(t):
+    assert find_redexes(t, homass12()) == ref_find_redexes(t, homass12())
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomials("assoc", 8))
+def test_trie_equals_scan_assoc(t):
+    assert find_redexes(t, assoc()) == ref_find_redexes(t, assoc())
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomials("leibniz", 8))
+def test_trie_equals_scan_leibniz(t):
+    assert find_redexes(t, leibniz()) == ref_find_redexes(t, leibniz())
+
+
+@settings(max_examples=150, deadline=None)
+@given(monomials("envelope", 10))
+def test_trie_equals_scan_envelope(t):
+    assert find_redexes(t, envelope()) == ref_find_redexes(t, envelope())
+
+
+def test_trie_equals_scan_on_every_small_plane_monomial():
+    sys_ = homass12()
+    seen = 0
+    for total in range(1, 8):
+        for k in range(total + 1):
+            for t in enumerate_plane(k, total - k):
+                reds = find_redexes(t, sys_)
+                assert reds == ref_find_redexes(t, sys_)
+                seen += bool(reds)
+    assert seen > 100
+
+
+def test_every_lhs_matches_itself_at_the_root():
+    for name, make in SYSTEMS.items():
+        sys_ = make()
+        for r in sys_.rules:
+            reds = find_redexes(r.lhs, sys_)
+            assert any(
+                red.rule is r and red.position == 0 and red.end == len(r.lhs.word)
+                for red in reds
+            ), (name, r.id)
+
+
+def test_identical_patterns_both_match_in_id_order():
+    sig = HOM_SIGNATURE
+    rules = parse_rules(
+        "m a 1 m 2 3 -> m m 1 2 a 3\nm a 1 m 2 3 -> m m 1 a 2 3\na a m 1 2 -> a m 1 2",
+        sig,
+        LEX_MA,
+        prefix="z",
+    )
+    rules = [rules[1], rules[2], rules[0]]
+    sys_ = RewritingSystem(sig, LEX_MA, rules)
+    from homoperad.terms import parse
+
+    t = parse("a a m a 1 m 2 3", sig)
+    got = find_redexes(t, sys_)
+    assert [(r.position, r.rule.id) for r in got] == [(0, "z3"), (2, "z1"), (2, "z2")]
+    assert got == ref_find_redexes(t, sys_)
+
+
+# --- normal_form --------------------------------------------------------------
+
+
+def coefficients():
+    return st.builds(Fraction, st.integers(-5, 5).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def graded_word(draw, sig: Signature, k: int, l: int):
+    """A plane monomial with k unary and l binary vertices, grown top-down."""
+
+    def grow(k, l):
+        if k == 0 and l == 0:
+            return [0]
+        if k and (not l or draw(st.booleans())):
+            return ["a"] + grow(k - 1, l)
+        k1, l1 = draw(st.integers(0, k)), draw(st.integers(0, l - 1))
+        return ["m"] + grow(k1, l1) + grow(k - k1, l - 1 - l1)
+
+    boxes = iter(range(1, k + 2 * l + 2))
+    return Context(tuple(next(boxes) if t == 0 else t for t in grow(k, l)), sig)
+
+
+@st.composite
+def graded_sums(draw, name: str, max_a: int, max_m: int, max_terms: int):
+    """A signed sum of plane monomials of one grading (k a's, l m's)."""
+    sig = SYSTEMS[name]().sig
+    k, l = draw(st.integers(0, max_a)), draw(st.integers(1, max_m))
+    n = draw(st.integers(1, max_terms))
+    terms = {draw(graded_word(sig, k, l)): draw(coefficients()) for _ in range(n)}
+    return LinComb(l + 1, terms)
+
+
+@st.composite
+def ground_sums(draw, name: str, max_ops: int, max_terms: int):
+    """A signed sum of box-free plane monomials."""
+    sig = SYSTEMS[name]().sig
+    n = draw(st.integers(1, max_terms))
+    terms = {draw(plane_words(sig, max_ops, boxes=False)): draw(coefficients()) for _ in range(n)}
+    return LinComb(0, terms)
+
+
+def check_normal_form(name, x, seed):
+    sys_ = SYSTEMS[name]()
+    log, ref_log = [], []
+    assert normal_form(x, sys_, log=log) == ref_normal_form(x, sys_, log=ref_log)
+    assert log == ref_log
+    got = normal_form(x, sys_, rng=random.Random(seed))
+    assert got == ref_normal_form(x, sys_, rng=random.Random(seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(graded_sums("homass12", 4, 6, 6), st.integers(0, 10**6))
+def test_normal_form_equals_reference_homass12(x, seed):
+    check_normal_form("homass12", x, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graded_sums("leibniz", 0, 5, 4), st.integers(0, 10**6))
+def test_normal_form_equals_reference_leibniz(x, seed):
+    check_normal_form("leibniz", x, seed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ground_sums("envelope", 5, 4), st.integers(0, 10**6))
+def test_normal_form_equals_reference_envelope(x, seed):
+    check_normal_form("envelope", x, seed)
+
+
+def random_monomial(rng, k, l):
+    def grow(k, l):
+        if k == 0 and l == 0:
+            return [0]
+        if k and (not l or rng.random() < k / (k + l)):
+            return ["a"] + grow(k - 1, l)
+        k1, l1 = rng.randint(0, k), rng.randint(0, l - 1)
+        return ["m"] + grow(k1, l1) + grow(k - k1, l - 1 - l1)
+
+    boxes = iter(range(1, k + 2 * l + 2))
+    word = tuple(next(boxes) if t == 0 else t for t in grow(k, l))
+    return Context(word, HOM_SIGNATURE)
+
+
+def thirty_term_sum(seed):
+    rng = random.Random(seed)
+    terms = {}
+    while len(terms) < 30:
+        terms[random_monomial(rng, 5, 7)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9))
+    return LinComb(8, terms)
+
+
+def test_tie_log_of_a_thirty_term_sum_equals_reference():
+    x = thirty_term_sum(7)
+    log, ref_log = [], []
+    assert normal_form(x, homass12(), log=log) == ref_normal_form(x, homass12(), log=ref_log)
+    assert log == ref_log
+
+
+def test_normal_form_searches_each_distinct_monomial_once(monkeypatch):
+    searched = []
+    original = rewrite.find_redexes
+
+    def counting(t, sys_):
+        searched.append(t)
+        return original(t, sys_)
+
+    monkeypatch.setattr(rewrite, "find_redexes", counting)
+    for strategy in (None, random.Random(3)):
+        searched.clear()
+        x = thirty_term_sum(11)
+        nf = normal_form(x, homass12(), rng=strategy)
+        assert nf
+        assert len(searched) == len(set(searched))
+        assert len(searched) > len(x.terms)  # reducts were searched too

@@ -19,6 +19,7 @@ from homoperad.terms import (
     plane_count,
     planarize,
     print_term,
+    subterm_ends,
     to_weighted_tree,
 )
 
@@ -206,3 +207,17 @@ def test_plane_words_are_plane_and_graded(k, l):
 def test_ass_signature_has_no_a():
     assert "a" not in ASS_SIGNATURE
     assert ASS_SIGNATURE.arity("m") == 2
+
+
+@given(st.integers(0, 4), st.integers(0, 3))
+def test_subterm_ends_match_a_left_to_right_walk(k, l):
+    for c in enumerate_plane(k, l):
+        ends = subterm_ends(c.word, c.sig)
+        for start in range(len(c.word)):
+            need, i = 1, start
+            while need:
+                tok = c.word[i]
+                need += (0 if isinstance(tok, int) else c.sig.arity(tok)) - 1
+                i += 1
+            assert ends[start] == i
+        assert ends[0] == len(c.word)
