@@ -99,7 +99,9 @@ class BottomUpAutomaton:
 
 
 def determinize(g: TreeGrammar) -> BottomUpAutomaton:
-    """Reachable-subset construction."""
+    """Reachable-subset construction over a worklist: ``states`` grows as it
+    is walked, and on reaching a state s the transitions f_a[s] and
+    f_m[(s, t)], f_m[(t, s)] for every t up to s are computed, once each."""
     a_prods = {}  # c -> set of b with b -> a(c)
     m_prods = {}  # (c, d) -> set of b with b -> m(c, d)
     leaf = set()
@@ -112,44 +114,22 @@ def determinize(g: TreeGrammar) -> BottomUpAutomaton:
             else:
                 m_prods.setdefault((p[1], p[2]), set()).add(b)
 
-    leaf_state = tuple(sorted(leaf))
-    states = [leaf_state]
-    seen = {leaf_state}
-    f_a, f_m = {}, {}
+    states, seen, f_a, f_m = [], set(), {}, {}
 
-    def subset_a(s):
-        out = set()
-        for c in s:
-            out |= a_prods.get(c, set())
-        return tuple(sorted(out))
+    def reach(subset):
+        """The state of a set of grammar states, appended when new."""
+        u = tuple(sorted(subset))
+        if u not in seen:
+            seen.add(u)
+            states.append(u)
+        return u
 
-    def subset_m(s, t):
-        out = set()
-        for c in s:
-            for d in t:
-                out |= m_prods.get((c, d), set())
-        return tuple(sorted(out))
-
-    frontier = [leaf_state]
-    while frontier:
-        new = []
-        for s in frontier:
-            targets = [subset_a(s)]
-            for t in states:
-                targets.append(subset_m(s, t))
-                if t != s:
-                    targets.append(subset_m(t, s))
-            for u in targets:
-                if u not in seen:
-                    seen.add(u)
-                    states.append(u)
-                    new.append(u)
-        # fill the tables over the enlarged state set
-        for s in states:
-            f_a[s] = subset_a(s)
-            for t in states:
-                f_m[(s, t)] = subset_m(s, t)
-        frontier = new
+    leaf_state = reach(leaf)
+    for k, s in enumerate(states):
+        f_a[s] = reach({b for c in s for b in a_prods.get(c, ())})
+        for t in states[: k + 1]:
+            for x, y in ((s, t), (t, s)):
+                f_m[(x, y)] = reach({b for c in x for d in y for b in m_prods.get((c, d), ())})
     return BottomUpAutomaton(tuple(states), leaf_state, f_a, f_m)
 
 

@@ -13,6 +13,7 @@ import sys
 
 from .completion import Candidate, Resolved, complete, overlaps, resolve
 from .homalgebra import (
+    AlgebraFormatError,
     check_hom_associative,
     check_hom_jacobi,
     check_multiplicative,
@@ -129,12 +130,14 @@ def cmd_ambiguities(args) -> int:
 def _parse_grading(text: str) -> tuple[int, int]:
     """A `K,L` grading: two non-negative decimal integers."""
     parts = text.split(",")
-    if len(parts) != 2 or not all(p.strip().isdigit() for p in parts):
+    if len(parts) != 2 or not all(p.strip().isdecimal() for p in parts):
         raise TermError(f"--stable expects K,L with K, L >= 0, got {text!r}")
     return int(parts[0]), int(parts[1])
 
 
 def cmd_hilbert(args) -> int:
+    if args.degree < 0:
+        raise TermError(f"--degree expects D >= 0, got {args.degree}")
     if args.free:
         series = free_series(args.degree)
         warnings = []
@@ -198,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="homoperad",
         description="Rewriting, completion and Hilbert series in free linear operads.",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker count (output is identical for any value)")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -255,7 +257,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ScalarParseError,) as e:
+    except (ScalarParseError, AlgebraFormatError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except RuleError as e:

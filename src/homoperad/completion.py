@@ -16,6 +16,7 @@ from .rewrite import (
     is_irreducible,
     make_rule,
     normal_form,
+    orient,
 )
 from .terms import Context, Signature, TermError, grading, subterm_ends, word_key
 
@@ -167,23 +168,6 @@ class CompletionState:
         return dict(sorted(out.items()))
 
 
-def _candidate_rule(diff: LinComb, order, rule_id: str) -> Rule:
-    lead, coeff = leading_monomial(diff, order)
-    rest = LinComb(diff.arity)
-    rest.terms = {m: c for m, c in diff.terms.items() if m != lead}
-    return make_rule(rule_id, lead, rest.scale(_inv_neg(coeff)), order)
-
-
-def _inv_neg(coeff):
-    from fractions import Fraction
-
-    if isinstance(coeff, Fraction):
-        return Fraction(-1) / coeff
-    from .scalars import RatFunc
-
-    return RatFunc.const(-1) / coeff
-
-
 def complete(
     initial: RewritingSystem,
     max_order: int,
@@ -238,7 +222,7 @@ def complete(
             if not d:
                 continue
             counter += 1
-            new = _candidate_rule(d, order, f"r{counter}")
+            new = orient(f"r{counter}", d, order)
             if require_homogeneous and not is_homogeneous(new.lhs, new.rhs):
                 raise RuleError(f"generated rule {new.id} is not homogeneous")
             rules[new.id] = new

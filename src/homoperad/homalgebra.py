@@ -12,10 +12,10 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linear import LinComb, leading_monomial
+from .linear import LinComb
 from .orders import LEX_MA, TermOrder
-from .rewrite import Rule, make_rule
-from .scalars import RatFunc, format_scalar, parse_scalar
+from .rewrite import Rule, make_rule, orient
+from .scalars import format_scalar, parse_scalar
 from .terms import Context, Signature
 
 
@@ -284,8 +284,17 @@ def algebra_from_dict(doc: dict) -> FiniteHomAlgebra:
     return FiniteHomAlgebra(n, mult, alpha, bracket=bool(doc.get("bracket", False)))
 
 
+class AlgebraFormatError(ValueError):
+    """An algebra document that is not JSON or lacks a well-formed field."""
+
+
 def load_algebra(text: str) -> FiniteHomAlgebra:
-    return algebra_from_dict(json.loads(text))
+    try:
+        return algebra_from_dict(json.loads(text))
+    except KeyError as e:
+        raise AlgebraFormatError(f"algebra document has no field {e}") from None
+    except (IndexError, TypeError, ValueError) as e:
+        raise AlgebraFormatError(f"malformed algebra document: {e}") from None
 
 
 def algebra_to_dict(A: FiniteHomAlgebra) -> dict:
@@ -358,13 +367,7 @@ def envelope_presentation(
                 c = L.mult[i][j][k]
                 if c:
                     d = d - LinComb.monomial(const(k), c)
-            lead, coeff = leading_monomial(d, order)
-            rest = LinComb(0)
-            rest.terms = {m: c for m, c in d.terms.items() if m != lead}
-            inv = (Fraction(-1) if isinstance(coeff, Fraction) else RatFunc.const(-1)) / coeff
-            rules.append(
-                make_rule(f"comm_{names[i]}_{names[j]}", lead, rest.scale(inv), order)
-            )
+            rules.append(orient(f"comm_{names[i]}_{names[j]}", d, order))
 
     from .terms import parse as parse_term
 

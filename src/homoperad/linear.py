@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .orders import GT, LT
 from .terms import Context, Permutation, TermError, act, compose, print_term, word_key
 
 
@@ -136,28 +137,27 @@ def compose_linear(outer: LinComb, inners: list[LinComb]) -> LinComb:
     return out
 
 
+def maximal(monos, order) -> list:
+    """The order-maximal elements of ``monos``, in the order given.
+
+    A running antichain: each new element is compared once with each
+    element kept so far.  The order is a strict partial order, so an
+    element dominated by one dropped later is dominated by a kept one."""
+    top = []
+    for m in monos:
+        rels = [order.compare(m, t) for t in top]
+        if LT not in rels:
+            top = [t for t, rel in zip(top, rels) if rel != GT] + [m]
+    return top
+
+
 def leading_monomial(x: LinComb, order) -> tuple[Context, object]:
     """The unique order-maximum of the support, or IncomparableLeading."""
     if not x.terms:
         raise ValueError("empty linear combination has no leading monomial")
-    lead = None
-    for ctx in x.terms:
-        if lead is None:
-            lead = ctx
-            continue
-        rel = order.compare(ctx, lead)
-        if rel == "GT":
-            lead = ctx
-        elif rel == "INC":
-            raise IncomparableLeading(
-                f"cannot compare {ctx} with {lead} under {order.name}"
-            )
-    # confirm maximality against the whole support (order is only partial)
-    for ctx in x.terms:
-        if ctx is lead:
-            continue
-        if order.compare(lead, ctx) != "GT":
-            raise IncomparableLeading(
-                f"no unique maximum: {lead} vs {ctx} under {order.name}"
-            )
-    return lead, x.terms[lead]
+    top = maximal(x.terms, order)
+    if len(top) > 1:
+        raise IncomparableLeading(
+            f"no unique maximum: {' vs '.join(map(str, top))} under {order.name}"
+        )
+    return top[0], x.terms[top[0]]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linear import LinComb
+from .linear import LinComb, leading_monomial, maximal
 from .orders import GT, TermOrder
 from .scalars import parse_scalar
 from .terms import Context, Signature, TermError, planarize, subterm_ends, word_key
@@ -52,6 +52,15 @@ def make_rule(rule_id: str, lhs: Context, rhs: LinComb, order: TermOrder) -> Rul
                 f"below the pattern {lhs} under {order.name}"
             )
     return Rule(rule_id, lhs, rhs)
+
+
+def orient(rule_id: str, diff: LinComb, order: TermOrder) -> Rule:
+    """The rule that ``diff = 0`` gives: its leading monomial, with
+    coefficient c, rewrites to the rest of ``diff`` scaled by -1/c."""
+    lead, coeff = leading_monomial(diff, order)
+    rest = LinComb(diff.arity)
+    rest.terms = {m: c for m, c in diff.terms.items() if m != lead}
+    return make_rule(rule_id, lead, rest.scale(-1 / coeff), order)
 
 
 _WILD = 0  # trie edge of a pattern box; box tokens themselves are >= 1
@@ -159,16 +168,12 @@ def is_irreducible(x: LinComb | Context, sys: RewritingSystem) -> bool:
 def _pick_greatest(monos, order, log):
     """The order-greatest monomial; Polish-lex-least fallback among maximal
     candidates when the order cannot decide, recorded in ``log``."""
-    maximal = [
-        m
-        for m in monos
-        if not any(order.compare(o, m) == GT for o in monos if o is not m)
-    ]
-    if len(maximal) == 1:
-        return maximal[0]
-    pick = min(maximal, key=lambda m: word_key(m.word))
+    top = maximal(monos, order)
+    if len(top) == 1:
+        return top[0]
+    pick = min(top, key=lambda m: word_key(m.word))
     if log is not None:
-        log.append(("tie", tuple(sorted(str(m) for m in maximal)), str(pick)))
+        log.append(("tie", tuple(sorted(str(m) for m in top)), str(pick)))
     return pick
 
 

@@ -30,10 +30,6 @@ class BivariateSeries:
     def zero(D: int) -> "BivariateSeries":
         return BivariateSeries(D)
 
-    @staticmethod
-    def one(D: int) -> "BivariateSeries":
-        return BivariateSeries(D, {(0, 0): 1})
-
     def coefficient(self, i: int, j: int) -> Fraction:
         return self.coeffs.get((i, j), Fraction(0))
 
@@ -80,14 +76,6 @@ class BivariateSeries:
                     out.coeffs.pop(key, None)
         return out
 
-    def shift(self, da: int, dm: int) -> "BivariateSeries":
-        """Multiply by a^da * m^dm."""
-        out = BivariateSeries(self.D)
-        for (i, j), c in self.coeffs.items():
-            if i + da + j + dm <= self.D:
-                out.coeffs[(i + da, j + dm)] = c
-        return out
-
     def __str__(self):
         return format_series(self)
 
@@ -116,34 +104,33 @@ def free_series(D: int) -> BivariateSeries:
 
 
 def solve_series(aut: BottomUpAutomaton, D: int) -> dict:
-    """Least fixed point of the generating-function system
-    G_b = [b = leaf] + a * sum_{f_a(c)=b} G_c + m * sum_{f_m(c,d)=b} G_c G_d,
-    truncated at total degree D.  D+1 iterations reach the fixed point since
-    every production raises total degree by exactly one."""
-    a_into = {b: [] for b in aut.states}
-    m_into = {b: [] for b in aut.states}
-    for c, b in aut.f_a.items():
-        if b in a_into:
-            a_into[b].append(c)
-    for (c, d), b in aut.f_m.items():
-        if b in m_into:
-            m_into[b].append((c, d))
-    g = {b: BivariateSeries.zero(D) for b in aut.states}
-    base = {
-        b: (BivariateSeries.one(D) if b == aut.leaf_state else BivariateSeries.zero(D))
-        for b in aut.states
+    """Truncated at total degree D, the series G_b counting the plane
+    monomials that the automaton sends to state b:
+    G_b = [b = leaf] + a * sum_{f_a(c)=b} G_c + m * sum_{f_m(c,d)=b} G_c G_d.
+    Every production raises the total degree by exactly one, so the counts
+    of degree n follow from those below it: one pass, degree by degree."""
+    # g[b][n][i]: monomials in state b with i a-vertices and n - i m-vertices
+    g = {b: [[0] * (n + 1) for n in range(D + 1)] for b in aut.states}
+    g[aut.leaf_state][0][0] = 1
+    for n in range(1, D + 1):
+        for c, b in aut.f_a.items():
+            row = g[b][n]
+            for i, k in enumerate(g[c][n - 1]):
+                row[i + 1] += k
+        for (c, d), b in aut.f_m.items():
+            row = g[b][n]
+            for n1 in range(n):
+                right = g[d][n - 1 - n1]
+                for i1, k1 in enumerate(g[c][n1]):
+                    if k1:
+                        for i2, k2 in enumerate(right):
+                            row[i1 + i2] += k1 * k2
+    return {
+        b: BivariateSeries(
+            D, {(i, n - i): k for n, row in enumerate(rows) for i, k in enumerate(row)}
+        )
+        for b, rows in g.items()
     }
-    for _ in range(D + 1):
-        new = {}
-        for b in aut.states:
-            acc = base[b]
-            for c in a_into[b]:
-                acc = acc + g[c].shift(1, 0)
-            for c, d in m_into[b]:
-                acc = acc + (g[c] * g[d]).shift(0, 1)
-            new[b] = acc
-        g = new
-    return g
 
 
 def hilbert_series(rules, D: int) -> BivariateSeries:

@@ -52,7 +52,7 @@ class Signature:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if len(parts) != 3 or parts[0] != "op":
+            if len(parts) != 3 or parts[0] != "op" or not parts[2].isdecimal():
                 raise TermError(f"line {lineno}: expected `op <name> <arity>`")
             syms.append((parts[1], int(parts[2])))
         return Signature(tuple(syms))
@@ -152,6 +152,8 @@ def parse(text: str, sig: Signature) -> Context:
                 raise TermError("box indices start at 1")
             word.append(int(tok))
         elif tok.startswith("[") and tok.endswith("]"):
+            if not tok[1:-1].isdecimal():
+                raise TermError(f"bad box token {tok!r}")
             idx = int(tok[1:-1])
             if idx < 1:
                 raise TermError("box indices start at 1")

@@ -1,7 +1,3 @@
-import os
-
-import pytest
-
 from homoperad.completion import complete, overlaps
 from homoperad.orders import LEX_MA, RIGHT_COMB
 from homoperad.rewrite import RewritingSystem, is_irreducible, parse_rules
@@ -77,9 +73,6 @@ def test_homass_census_to_eleven():
     assert state.census() == {3: 1, 5: 1, 7: 1, 8: 2, 9: 1, 10: 4, 11: 7}
 
 
-@pytest.mark.skipif(
-    not os.environ.get("HOMOPERAD_LONG_TESTS"), reason="set HOMOPERAD_LONG_TESTS=1"
-)
 def test_homass_census_to_fourteen():
     state = complete(homass_rules(), max_order=14)
     assert state.census() == {

@@ -1,0 +1,152 @@
+"""The worklist subset construction and the degree-by-degree series count,
+checked against the frontier-and-refill construction and the fixed-point
+solve they replaced, which are kept here as references."""
+
+from functools import lru_cache
+
+import pytest
+
+from homoperad.automata import LEAF, BottomUpAutomaton, determinize, grammar_from_rules
+from homoperad.completion import complete
+from homoperad.orders import LEX_MA
+from homoperad.rewrite import RewritingSystem, parse_rules
+from homoperad.series import BivariateSeries, solve_series
+from homoperad.terms import HOM_SIGNATURE
+
+RULE1 = "m a 1 m 2 3 -> m m 1 2 a 3"
+RULE2 = "m m 1 a 2 a m 3 4 -> m m 1 m 2 3 a a 4"
+
+
+# --- references -------------------------------------------------------------
+
+
+def ref_determinize(g) -> BottomUpAutomaton:
+    a_prods, m_prods, leaf = {}, {}, set()
+    for b, ps in g.productions.items():
+        for p in ps:
+            if p == LEAF:
+                leaf.add(b)
+            elif p[0] == "a":
+                a_prods.setdefault(p[1], set()).add(b)
+            else:
+                m_prods.setdefault((p[1], p[2]), set()).add(b)
+
+    def subset_a(s):
+        out = set()
+        for c in s:
+            out |= a_prods.get(c, set())
+        return tuple(sorted(out))
+
+    def subset_m(s, t):
+        out = set()
+        for c in s:
+            for d in t:
+                out |= m_prods.get((c, d), set())
+        return tuple(sorted(out))
+
+    leaf_state = tuple(sorted(leaf))
+    states, seen, f_a, f_m = [leaf_state], {leaf_state}, {}, {}
+    frontier = [leaf_state]
+    while frontier:
+        new = []
+        for s in frontier:
+            targets = [subset_a(s)]
+            for t in states:
+                targets.append(subset_m(s, t))
+                if t != s:
+                    targets.append(subset_m(t, s))
+            for u in targets:
+                if u not in seen:
+                    seen.add(u)
+                    states.append(u)
+                    new.append(u)
+        for s in states:
+            f_a[s] = subset_a(s)
+            for t in states:
+                f_m[(s, t)] = subset_m(s, t)
+        frontier = new
+    return BottomUpAutomaton(tuple(states), leaf_state, f_a, f_m)
+
+
+def ref_solve_series(aut: BottomUpAutomaton, D: int) -> dict:
+    a_into = {b: [] for b in aut.states}
+    m_into = {b: [] for b in aut.states}
+    for c, b in aut.f_a.items():
+        a_into[b].append(c)
+    for (c, d), b in aut.f_m.items():
+        m_into[b].append((c, d))
+    a = BivariateSeries(D, {(1, 0): 1})
+    m = BivariateSeries(D, {(0, 1): 1})
+    base = {b: BivariateSeries(D, {(0, 0): int(b == aut.leaf_state)}) for b in aut.states}
+    g = {b: BivariateSeries(D) for b in aut.states}
+    for _ in range(D + 1):
+        new = {}
+        for b in aut.states:
+            acc = base[b]
+            for c in a_into[b]:
+                acc = acc + g[c] * a
+            for c, d in m_into[b]:
+                acc = acc + g[c] * g[d] * m
+            new[b] = acc
+        g = new
+    return g
+
+
+# --- rule lists -------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def order_ten_rules():
+    """The homass system completed to order 10, listed as `complete --out`
+    writes it."""
+    system = RewritingSystem(
+        HOM_SIGNATURE, LEX_MA, parse_rules(RULE1, HOM_SIGNATURE, LEX_MA)
+    )
+    state = complete(system, max_order=10)
+    assert state.status == "complete"
+    return tuple(sorted(state.system, key=lambda r: (r.order, str(r.lhs))))
+
+
+def rule_list(name):
+    if name == "order10":
+        return order_ten_rules()
+    return tuple(parse_rules(RULE1 + "\n" + RULE2, HOM_SIGNATURE, LEX_MA))
+
+
+PREFIXES = [("rule1-rule2", k) for k in range(3)] + [("order10", k) for k in range(1, 11)]
+
+
+@lru_cache(maxsize=None)
+def automata(rules):
+    g = grammar_from_rules(rules)
+    return determinize(g), ref_determinize(g)
+
+
+# --- checks -----------------------------------------------------------------
+
+
+def test_order_ten_list_has_ten_rules():
+    assert len(order_ten_rules()) == 10
+
+
+@pytest.mark.parametrize("name,k", PREFIXES)
+def test_determinize_matches_reference(name, k):
+    got, ref = automata(rule_list(name)[:k])
+    assert set(got.states) == set(ref.states)
+    assert len(got.states) == len(ref.states)
+    assert got.leaf_state == ref.leaf_state
+    assert got.f_a == ref.f_a
+    assert got.f_m == ref.f_m
+
+
+@pytest.mark.parametrize("name,k", PREFIXES)
+def test_solve_series_matches_reference(name, k):
+    aut, _ = automata(rule_list(name)[:k])
+    assert solve_series(aut, 9) == ref_solve_series(aut, 9)
+
+
+def test_solve_series_degree_zero_is_the_leaf():
+    aut = determinize(grammar_from_rules(parse_rules(RULE1, HOM_SIGNATURE, LEX_MA)))
+    g = solve_series(aut, 0)
+    assert g[aut.leaf_state] == BivariateSeries(0, {(0, 0): 1})
+    assert all(not g[b].coeffs for b in aut.states if b != aut.leaf_state)

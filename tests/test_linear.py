@@ -1,10 +1,18 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from homoperad.linear import IncomparableLeading, LinComb, compose_linear, leading_monomial
-from homoperad.orders import LEX_MA
-from homoperad.terms import HOM_SIGNATURE, Permutation, TermError, parse
+from homoperad.linear import (
+    IncomparableLeading,
+    LinComb,
+    compose_linear,
+    leading_monomial,
+    maximal,
+)
+from homoperad.orders import GT, INC, LEX_MA, RIGHT_COMB
+from homoperad.terms import HOM_SIGNATURE, Permutation, TermError, act, enumerate_plane, parse
 
 
 def t(text):
@@ -94,3 +102,39 @@ def test_leading_monomial_incomparable():
 def test_leading_monomial_empty():
     with pytest.raises(ValueError):
         leading_monomial(LinComb(2), LEX_MA)
+
+
+# x and y are incomparable under lex_ma; z is above both
+X, Y, Z = "m m 1 2 m 3 4", "m m 1 m 2 3 4", "m a m 1 2 m 3 4"
+
+
+@pytest.mark.parametrize("texts", [(X, Y, Z), (Z, X, Y)])
+def test_leading_monomial_does_not_depend_on_insertion_order(texts):
+    assert LEX_MA.compare(t(X), t(Y)) == INC
+    x = LinComb(4)
+    for i, text in enumerate(texts, 1):
+        x = x + mono(text, Fraction(i))
+    assert leading_monomial(x, LEX_MA) == (t(Z), Fraction(texts.index(Z) + 1))
+
+
+# arity-4 contexts: the plane ones with at most two a-vertices, and every
+# box permutation of the a-free ones
+ARITY_FOUR = [c for k in range(3) for c in enumerate_plane(k, 3)] + [
+    act(Permutation(p), c)
+    for c in enumerate_plane(0, 3)
+    for p in permutations(range(1, 5))
+    if p != (1, 2, 3, 4)
+]
+
+
+def all_pairs_maximal(monos, order):
+    return [m for m in monos if not any(order.compare(o, m) == GT for o in monos)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.sampled_from(ARITY_FOUR), unique=True, max_size=12),
+    st.sampled_from([LEX_MA, RIGHT_COMB]),
+)
+def test_maximal_equals_all_pairs_definition(monos, order):
+    assert maximal(monos, order) == all_pairs_maximal(monos, order)
