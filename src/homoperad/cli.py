@@ -190,8 +190,12 @@ def cmd_check_algebra(args) -> int:
 def cmd_envelope(args) -> int:
     with open(args.algebra) as f:
         L = load_algebra(f.read())
-    names = args.names.split(",")
-    pres = envelope_presentation(L, names, get_order(args.order))
+    try:
+        pres = envelope_presentation(L, args.names.split(","), get_order(args.order))
+    except (TermError, IncomparableLeading):
+        raise
+    except (TypeError, ValueError) as e:  # not a bracket table, not skew, name count
+        raise TermError(str(e)) from None
     sys.stdout.write(pres.to_text())
     return EXIT_OK
 
@@ -269,8 +273,8 @@ def main(argv=None) -> int:
     except TermError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except OSError as e:
+        print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

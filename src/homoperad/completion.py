@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -19,8 +20,6 @@ from .rewrite import (
     orient,
 )
 from .terms import Context, Signature, TermError, grading, subterm_ends, word_key
-
-BOX = 0  # placeholder while building a superposition; renumbered afterwards
 
 
 @dataclass(frozen=True)
@@ -41,18 +40,17 @@ class Ambiguity:
 def _merge(a, i, b, j, sig, ends_a, ends_b):
     """Unify two linear patterns token-wise; boxes are local wildcards.
     ``ends_a``/``ends_b`` are the words' subterm-end tables.
-    Returns (merged tokens, end in a, end in b) or None on symbol clash."""
+    Returns (merged tokens, end in a, end in b) or None on symbol clash.
+    Box tokens are copied as they are; ``_renumber`` numbers them afterwards."""
     ta, tb = a[i], b[j]
     if isinstance(ta, int) and isinstance(tb, int):
-        return [BOX], i + 1, j + 1
+        return [ta], i + 1, j + 1
     if isinstance(ta, int):
         end = ends_b[j]
-        frag = [BOX if isinstance(t, int) else t for t in b[j:end]]
-        return frag, i + 1, end
+        return b[j:end], i + 1, end
     if isinstance(tb, int):
         end = ends_a[i]
-        frag = [BOX if isinstance(t, int) else t for t in a[i:end]]
-        return frag, end, j + 1
+        return a[i:end], end, j + 1
     if ta != tb:
         return None
     out = [ta]
@@ -67,7 +65,7 @@ def _merge(a, i, b, j, sig, ends_a, ends_b):
 
 
 def _renumber(tokens, sig) -> Context:
-    k = iter(range(1, sum(1 for t in tokens if isinstance(t, int)) + 1))
+    k = itertools.count(1)
     word = tuple(next(k) if isinstance(t, int) else t for t in tokens)
     return Context(word, sig, _checked=True)
 
@@ -86,9 +84,7 @@ def _superpositions(s1: Rule, s2: Rule, sig: Signature, ends1, ends2):
         merged, _, jend = got
         if jend != len(s2.lhs.word):
             continue
-        head = [BOX if isinstance(t, int) else t for t in w1[:p]]
-        tail = [BOX if isinstance(t, int) else t for t in w1[ends1[p] :]]
-        yield _renumber(head + merged + tail, sig), p
+        yield _renumber(w1[:p] + tuple(merged) + w1[ends1[p] :], sig), p
 
 
 def overlaps(s1: Rule, s2: Rule, sig: Signature) -> list[Ambiguity]:
@@ -184,11 +180,11 @@ def complete(
         for r in initial:
             if not is_homogeneous(r.lhs, r.rhs):
                 raise RuleError(f"rule {r.id} is not grading-homogeneous")
-    rules: dict[str, Rule] = {r.id: r for r in initial}
-    counter = len(rules)
+    system = RewritingSystem(sig, order, initial)
+    counter = len(system)
     heap = []
     log = []
-    seq = iter(range(10**9))
+    seq = itertools.count()
 
     def push_overlaps(a: Rule, b: Rule):
         for amb in overlaps(a, b, sig):
@@ -200,79 +196,63 @@ def complete(
                 )
                 heapq.heappush(heap, (key, next(seq), amb))
 
-    ids = list(rules)
-    for i, x in enumerate(ids):
-        for y in ids[i:]:
-            push_overlaps(rules[x], rules[y])
+    for x, y in itertools.combinations_with_replacement(system.rules, 2):
+        push_overlaps(x, y)
 
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
 
-    def current_system() -> RewritingSystem:
-        return RewritingSystem(sig, order, rules.values())
-
     def adjoin(diff: LinComb) -> list[Rule]:
         """Orient a normalized nonzero difference, add it, and inter-reduce.
-        Returns the rules added (the oriented one plus any re-derived)."""
+        Returns the rules added (the oriented one plus any re-derived).
+        A rule whose rhs is re-normalized is removed and added again: it
+        moves to the end of the system, whose order breaks heap ties."""
         nonlocal counter
         added = []
         work = [diff]
         while work:
-            d = work.pop()
-            d = normal_form(d, current_system())
+            d = normal_form(work.pop(), system)
             if not d:
                 continue
             counter += 1
             new = orient(f"r{counter}", d, order)
             if require_homogeneous and not is_homogeneous(new.lhs, new.rhs):
                 raise RuleError(f"generated rule {new.id} is not homogeneous")
-            rules[new.id] = new
+            system.add(new)
             added.append(new)
             if not inter_reduce:
                 continue
             one = RewritingSystem(sig, order, [new])
-            for rid in list(rules):
-                if rid == new.id:
-                    continue
-                old = rules[rid]
+            for old in system.rules[:-1]:  # all but new, added last
                 if find_redexes(old.lhs, one):
-                    del rules[rid]
+                    system.remove(old.id)
                     work.append(LinComb.monomial(old.lhs) - old.rhs)
                 elif not is_irreducible(old.rhs, one):
-                    rhs = normal_form(old.rhs, current_system())
-                    del rules[rid]
-                    if rhs == LinComb.monomial(old.lhs):
-                        continue
-                    rules[rid] = make_rule(rid, old.lhs, rhs, order)
+                    rhs = normal_form(old.rhs, system)
+                    system.remove(old.id)
+                    if rhs != LinComb.monomial(old.lhs):
+                        system.add(make_rule(old.id, old.lhs, rhs, order))
         return added
 
     while heap:
         if deadline is not None and time.monotonic() > deadline:
-            return CompletionState(current_system(), "budget", max_order, log)
+            return CompletionState(system, "budget", max_order, log)
         (key, _, amb) = heapq.heappop(heap)
-        if amb.rule1 not in rules or amb.rule2 not in rules:
+        if amb.rule1 not in system or amb.rule2 not in system:
             continue
-        outcome = resolve(amb, current_system())
+        outcome = resolve(amb, system)
         if isinstance(outcome, Resolved):
             log.append((amb, "resolved"))
             continue
-        if isinstance(outcome, Failure):
-            log.append((amb, "order_failure"))
-            return CompletionState(
-                current_system(), "order_failure", max_order, log, outcome
-            )
+        # a Failure's diff is in normal form: adjoin's orient raises the same error
         try:
             added = adjoin(outcome.diff)
         except IncomparableLeading as e:
             log.append((amb, "order_failure"))
             return CompletionState(
-                current_system(),
-                "order_failure",
-                max_order,
-                log,
-                Failure(outcome.diff, str(e)),
+                system, "order_failure", max_order, log, Failure(outcome.diff, str(e))
             )
         log.append((amb, "new_rule " + ",".join(r.id for r in added)))
         for new in added:
-            for other in list(rules.values()):
+            for other in system:
                 push_overlaps(new, other)
-    return CompletionState(current_system(), "complete", max_order, log)
+    return CompletionState(system, "complete", max_order, log)

@@ -49,16 +49,19 @@ class LinComb:
     def __add__(self, other: "LinComb") -> "LinComb":
         if self.arity != other.arity:
             raise TermError("arity mismatch in addition")
-        terms = dict(self.terms)
-        for ctx, c in other.terms.items():
-            s = terms.get(ctx, 0) + c
-            if s:
-                terms[ctx] = s
-            else:
-                terms.pop(ctx, None)
         out = LinComb(self.arity)
-        out.terms = terms
+        out.terms = dict(self.terms)
+        for ctx, c in other.terms.items():
+            out.add_term(ctx, c)
         return out
+
+    def add_term(self, ctx: Context, c):
+        """Add c to the coefficient of ctx in place, dropping it at zero."""
+        s = self.terms.get(ctx, 0) + c
+        if s:
+            self.terms[ctx] = s
+        else:
+            self.terms.pop(ctx, None)
 
     def __neg__(self):
         out = LinComb(self.arity)
@@ -128,12 +131,7 @@ def compose_linear(outer: LinComb, inners: list[LinComb]) -> LinComb:
                 for ictx, ic in inner.terms.items()
             ]
         for c, picked in stack:
-            ctx = compose(octx, picked)
-            s = out.terms.get(ctx, 0) + c
-            if s:
-                out.terms[ctx] = s
-            else:
-                out.terms.pop(ctx, None)
+            out.add_term(compose(octx, picked), c)
     return out
 
 

@@ -68,7 +68,8 @@ _RULES = None  # trie key of the rules whose lhs ends at that node
 
 
 class RewritingSystem:
-    """An immutable, validated collection of rules sharing one term order.
+    """A validated collection of rules sharing one term order, edited in
+    place by ``add`` and ``remove``; iteration is in insertion order.
 
     The lhs words are indexed by a discrimination trie: nested dicts keyed
     by symbol, with every box one ``_WILD`` edge.  Each lhs is plane and
@@ -77,22 +78,40 @@ class RewritingSystem:
     def __init__(self, sig: Signature, order: TermOrder, rules):
         self.sig = sig
         self.order = order
-        self.rules = tuple(rules)
-        ids = [r.id for r in self.rules]
-        if len(set(ids)) != len(ids):
-            raise RuleError(f"duplicate rule ids: {ids}")
+        self._rules = {}
         self._trie = {}
-        for r in self.rules:
-            node = self._trie
-            for tok in r.lhs.word:
-                node = node.setdefault(_WILD if isinstance(tok, int) else tok, {})
-            node.setdefault(_RULES, []).append(r)
+        for r in rules:
+            self.add(r)
+
+    def _leaf(self, lhs: Context) -> dict:
+        node = self._trie
+        for tok in lhs.word:
+            node = node.setdefault(_WILD if isinstance(tok, int) else tok, {})
+        return node
+
+    def add(self, rule: Rule):
+        if rule.id in self._rules:
+            raise RuleError(f"duplicate rule id {rule.id}")
+        self._rules[rule.id] = rule
+        self._leaf(rule.lhs).setdefault(_RULES, []).append(rule)
+
+    def remove(self, rule_id: str):
+        """Drop a rule; its trie path stays, with no rules at the end."""
+        rule = self._rules.pop(rule_id)
+        self._leaf(rule.lhs)[_RULES].remove(rule)
+
+    @property
+    def rules(self) -> tuple:
+        return tuple(self._rules.values())
+
+    def __contains__(self, rule_id):
+        return rule_id in self._rules
 
     def __len__(self):
-        return len(self.rules)
+        return len(self._rules)
 
     def __iter__(self):
-        return iter(self.rules)
+        return iter(self._rules.values())
 
 
 @dataclass(frozen=True)
@@ -151,12 +170,7 @@ def apply_redex(t: Context, redex: Redex) -> LinComb:
                 mid.extend(redex.bindings[tok - 1])
             else:
                 mid.append(tok)
-        ctx = Context(head + tuple(mid) + tail, t.sig, _checked=True)
-        s = out.terms.get(ctx, 0) + coeff
-        if s:
-            out.terms[ctx] = s
-        else:
-            out.terms.pop(ctx, None)
+        out.add_term(Context(head + tuple(mid) + tail, t.sig, _checked=True), coeff)
     return out
 
 
@@ -218,8 +232,9 @@ def normal_form(x: LinComb, sys: RewritingSystem, log=None, rng=None) -> LinComb
     monomial and redex are chosen at random each step instead of by the
     deterministic strategy; a complete system reaches the same answer.
 
-    Monomials are immutable and ``sys`` is fixed, so the redexes of each
-    distinct monomial are searched once per call and kept until it returns."""
+    Monomials are immutable and ``sys`` must not change during the call, so
+    the redexes of each distinct monomial are searched once per call and
+    kept until it returns."""
     memo = {}
 
     def redexes(mono):

@@ -12,6 +12,7 @@ def data_path(name):
 HOMASS = data_path("homass.rules")
 ASSOC = data_path("assoc.rules")
 QSL2 = data_path("qsl2.json")
+DATA = data_path("")
 
 
 def run(capsys, argv):
@@ -92,6 +93,20 @@ def test_complete_out_files(capsys, tmp_path):
     assert (tmp_path / "run.log").read_text()
 
 
+def test_complete_order_failure_exit(capsys, tmp_path):
+    prefix = str(tmp_path / "run")
+    code, out, err = run(
+        capsys,
+        ["complete", "--rules", HOMASS, "--order", "right_comb",
+         "--max-order", "8", "--out", prefix],
+    )
+    assert code == 4
+    assert out == "3\t1\n"
+    assert err == "order failure: cannot orient m m 1 a 2 a m 3 4 - m m 1 m 2 3 a a 4\n"
+    log = (tmp_path / "run.log").read_text()
+    assert log.endswith("m a 1 m a 2 m 3 4\tr1,r1\torder_failure\n")
+
+
 def test_repeated_runs_are_byte_identical(capsys):
     outs = []
     for _ in range(2):
@@ -163,6 +178,13 @@ MALFORMED = {
     "no-mult": ('{"dim": 1, "alpha": [["1"]]}', ["check-algebra", "FILE", "--identities", "skew"]),
     "not-json": ("dim 1\n", ["check-algebra", "FILE", "--identities", "skew"]),
     "negative-degree": (None, ["hilbert", "--free", "--degree", "-1"]),
+    "envelope-names": (None, ["envelope", QSL2, "--names", "e,f"]),
+    "envelope-not-bracket": (
+        '{"dim": 1, "mult": [[["0"]]], "alpha": [["1"]]}',
+        ["envelope", "FILE", "--names", "x"],
+    ),
+    "rules-directory": (None, ["normalize", "--rules", DATA, "--term", "1"]),
+    "algebra-directory": (None, ["check-algebra", DATA, "--identities", "skew"]),
 }
 
 

@@ -1,6 +1,6 @@
 from homoperad.completion import complete, overlaps
 from homoperad.orders import LEX_MA, RIGHT_COMB
-from homoperad.rewrite import RewritingSystem, is_irreducible, parse_rules
+from homoperad.rewrite import RewritingSystem, find_redexes, is_irreducible, parse_rules
 from homoperad.terms import (
     ASS_SIGNATURE,
     HOM_SIGNATURE,
@@ -139,3 +139,28 @@ def test_overlap_sites_share_a_vertex():
             for amb in overlaps(r1, r2, HOM_SIGNATURE):
                 assert amb.site.order <= r1.order + r2.order
                 assert amb.site.order >= max(r1.order, r2.order)
+
+
+def test_complete_leaves_its_input_system_unchanged():
+    initial = homass_rules()
+    before = initial.rules
+    state = complete(initial, max_order=10)
+    assert len(state.system) > len(before)
+    assert initial.rules == before
+    fresh = RewritingSystem(HOM_SIGNATURE, LEX_MA, before)
+    for r in state.system:
+        assert find_redexes(r.lhs, initial) == find_redexes(r.lhs, fresh)
+
+
+def test_order_failure_under_right_comb():
+    initial = RewritingSystem(
+        HOM_SIGNATURE, RIGHT_COMB, parse_rules(HOMASS_RULE, HOM_SIGNATURE, RIGHT_COMB)
+    )
+    state = complete(initial, max_order=8)
+    assert state.status == "order_failure"
+    assert state.failure.reason.startswith("no unique maximum:")
+    assert str(state.failure.diff) == "m m 1 a 2 a m 3 4 - m m 1 m 2 3 a a 4"
+    amb, outcome = state.log[-1]
+    assert (str(amb.site), amb.rule1, amb.rule2, outcome) == (
+        "m a 1 m a 2 m 3 4", "r1", "r1", "order_failure"
+    )

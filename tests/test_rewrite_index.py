@@ -1,12 +1,14 @@
 """The trie-indexed redex search and the memoized normal form, checked
 against the by-root scan and the reduction loop they replaced, which are
-kept here as references."""
+kept here as references; and the system edited in place, checked against
+one built afresh from the same rules."""
 
 import importlib.resources
 import random
 from fractions import Fraction
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from homoperad import rewrite
@@ -16,6 +18,8 @@ from homoperad.linear import LinComb
 from homoperad.orders import GT, LEX_MA, RIGHT_COMB
 from homoperad.rewrite import (
     Redex,
+    Rule,
+    RuleError,
     RewritingSystem,
     apply_redex,
     find_redexes,
@@ -272,6 +276,53 @@ def test_identical_patterns_both_match_in_id_order():
     got = find_redexes(t, sys_)
     assert [(r.position, r.rule.id) for r in got] == [(0, "z3"), (2, "z1"), (2, "z2")]
     assert got == ref_find_redexes(t, sys_)
+
+
+# --- the system edited in place ----------------------------------------------
+
+
+def edited_homass12(seed):
+    """A system that the rules of homass12, and a copy of each under another
+    id with the same lhs, enter and leave in a seeded order; with the rules
+    a dict would hold after the same steps, in its order."""
+    base = homass12()
+    pool = list(base.rules) + [Rule("x" + r.id, r.lhs, r.rhs) for r in base.rules]
+    rng = random.Random(seed)
+    sys_ = RewritingSystem(base.sig, base.order, [])
+    model = {}
+    for _ in range(3 * len(pool)):
+        r = rng.choice(pool)
+        if r.id in sys_:
+            sys_.remove(r.id)
+            del model[r.id]
+        else:
+            sys_.add(r)
+            model[r.id] = r
+    return sys_, list(model.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.lists(monomials("homass12", 16), min_size=1, max_size=4))
+def test_edited_system_matches_a_fresh_one(seed, ts):
+    sys_, rules = edited_homass12(seed)
+    assert list(sys_) == rules and len(sys_) == len(rules)
+    fresh = RewritingSystem(sys_.sig, sys_.order, rules)
+    for t in ts:
+        assert find_redexes(t, sys_) == find_redexes(t, fresh)
+
+
+def test_adding_a_present_id_is_an_error():
+    base = homass12()
+    sys_ = RewritingSystem(base.sig, base.order, base.rules[:2])
+    first, second = base.rules[:2]
+    with pytest.raises(RuleError):
+        sys_.add(first)
+    with pytest.raises(RuleError):
+        sys_.add(Rule(first.id, second.lhs, second.rhs))
+    with pytest.raises(RuleError):
+        RewritingSystem(base.sig, base.order, [first, second, first])
+    assert sys_.rules == (first, second)
+    assert find_redexes(second.lhs, sys_) == ref_find_redexes(second.lhs, sys_)
 
 
 # --- normal_form --------------------------------------------------------------
