@@ -23,7 +23,6 @@ from .rewrite import (
     is_irreducible,
     make_rule,
     normal_form,
-    normal_form_term,
     parse_lincomb,
     parse_rules,
 )

@@ -1,14 +1,16 @@
 """Batch command-line front end.
 
 Exit codes: 0 success, 1 a failed check (`check-algebra` FAIL, or
-`hilbert --strict` with coefficients not guaranteed stable), 2 parse error,
-3 budget exhausted, 4 order failure (a rule or candidate could not be
-oriented by the active term order).
+`hilbert --strict` with coefficients not guaranteed stable), 2 parse error
+or refused input (an inhomogeneous rule or an unwritable `--out` for
+`complete`), 3 budget exhausted, 4 order failure (a rule or candidate could
+not be oriented by the active term order).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .completion import Candidate, Resolved, complete, overlaps, resolve
@@ -31,7 +33,7 @@ from .rewrite import (
     parse_lincomb,
     parse_rules,
 )
-from .scalars import ScalarParseError
+from .scalars import ScalarParseError, format_scalar
 from .series import format_series, free_series, hilbert_series, unstable_degrees
 from .terms import HOM_SIGNATURE, Signature, TermError
 
@@ -39,12 +41,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_ORDER = 4
-
-
-class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
 
 
 def load_rules_path(path: str, order_name: str):
@@ -76,23 +72,24 @@ def cmd_normalize(args) -> int:
 
 def cmd_complete(args) -> int:
     sig, order, rules = load_rules_path(args.rules, args.order)
-    state = complete(
-        RewritingSystem(sig, order, rules),
-        args.max_order,
-        budget_seconds=args.budget,
-        inter_reduce=not args.no_inter_reduce,
-        require_homogeneous=not args.allow_inhomogeneous,
-    )
-    for o, n in state.census().items():
-        print(f"{o}\t{n}")
-    if args.out:
-        ordered = sorted(state.system, key=lambda r: (r.order, str(r.lhs)))
-        with open(args.out + ".rules", "w") as f:
-            f.write(format_rules(ordered))
-        with open(args.out + ".census.tsv", "w") as f:
-            f.writelines(f"{o}\t{n}\n" for o, n in state.census().items())
-        with open(args.out + ".log", "w") as f:
-            f.writelines(
+    exts = (".rules", ".census.tsv", ".log") if args.out else ()
+    with contextlib.ExitStack() as stack:
+        # opened first, so an unwritable --out prefix fails before completion runs
+        outs = [stack.enter_context(open(args.out + ext, "w")) for ext in exts]
+        state = complete(
+            RewritingSystem(sig, order, rules),
+            args.max_order,
+            budget_seconds=args.budget,
+            inter_reduce=not args.no_inter_reduce,
+        )
+        for o, n in state.census().items():
+            print(f"{o}\t{n}")
+        if outs:
+            rules_f, census_f, log_f = outs
+            ordered = sorted(state.system, key=lambda r: (r.order, str(r.lhs)))
+            rules_f.write(format_rules(ordered))
+            census_f.writelines(f"{o}\t{n}\n" for o, n in state.census().items())
+            log_f.writelines(
                 f"{amb.site}\t{amb.rule1},{amb.rule2}\t{outcome}\n"
                 for amb, outcome in state.log
             )
@@ -143,7 +140,7 @@ def cmd_hilbert(args) -> int:
         warnings = []
     else:
         if not args.rules:
-            raise CliError("hilbert needs --rules or --free", EXIT_PARSE)
+            raise TermError("hilbert needs --rules or --free")
         stable = [_parse_grading(s) for s in args.stable]
         _, _, rules = load_rules_path(args.rules, args.order)
         series = hilbert_series(rules, args.degree)
@@ -172,16 +169,17 @@ def cmd_check_algebra(args) -> int:
     with open(args.algebra) as f:
         A = load_algebra(f.read())
     names = args.identities.split(",")
-    ok = True
     for name in names:
         if name not in _IDENTITY_CHECKS:
-            raise CliError(f"unknown identity {name!r}", EXIT_PARSE)
+            raise TermError(f"unknown identity {name!r}")
+    ok = True
+    for name in names:
         violations = _IDENTITY_CHECKS[name](A)
         if violations:
             ok = False
             print(f"{name}\tFAIL")
             for idx, defect in violations:
-                print(f"  at {idx}: defect {defect}")
+                print(f"  at {idx}: defect [{', '.join(map(format_scalar, defect))}]")
         else:
             print(f"{name}\tPASS")
     return EXIT_OK if ok else 1
@@ -221,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-order", type=int, required=True)
     sp.add_argument("--budget", type=float, default=None, help="seconds")
     sp.add_argument("--no-inter-reduce", action="store_true")
-    sp.add_argument("--allow-inhomogeneous", action="store_true")
     sp.add_argument("--out", help="prefix for .rules/.census.tsv/.log outputs")
     sp.set_defaults(fn=cmd_complete)
 
@@ -261,24 +258,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ScalarParseError, AlgebraFormatError) as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except RuleError as e:
+    except (RuleError, IncomparableLeading) as e:  # RuleError is a TermError
         print(f"order failure: {e}", file=sys.stderr)
         return EXIT_ORDER
-    except IncomparableLeading as e:
-        print(f"order failure: {e}", file=sys.stderr)
-        return EXIT_ORDER
-    except TermError as e:
+    except (ScalarParseError, AlgebraFormatError, TermError, OSError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
-    except OSError as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
 
 
 if __name__ == "__main__":

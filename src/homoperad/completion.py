@@ -174,12 +174,14 @@ def complete(
     """Run the critical-pairs/completion procedure up to sites of the given
     order.  Ambiguities are processed in increasing (site order, site word,
     rule pair) priority; candidate differences are normalized, oriented and
-    adjoined; with ``inter_reduce`` the system is kept fully reduced."""
+    adjoined; with ``inter_reduce`` the system is kept fully reduced.  With
+    ``require_homogeneous`` an input rule that is not grading-homogeneous is
+    refused with a TermError before any work."""
     sig, order = initial.sig, initial.order
     if require_homogeneous:
         for r in initial:
             if not is_homogeneous(r.lhs, r.rhs):
-                raise RuleError(f"rule {r.id} is not grading-homogeneous")
+                raise TermError(f"rule {r.id} is not grading-homogeneous")
     system = RewritingSystem(sig, order, initial)
     counter = len(system)
     heap = []

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement, product
 
 from .linear import LinComb
 from .orders import LEX_MA, TermOrder
@@ -54,6 +55,9 @@ class FiniteHomAlgebra:
         self.mult = [[list(mult[i][j]) for j in range(dim)] for i in range(dim)]
         self.alpha = [list(row) for row in alpha]
         self.bracket = bracket
+        # the nonzero structure constants (k, c) of m(e_i, e_j)
+        self._terms = [[[(k, c) for k, c in enumerate(v) if c] for v in row]
+                       for row in self.mult]
 
     def basis(self, i):
         v = _zeros(self.dim)
@@ -68,7 +72,9 @@ class FiniteHomAlgebra:
             for j, yj in enumerate(y):
                 if not yj:
                     continue
-                out = vec_add(out, vec_scale(xi * yj, self.mult[i][j]))
+                s = xi * yj
+                for k, c in self._terms[i][j]:
+                    out[k] = out[k] + s * c
         return out
 
     def map_alpha(self, x):
@@ -79,8 +85,9 @@ class FiniteHomAlgebra:
         for j, xj in enumerate(x):
             if not xj:
                 continue
-            for i in range(self.dim):
-                out[i] = out[i] + mat[i][j] * xj
+            for i, row in enumerate(mat):
+                if row[j]:
+                    out[i] = out[i] + row[j] * xj
         return out
 
     @staticmethod
@@ -99,64 +106,52 @@ class FiniteHomAlgebra:
 Violation = tuple  # (basis index tuple, defect vector)
 
 
-def check_hom_associative(A: FiniteHomAlgebra) -> list[Violation]:
+def _walk(A: FiniteHomAlgebra, indices, defect) -> list[Violation]:
+    """The nonzero defects over basis index tuples, in the order of
+    ``indices``.  ``defect`` takes the basis vectors at a tuple's indices,
+    one shared vector per index, and returns a vector."""
+    basis = [A.basis(i) for i in range(A.dim)]
     out = []
-    for i in range(A.dim):
-        ei = A.basis(i)
-        for j in range(A.dim):
-            ej = A.basis(j)
-            for k in range(A.dim):
-                ek = A.basis(k)
-                d = vec_sub(
-                    A.multiply(A.map_alpha(ei), A.multiply(ej, ek)),
-                    A.multiply(A.multiply(ei, ej), A.map_alpha(ek)),
-                )
-                if not vec_is_zero(d):
-                    out.append(((i, j, k), d))
+    for idx in indices:
+        d = defect(*(basis[i] for i in idx))
+        if not vec_is_zero(d):
+            out.append((idx, d))
     return out
+
+
+def check_hom_associative(A: FiniteHomAlgebra) -> list[Violation]:
+    def defect(x, y, z):
+        return vec_sub(
+            A.multiply(A.map_alpha(x), A.multiply(y, z)),
+            A.multiply(A.multiply(x, y), A.map_alpha(z)),
+        )
+
+    return _walk(A, product(range(A.dim), repeat=3), defect)
 
 
 def check_hom_jacobi(A: FiniteHomAlgebra) -> list[Violation]:
-    out = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k in range(A.dim):
-                x, y, z = A.basis(i), A.basis(j), A.basis(k)
-                d = _zeros(A.dim)
-                for p, q, r in ((x, y, z), (y, z, x), (z, x, y)):
-                    d = vec_add(d, A.multiply(A.map_alpha(p), A.multiply(q, r)))
-                if not vec_is_zero(d):
-                    out.append(((i, j, k), d))
-    return out
+    def defect(x, y, z):
+        cyclic = ((x, y, z), (y, z, x), (z, x, y))
+        terms = [A.multiply(A.map_alpha(p), A.multiply(q, r)) for p, q, r in cyclic]
+        return [a + b + c for a, b, c in zip(*terms)]
+
+    return _walk(A, product(range(A.dim), repeat=3), defect)
 
 
 def check_skew(A: FiniteHomAlgebra) -> list[Violation]:
-    out = []
-    for i in range(A.dim):
-        for j in range(i, A.dim):
-            d = vec_add(
-                A.multiply(A.basis(i), A.basis(j)),
-                A.multiply(A.basis(j), A.basis(i)),
-            )
-            if i == j:
-                d = A.multiply(A.basis(i), A.basis(i))
-            if not vec_is_zero(d):
-                out.append(((i, j), d))
-    return out
+    """m(x, y) + m(y, x) on pairs i < j, and m(x, x) on the diagonal."""
+
+    def defect(x, y):
+        if x is y:
+            return A.multiply(x, x)
+        return vec_add(A.multiply(x, y), A.multiply(y, x))
+
+    return _walk(A, combinations_with_replacement(range(A.dim), 2), defect)
 
 
 def check_multiplicative(A: FiniteHomAlgebra) -> list[Violation]:
-    out = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            ei, ej = A.basis(i), A.basis(j)
-            d = vec_sub(
-                A.multiply(A.map_alpha(ei), A.map_alpha(ej)),
-                A.map_alpha(A.multiply(ei, ej)),
-            )
-            if not vec_is_zero(d):
-                out.append(((i, j), d))
-    return out
+    """Defects of alpha(m(x,y)) = m(alpha(x), alpha(y)) on basis pairs."""
+    return weak_morphism_violations(A, A.alpha)
 
 
 def associator(A: FiniteHomAlgebra, x, y, z):
@@ -168,17 +163,14 @@ def associator(A: FiniteHomAlgebra, x, y, z):
 
 def weak_morphism_violations(A: FiniteHomAlgebra, beta) -> list[Violation]:
     """Defects of beta(m(x,y)) = m(beta(x), beta(y)) on basis pairs."""
-    out = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            ei, ej = A.basis(i), A.basis(j)
-            d = vec_sub(
-                A.multiply(A.apply_matrix(beta, ei), A.apply_matrix(beta, ej)),
-                A.apply_matrix(beta, A.multiply(ei, ej)),
-            )
-            if not vec_is_zero(d):
-                out.append(((i, j), d))
-    return out
+
+    def defect(x, y):
+        return vec_sub(
+            A.multiply(A.apply_matrix(beta, x), A.apply_matrix(beta, y)),
+            A.apply_matrix(beta, A.multiply(x, y)),
+        )
+
+    return _walk(A, product(range(A.dim), repeat=2), defect)
 
 
 def yau_twist(A: FiniteHomAlgebra, beta) -> FiniteHomAlgebra:

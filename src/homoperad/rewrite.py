@@ -250,10 +250,6 @@ def normal_form(x: LinComb, sys: RewritingSystem, log=None, rng=None) -> LinComb
         x = _rewrite(x, *step)
 
 
-def normal_form_term(t: Context, sys: RewritingSystem, log=None, rng=None) -> LinComb:
-    return normal_form(LinComb.monomial(t), sys, log=log, rng=rng)
-
-
 # --- rule file format -------------------------------------------------------
 
 

@@ -8,9 +8,9 @@ plane monomials directly, so the coefficients are the plane counts.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .automata import BottomUpAutomaton, determinize, grammar_from_rules
+from .terms import plane_count
 
 
 class BivariateSeries:
@@ -92,14 +92,12 @@ def format_series(x: BivariateSeries) -> str:
 
 
 def free_series(D: int) -> BivariateSeries:
-    """Closed-form count of all plane monomials over {m/2, a/1}: the
-    coefficient of a^k m^l is (1/(l+1)) * (k+2l)!/(k! l! l!)."""
+    """The count of all plane monomials over {m/2, a/1}: the coefficient of
+    a^k m^l is the closed form ``plane_count(k, l)``."""
     out = BivariateSeries(D)
     for k in range(D + 1):
         for l in range(D - k + 1):
-            out.coeffs[(k, l)] = Fraction(
-                factorial(k + 2 * l), factorial(k) * factorial(l) ** 2 * (l + 1)
-            )
+            out.coeffs[(k, l)] = Fraction(plane_count(k, l))
     return out
 
 

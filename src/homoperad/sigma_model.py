@@ -11,6 +11,7 @@ dropping terms.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 
 class TruncationOverflow(ValueError):
@@ -23,7 +24,9 @@ class SigmaDerivationModel:
             raise ValueError("truncation bound must be at least 1")
         self.N = N
         self.q = q
-        self.delta_scalar = q  # D_q(sigma(a)) = q sigma(D_q(a))
+        self.q_powers = [q**n for n in range(N)]
+        # [n]_q = 1 + q + ... + q^{n-1} for n = 1 .. N-1, stored at n - 1
+        self.q_numbers = list(accumulate(self.q_powers[:-1]))
 
     def zero(self):
         return [Fraction(0)] * self.N
@@ -59,17 +62,14 @@ class SigmaDerivationModel:
 
     def sigma(self, vec):
         """The algebra endomorphism t^n -> q^n t^n."""
-        return [c * self.q**n for n, c in enumerate(vec)]
+        return [c * p for c, p in zip(vec, self.q_powers)]
 
     def delta(self, vec):
         """The Jackson derivation: D_q(t^n) = (1 + q + ... + q^{n-1}) t^{n-1}."""
         out = self.zero()
-        qn = self.q**0  # running [n]_q
-        acc = qn - qn  # zero of the right scalar kind
-        for n in range(1, self.N):
-            acc = acc + self.q ** (n - 1)
-            if vec[n]:
-                out[n - 1] = out[n - 1] + acc * vec[n]
+        for n, (b, c) in enumerate(zip(self.q_numbers, vec[1:])):
+            if c:
+                out[n] = b * c
         return out
 
 
@@ -87,7 +87,7 @@ def sigma_bracket(model: SigmaDerivationModel, a, b):
 def check_six_term_jacobi(model: SigmaDerivationModel, a, b, c):
     """Defect of the deformed six-term Jacobi identity with delta = q:
     the cyclic sum of [sigma(x).D, [y.D, z.D]] + q [x.D, [y.D, z.D]]."""
-    q = model.delta_scalar
+    q = model.q
     out = model.zero()
     for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
         inner = sigma_bracket(model, y, z)

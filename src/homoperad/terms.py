@@ -218,10 +218,6 @@ class Permutation:
             inv[img - 1] = i
         return Permutation(tuple(inv))
 
-    def after(self, other: "Permutation") -> "Permutation":
-        """Composite self∘other (apply ``other`` first)."""
-        return Permutation(tuple(self(other(i)) for i in range(1, self.degree + 1)))
-
     @staticmethod
     def identity(n: int) -> "Permutation":
         return Permutation(tuple(range(1, n + 1)))

@@ -107,6 +107,32 @@ def test_complete_order_failure_exit(capsys, tmp_path):
     assert log.endswith("m a 1 m a 2 m 3 4\tr1,r1\torder_failure\n")
 
 
+INHOMOGENEOUS = "op m 2\nop a 1\nop e 0\na e -> m e a e\na a e -> e\n"
+
+
+def test_complete_refuses_inhomogeneous_rules(capsys, tmp_path):
+    path = tmp_path / "inhomogeneous.rules"
+    path.write_text(INHOMOGENEOUS)
+    argv = ["complete", "--rules", str(path), "--max-order", "4"]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "parse error: rule r1 is not grading-homogeneous\n"
+    with pytest.raises(SystemExit):
+        main(argv + ["--allow-inhomogeneous"])
+
+
+def test_complete_refuses_unwritable_out_before_completing(capsys, tmp_path):
+    prefix = str(tmp_path / "missing" / "run")
+    code, out, err = run(
+        capsys, ["complete", "--rules", HOMASS, "--max-order", "5", "--out", prefix]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error:") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 def test_repeated_runs_are_byte_identical(capsys):
     outs = []
     for _ in range(2):
@@ -185,6 +211,8 @@ MALFORMED = {
     ),
     "rules-directory": (None, ["normalize", "--rules", DATA, "--term", "1"]),
     "algebra-directory": (None, ["check-algebra", DATA, "--identities", "skew"]),
+    "hilbert-no-rules": (None, ["hilbert", "--degree", "3"]),
+    "identity-after-known": (None, ["check-algebra", QSL2, "--identities", "skew,nope"]),
 }
 
 
@@ -210,13 +238,38 @@ def test_check_algebra_pass(capsys):
     assert out == "skew\tPASS\nhom-jacobi\tPASS\n"
 
 
-def test_check_algebra_fail(capsys):
-    code, out, _ = run(
-        capsys,
-        ["check-algebra", QSL2, "--identities", "hom-associative"],
-    )
+QSL2_HOM_ASSOCIATIVE = """\
+hom-associative\tFAIL
+  at (0, 0, 1): defect [-q - q^2, 0, 0]
+  at (0, 1, 1): defect [0, q^3 + q^4, 0]
+  at (0, 1, 2): defect [0, 0, q^2 + q^3]
+  at (0, 2, 2): defect [-4*q, 0, 0]
+  at (1, 0, 0): defect [q + q^2, 0, 0]
+  at (1, 0, 2): defect [0, 0, q^2 + q^3]
+  at (1, 1, 0): defect [0, -q^3 - q^4, 0]
+  at (1, 2, 2): defect [0, -4*q^3, 0]
+  at (2, 0, 1): defect [0, 0, -q^2 - q^3]
+  at (2, 1, 0): defect [0, 0, -q^2 - q^3]
+  at (2, 2, 0): defect [4*q, 0, 0]
+  at (2, 2, 1): defect [0, 4*q^3, 0]
+"""
+
+RATIONAL_TABLE = '{"dim": 2, "mult": [[["1","0"],["0","1"]],[["0","1"],["0","0"]]], "alpha": [["2","0"],["0","1"]]}'
+
+
+def test_check_algebra_fail(capsys, tmp_path):
+    code, out, _ = run(capsys, ["check-algebra", QSL2, "--identities", "hom-associative"])
     assert code == 1
-    assert out.startswith("hom-associative\tFAIL")
+    assert out == QSL2_HOM_ASSOCIATIVE
+    path = tmp_path / "rational.json"
+    path.write_text(RATIONAL_TABLE)
+    code, out, _ = run(capsys, ["check-algebra", str(path), "--identities", "hom-associative"])
+    assert code == 1
+    assert out == (
+        "hom-associative\tFAIL\n"
+        "  at (0, 0, 1): defect [0, 1]\n"
+        "  at (1, 0, 0): defect [0, -1]\n"
+    )
 
 
 def test_check_algebra_unknown_identity(capsys):

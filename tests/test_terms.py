@@ -103,7 +103,8 @@ def test_act_is_right_action():
         sigma = Permutation(tuple(images))
         rng.shuffle(images)
         tau = Permutation(tuple(images))
-        assert act(tau, act(sigma, c)) == act(sigma.after(tau), c)
+        sigma_after_tau = Permutation(tuple(sigma(tau(i)) for i in range(1, c.arity + 1)))
+        assert act(tau, act(sigma, c)) == act(sigma_after_tau, c)
 
 
 def test_planarize():
