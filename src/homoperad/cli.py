@@ -13,7 +13,14 @@ import argparse
 import contextlib
 import sys
 
-from .completion import Candidate, Resolved, complete, overlaps, resolve
+from .completion import (
+    Candidate,
+    Resolved,
+    complete,
+    overlaps,
+    refuse_inhomogeneous,
+    resolve,
+)
 from .homalgebra import (
     AlgebraFormatError,
     check_hom_associative,
@@ -72,9 +79,10 @@ def cmd_normalize(args) -> int:
 
 def cmd_complete(args) -> int:
     sig, order, rules = load_rules_path(args.rules, args.order)
+    refuse_inhomogeneous(rules)  # before any --out file is created
     exts = (".rules", ".census.tsv", ".log") if args.out else ()
     with contextlib.ExitStack() as stack:
-        # opened first, so an unwritable --out prefix fails before completion runs
+        # opened before completion, so an unwritable --out prefix fails first
         outs = [stack.enter_context(open(args.out + ext, "w")) for ext in exts]
         state = complete(
             RewritingSystem(sig, order, rules),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -14,7 +15,6 @@ from .rewrite import (
     RuleError,
     apply_redex,
     find_redexes,
-    is_irreducible,
     make_rule,
     normal_form,
     orient,
@@ -24,11 +24,12 @@ from .terms import Context, Signature, TermError, grading, subterm_ends, word_ke
 
 @dataclass(frozen=True)
 class Ambiguity:
-    """A plane site reducible by two overlapping rule applications."""
+    """A plane site reducible by two overlapping rule applications: the lhs
+    of ``rule1`` at the root of the site, the lhs of ``rule2`` rooted at
+    token ``pos2``."""
 
     site: Context
     rule1: str
-    pos1: int
     rule2: str
     pos2: int
 
@@ -70,35 +71,59 @@ def _renumber(tokens, sig) -> Context:
     return Context(word, sig, _checked=True)
 
 
-def _superpositions(s1: Rule, s2: Rule, sig: Signature, ends1, ends2):
-    """Sites where lhs(s2), rooted at a vertex of lhs(s1), unifies with it.
-    Yields (site, position of the s2 embedding); s1 embeds at the root.
-    ``ends1``/``ends2`` are the subterm-end tables of the two lhs words."""
-    w1 = s1.lhs.word
+def lhs_table(lhs: Context) -> tuple[list[int], list[int]]:
+    """The subterm-end table of an lhs word and, for each position, the
+    vertex count of the subterm rooted there."""
+    ends = subterm_ends(lhs.word, lhs.sig)
+    before = list(itertools.accumulate((not isinstance(t, int) for t in lhs.word), initial=0))
+    return ends, [before[end] - before[i] for i, end in enumerate(ends)]
+
+
+def _superpositions(s1: Rule, s2: Rule, sig: Signature, table1, table2, max_order):
+    """Sites of order at most ``max_order`` where lhs(s2), rooted at a vertex
+    of lhs(s1), unifies with it, in position order.  Yields (site, position
+    of the s2 embedding); s1 embeds at the root.  ``table1``/``table2`` are
+    the ``lhs_table``s of the two rules."""
+    w1, w2 = s1.lhs.word, s2.lhs.word
+    ends1, orders1 = table1
+    n1, n2, root2 = s1.order, s2.order, w2[0]  # an lhs is rooted at a symbol
     for p, tok in enumerate(w1):
-        if isinstance(tok, int):
+        if tok != root2:
             continue
-        got = _merge(w1, p, s2.lhs.word, 0, sig, ends1, ends2)
+        # the merged subterm has at least the vertices of lhs(s2)
+        outside = n1 - orders1[p]
+        if outside + n2 > max_order:
+            continue
+        got = _merge(w1, p, w2, 0, sig, ends1, table2[0])
         if got is None:
             continue
         merged, _, jend = got
-        if jend != len(s2.lhs.word):
+        if jend != len(w2):
+            continue
+        if outside + sum(1 for t in merged if not isinstance(t, int)) > max_order:
             continue
         yield _renumber(w1[:p] + tuple(merged) + w1[ends1[p] :], sig), p
 
 
-def overlaps(s1: Rule, s2: Rule, sig: Signature) -> list[Ambiguity]:
-    """All plane critical ambiguities between the two rules (both directions,
-    deduplicated; the trivial root self-overlap is dropped)."""
+def overlaps(
+    s1: Rule, s2: Rule, sig: Signature, max_order=math.inf, tables=None
+) -> list[Ambiguity]:
+    """The plane critical ambiguities of order at most ``max_order`` between
+    the two rules (both directions, deduplicated; the trivial root
+    self-overlap is dropped).  ``tables`` maps rule ids to their
+    ``lhs_table``s; without it the two tables are computed here."""
+    if tables is None:
+        t1, t2 = lhs_table(s1.lhs), lhs_table(s2.lhs)
+    else:
+        t1, t2 = tables[s1.id], tables[s2.id]
     seen = {}
-    e1, e2 = subterm_ends(s1.lhs.word, sig), subterm_ends(s2.lhs.word, sig)
-    for a, b, ea, eb in ((s1, s2, e1, e2), (s2, s1, e2, e1)):
-        for site, p in _superpositions(a, b, sig, ea, eb):
+    for a, b, ta, tb in ((s1, s2, t1, t2), (s2, s1, t2, t1)):
+        for site, p in _superpositions(a, b, sig, ta, tb, max_order):
             if p == 0 and a.id == b.id:
                 continue  # identical embeddings, nothing to compare
             key = (site.word, frozenset({(a.id, 0), (b.id, p)}))
             if key not in seen:
-                seen[key] = Ambiguity(site, a.id, 0, b.id, p)
+                seen[key] = Ambiguity(site, a.id, b.id, p)
     return list(seen.values())
 
 
@@ -132,7 +157,7 @@ def resolve(amb: Ambiguity, sys: RewritingSystem):
     agree, otherwise a Candidate for orientation (Failure when the term
     order cannot orient the difference)."""
     redexes = find_redexes(amb.site, sys)
-    left = normal_form(_reduction_of(amb.site, redexes, amb.rule1, amb.pos1), sys)
+    left = normal_form(_reduction_of(amb.site, redexes, amb.rule1, 0), sys)
     right = normal_form(_reduction_of(amb.site, redexes, amb.rule2, amb.pos2), sys)
     d = left - right
     if not d:
@@ -147,6 +172,13 @@ def resolve(amb: Ambiguity, sys: RewritingSystem):
 def is_homogeneous(lhs: Context, rhs: LinComb) -> bool:
     g = grading(lhs)
     return all(grading(m) == g for m in rhs.support())
+
+
+def refuse_inhomogeneous(rules):
+    """Raise a TermError naming the first rule that is not grading-homogeneous."""
+    for r in rules:
+        if not is_homogeneous(r.lhs, r.rhs):
+            raise TermError(f"rule {r.id} is not grading-homogeneous")
 
 
 @dataclass
@@ -179,24 +211,25 @@ def complete(
     refused with a TermError before any work."""
     sig, order = initial.sig, initial.order
     if require_homogeneous:
-        for r in initial:
-            if not is_homogeneous(r.lhs, r.rhs):
-                raise TermError(f"rule {r.id} is not grading-homogeneous")
+        refuse_inhomogeneous(initial)
     system = RewritingSystem(sig, order, initial)
     counter = len(system)
+    # lhs tables of every rule made in this call, by id; a rule re-added with
+    # a re-normalized rhs keeps its id and lhs.  Not pruned on removal, since
+    # a rule removed inside adjoin still has its overlaps pushed.
+    tables = {r.id: lhs_table(r.lhs) for r in system}
     heap = []
     log = []
     seq = itertools.count()
 
     def push_overlaps(a: Rule, b: Rule):
-        for amb in overlaps(a, b, sig):
-            if amb.order <= max_order:
-                key = (
-                    amb.order,
-                    word_key(amb.site.word),
-                    tuple(sorted((amb.rule1, amb.rule2))),
-                )
-                heapq.heappush(heap, (key, next(seq), amb))
+        for amb in overlaps(a, b, sig, max_order, tables):
+            key = (
+                amb.order,
+                word_key(amb.site.word),
+                tuple(sorted((amb.rule1, amb.rule2))),
+            )
+            heapq.heappush(heap, (key, next(seq), amb))
 
     for x, y in itertools.combinations_with_replacement(system.rules, 2):
         push_overlaps(x, y)
@@ -220,15 +253,21 @@ def complete(
             if require_homogeneous and not is_homogeneous(new.lhs, new.rhs):
                 raise RuleError(f"generated rule {new.id} is not homogeneous")
             system.add(new)
+            tables[new.id] = lhs_table(new.lhs)
             added.append(new)
             if not inter_reduce:
                 continue
             one = RewritingSystem(sig, order, [new])
+            # a pattern occurs only in a term with at least as many vertices
             for old in system.rules[:-1]:  # all but new, added last
-                if find_redexes(old.lhs, one):
+                if old.order >= new.order and find_redexes(old.lhs, one):
                     system.remove(old.id)
                     work.append(LinComb.monomial(old.lhs) - old.rhs)
-                elif not is_irreducible(old.rhs, one):
+                elif any(
+                    find_redexes(m, one)
+                    for m in old.rhs.support()
+                    if m.order >= new.order
+                ):
                     rhs = normal_form(old.rhs, system)
                     system.remove(old.id)
                     if rhs != LinComb.monomial(old.lhs):

@@ -113,11 +113,14 @@ INHOMOGENEOUS = "op m 2\nop a 1\nop e 0\na e -> m e a e\na a e -> e\n"
 def test_complete_refuses_inhomogeneous_rules(capsys, tmp_path):
     path = tmp_path / "inhomogeneous.rules"
     path.write_text(INHOMOGENEOUS)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
     argv = ["complete", "--rules", str(path), "--max-order", "4"]
-    code, out, err = run(capsys, argv)
+    code, out, err = run(capsys, argv + ["--out", str(out_dir / "run")])
     assert code == 2
     assert out == ""
     assert err == "parse error: rule r1 is not grading-homogeneous\n"
+    assert list(out_dir.iterdir()) == []
     with pytest.raises(SystemExit):
         main(argv + ["--allow-inhomogeneous"])
 

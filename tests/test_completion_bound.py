@@ -1,0 +1,243 @@
+"""The order-bounded superposition search and the order-aware inter-reduction
+of ``complete``, checked against the unbounded search they replaced, which
+is kept here as the reference, and against the invariants a completed
+system must satisfy."""
+
+import itertools
+import math
+from functools import lru_cache
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from homoperad import completion, terms
+from homoperad.cli import load_rules_path
+from homoperad.completion import Ambiguity, complete, lhs_table, overlaps
+from homoperad.homalgebra import envelope_presentation, q_sl2
+from homoperad.orders import LEX_MA
+from homoperad.rewrite import RewritingSystem, find_redexes, is_irreducible, parse_rules
+from homoperad.scalars import RatFunc
+from homoperad.terms import Context, Signature, subterm_ends
+
+ROOT = Path(__file__).resolve().parents[1]
+RULE_FILES = {
+    "homass-o12": (ROOT / "bench" / "data" / "homass-o12.rules", "lex_ma"),
+    "assoc": (ROOT / "src" / "homoperad" / "data" / "assoc.rules", "right_comb"),
+    "leibniz": (ROOT / "src" / "homoperad" / "data" / "leibniz.rules", "right_comb"),
+}
+
+
+# --- reference: the unbounded search, as it was before the bound -------------
+
+
+def ref_merge(a, i, b, j, sig, ends_a, ends_b):
+    ta, tb = a[i], b[j]
+    if isinstance(ta, int) and isinstance(tb, int):
+        return [ta], i + 1, j + 1
+    if isinstance(ta, int):
+        end = ends_b[j]
+        return b[j:end], i + 1, end
+    if isinstance(tb, int):
+        end = ends_a[i]
+        return a[i:end], end, j + 1
+    if ta != tb:
+        return None
+    out = [ta]
+    i, j = i + 1, j + 1
+    for _ in range(sig.arity(ta)):
+        got = ref_merge(a, i, b, j, sig, ends_a, ends_b)
+        if got is None:
+            return None
+        frag, i, j = got
+        out.extend(frag)
+    return out, i, j
+
+
+def ref_renumber(tokens, sig):
+    k = itertools.count(1)
+    return Context(tuple(next(k) if isinstance(t, int) else t for t in tokens), sig)
+
+
+def ref_superpositions(s1, s2, sig, ends1, ends2):
+    w1 = s1.lhs.word
+    for p, tok in enumerate(w1):
+        if isinstance(tok, int):
+            continue
+        got = ref_merge(w1, p, s2.lhs.word, 0, sig, ends1, ends2)
+        if got is None:
+            continue
+        merged, _, jend = got
+        if jend != len(s2.lhs.word):
+            continue
+        yield ref_renumber(w1[:p] + tuple(merged) + w1[ends1[p] :], sig), p
+
+
+def ref_overlaps(s1, s2, sig):
+    seen = {}
+    e1, e2 = subterm_ends(s1.lhs.word, sig), subterm_ends(s2.lhs.word, sig)
+    for a, b, ea, eb in ((s1, s2, e1, e2), (s2, s1, e2, e1)):
+        for site, p in ref_superpositions(a, b, sig, ea, eb):
+            if p == 0 and a.id == b.id:
+                continue
+            key = (site.word, frozenset({(a.id, 0), (b.id, p)}))
+            if key not in seen:
+                seen[key] = Ambiguity(site, a.id, b.id, p)
+    return list(seen.values())
+
+
+def ref_bounded(s1, s2, sig, max_order=math.inf, tables=None):
+    """The reference with the filter the completion loop applied after it."""
+    return [x for x in ref_overlaps(s1, s2, sig) if x.order <= max_order]
+
+
+# --- inputs -------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def rule_file(name):
+    path, order = RULE_FILES[name]
+    return load_rules_path(str(path), order)
+
+
+def homass():
+    sig, order, rules = load_rules_path(str(ROOT / "src/homoperad/data/homass.rules"), "lex_ma")
+    return RewritingSystem(sig, order, rules)
+
+
+def envelope():
+    p = envelope_presentation(q_sl2(RatFunc.q()), ["e", "f", "h"])
+    return RewritingSystem(p.signature, p.order, p.rules)
+
+
+def subterm_order(word, sig, p):
+    return sum(1 for t in word[p : subterm_ends(word, sig)[p]] if not isinstance(t, int))
+
+
+@st.composite
+def rule_pairs(draw):
+    sig, _, rules = rule_file(draw(st.sampled_from(sorted(RULE_FILES))))
+    return sig, draw(st.sampled_from(rules)), draw(st.sampled_from(rules))
+
+
+# --- the bounded search ---------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_pairs(), st.integers(3, 20))
+def test_bounded_overlaps_equal_filtered_reference(pair, k):
+    sig, a, b = pair
+    assert overlaps(a, b, sig) == ref_overlaps(a, b, sig)
+    assert overlaps(a, b, sig, max_order=k) == ref_bounded(a, b, sig, k)
+    tables = {a.id: lhs_table(a.lhs), b.id: lhs_table(b.lhs)}
+    assert overlaps(a, b, sig, k, tables) == ref_bounded(a, b, sig, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rule_pairs(), st.integers(3, 20))
+def test_no_merge_at_a_position_that_cannot_fit(pair, k):
+    """Each top-level merge (lhs(b) from its root, j == 0) is tried only at
+    a position p of lhs(a) where order(a) - order(a|p) + order(b) <= k."""
+    sig, a, b = pair
+    tried = []
+    merge = completion._merge
+
+    def recording(x, i, y, j, *rest):
+        if j == 0:
+            tried.append((x, i, y))
+        return merge(x, i, y, j, *rest)
+
+    completion._merge = recording
+    try:
+        overlaps(a, b, sig, max_order=k)
+    finally:
+        completion._merge = merge
+    for x, i, y in tried:
+        n_x = sum(1 for t in x if not isinstance(t, int))
+        n_y = sum(1 for t in y if not isinstance(t, int))
+        assert n_x - subterm_order(x, sig, i) + n_y <= k
+
+
+def test_lhs_table_orders_are_subterm_vertex_counts():
+    for name in RULE_FILES:
+        sig, _, rules = rule_file(name)
+        for r in rules:
+            ends, orders = lhs_table(r.lhs)
+            assert ends == subterm_ends(r.lhs.word, sig)
+            assert orders == [subterm_order(r.lhs.word, sig, p) for p in range(len(ends))]
+
+
+# --- complete with the bound ------------------------------------------------------
+
+
+def rule_list(state):
+    return [(r.id, r.lhs, r.rhs) for r in state.system]
+
+
+@pytest.mark.parametrize(
+    "make, max_order, homogeneous",
+    [(homass, 13, True), (homass, 13, False), (envelope, 6, False)],
+    ids=["homass-13", "homass-13-inhomogeneous-allowed", "envelope-6"],
+)
+def test_complete_equals_the_reference_search(monkeypatch, make, max_order, homogeneous):
+    got = complete(make(), max_order, require_homogeneous=homogeneous)
+    monkeypatch.setattr(completion, "overlaps", ref_bounded)
+    want = complete(make(), max_order, require_homogeneous=homogeneous)
+    assert got.status == want.status
+    assert got.log == want.log
+    assert rule_list(got) == rule_list(want)
+
+
+@pytest.mark.parametrize(
+    "make, max_order, homogeneous",
+    [(homass, 13, True), (envelope, 6, False)],
+    ids=["homass-13", "envelope-6"],
+)
+def test_completed_system_is_inter_reduced(make, max_order, homogeneous):
+    """Every lhs is irreducible modulo the other rules and every rhs modulo
+    all of them, so the order-aware skip missed no reduction."""
+    state = complete(make(), max_order, require_homogeneous=homogeneous)
+    rules = state.system.rules
+    for r in rules:
+        others = RewritingSystem(state.system.sig, state.system.order,
+                                 [s for s in rules if s.id != r.id])
+        assert not find_redexes(r.lhs, others), r.id
+        assert is_irreducible(r.rhs, state.system), r.id
+
+
+def test_inter_reduction_renormalizes_an_rhs_of_equal_order():
+    """String rewriting over unary symbols: the ambiguity d d d gives
+    c b b -> b b d, whose lhs has the order of r1's rhs c b b, so r1's rhs
+    is re-normalized and r1 moves to the end of the system."""
+    sig = Signature.parse("op b 1\nop c 1\nop d 1")
+    rules = parse_rules(
+        "d b b 1 -> c b b 1\nd d 1 -> b b 1\nc d c 1 -> b d b 1", sig, LEX_MA
+    )
+    state = complete(RewritingSystem(sig, LEX_MA, rules), max_order=3)
+    assert [f"{r.id}: {r}" for r in state.system] == [
+        "r2: d d 1 -> b b 1",
+        "r3: c d c 1 -> b d b 1",
+        "r4: c b b 1 -> b b d 1",
+        "r1: d b b 1 -> b b d 1",
+    ]
+
+
+def test_complete_builds_few_contexts(monkeypatch):
+    """Sites over the bound are never renumbered into a Context: about 800
+    Contexts to order 13, where building every site and filtering after
+    made about 7,700."""
+    built = 0
+    init = terms.Context.__init__
+
+    def counting(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    system = homass()
+    monkeypatch.setattr(terms.Context, "__init__", counting)
+    state = complete(system, max_order=13)
+    assert state.census() == {
+        3: 1, 5: 1, 7: 1, 8: 2, 9: 1, 10: 4, 11: 7, 12: 12, 13: 19,
+    }
+    assert built <= 1000
