@@ -4,6 +4,12 @@ determinization into bottom-up automata by the subset construction.
 State 0 generates the reducible plane monomials, state 1 generates all
 plane monomials, and every internal edge of a rule pattern contributes
 one further state describing the subtree hanging below that edge.
+
+Every reachable subset holds state 1 (it has ``leaf``, ``a(1)`` and
+``m(1, 1)``), so a subset holding state 0 only leads to subsets holding 0
+(``a(0)``, ``m(0, 1)``, ``m(1, 0)``).  The automaton therefore keeps only
+the live subsets, those without 0, and sends every reducible monomial to
+one implicit sink.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from .rewrite import Rule
 from .terms import TermError, subterm_ends
 
 LEAF = ("leaf",)
+SINK = None  # the state of every subset holding grammar state 0
 
 
 @dataclass(frozen=True)
@@ -70,25 +77,29 @@ def grammar_from_rules(rules) -> TreeGrammar:
 
 @dataclass(frozen=True)
 class BottomUpAutomaton:
-    states: tuple[tuple[int, ...], ...]  # sorted subsets, reachable only
+    """A partial DFA: a transition missing from ``f_a`` or ``f_m`` goes to
+    SINK, the one accepting state."""
+
+    states: tuple[tuple[int, ...], ...]  # sorted live subsets, reachable only
     leaf_state: tuple[int, ...]
     f_a: dict  # state -> state
     f_m: dict  # (state, state) -> state
 
     def accepting(self, state) -> bool:
-        return 0 in state
+        return state is SINK
 
-    def run(self, word) -> tuple[int, ...]:
-        """Evaluate a plane monomial bottom-up; returns the final state."""
+    def run(self, word):
+        """Evaluate a plane monomial bottom-up; returns the final state,
+        SINK when the monomial is reducible."""
         stack = []
         for tok in reversed(word):
             if isinstance(tok, int):
                 stack.append(self.leaf_state)
             elif tok == "a":
-                stack.append(self.f_a[stack.pop()])
+                stack.append(self.f_a.get(stack.pop()))
             elif tok == "m":
                 left, right = stack.pop(), stack.pop()
-                stack.append(self.f_m[(left, right)])
+                stack.append(self.f_m.get((left, right)))
             else:
                 raise TermError(f"unsupported symbol {tok!r}")
         (final,) = stack
@@ -101,7 +112,8 @@ class BottomUpAutomaton:
 def determinize(g: TreeGrammar) -> BottomUpAutomaton:
     """Reachable-subset construction over a worklist: ``states`` grows as it
     is walked, and on reaching a state s the transitions f_a[s] and
-    f_m[(s, t)], f_m[(t, s)] for every t up to s are computed, once each."""
+    f_m[(s, t)], f_m[(t, s)] for every t up to s are computed, once each.
+    The sink is never stored or paired, nor any transition into it."""
     a_prods = {}  # c -> set of b with b -> a(c)
     m_prods = {}  # (c, d) -> set of b with b -> m(c, d)
     leaf = set()
@@ -114,40 +126,23 @@ def determinize(g: TreeGrammar) -> BottomUpAutomaton:
             else:
                 m_prods.setdefault((p[1], p[2]), set()).add(b)
 
-    states, seen, f_a, f_m = [], set(), {}, {}
+    leaf_state = tuple(sorted(leaf))  # (1,): a pattern edge is never a box
+    states, seen, f_a, f_m = [leaf_state], {leaf_state}, {}, {}
 
-    def reach(subset):
-        """The state of a set of grammar states, appended when new."""
+    def reach(table, key, subset):
+        """Set table[key] to the state of a set of grammar states, appended
+        to ``states`` when new, unless the set is the sink."""
+        if 0 in subset:
+            return
         u = tuple(sorted(subset))
         if u not in seen:
             seen.add(u)
             states.append(u)
-        return u
+        table[key] = u
 
-    leaf_state = reach(leaf)
     for k, s in enumerate(states):
-        f_a[s] = reach({b for c in s for b in a_prods.get(c, ())})
+        reach(f_a, s, {b for c in s for b in a_prods.get(c, ())})
         for t in states[: k + 1]:
             for x, y in ((s, t), (t, s)):
-                f_m[(x, y)] = reach({b for c in x for d in y for b in m_prods.get((c, d), ())})
+                reach(f_m, (x, y), {b for c in x for d in y for b in m_prods.get((c, d), ())})
     return BottomUpAutomaton(tuple(states), leaf_state, f_a, f_m)
-
-
-def format_automaton(aut: BottomUpAutomaton) -> str:
-    """Plain-text dump: state list, f_a column, f_m matrix."""
-
-    def name(s):
-        return "{" + ",".join(map(str, s)) + "}"
-
-    lines = ["states: " + " ".join(name(s) for s in aut.states)]
-    lines.append("leaf: " + name(aut.leaf_state))
-    lines.append("f_a:")
-    for s in aut.states:
-        lines.append(f"  {name(s)}\t{name(aut.f_a[s])}")
-    lines.append("f_m:")
-    header = "\t".join(name(t) for t in aut.states)
-    lines.append("  \t" + header)
-    for s in aut.states:
-        row = "\t".join(name(aut.f_m[(s, t)]) for t in aut.states)
-        lines.append(f"  {name(s)}\t{row}")
-    return "\n".join(lines) + "\n"

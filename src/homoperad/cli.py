@@ -53,6 +53,8 @@ EXIT_ORDER = 4
 def load_rules_path(path: str, order_name: str):
     """Read a rules file; leading `op` lines override the default hom
     signature, so enveloping presentations are self-contained."""
+    if path is None:
+        raise TermError("--rules is required")
     with open(path) as f:
         text = f.read()
     op_lines = []

@@ -295,7 +295,9 @@ def parse_lincomb(text: str, sig: Signature) -> LinComb:
 
 
 def parse_rules(text: str, sig: Signature, order: TermOrder, prefix="r") -> list[Rule]:
-    """Read the one-rule-per-line format `<lhs> -> <signed sum>`."""
+    """Read the one-rule-per-line format `<lhs> -> <signed sum>`, where a
+    sum that is exactly `0` is the zero combination, as `format_rules`
+    writes it."""
     from .terms import parse as parse_term
 
     rules = []
@@ -307,7 +309,8 @@ def parse_rules(text: str, sig: Signature, order: TermOrder, prefix="r") -> list
             raise RuleError(f"line {lineno}: expected `<lhs> -> <rhs>`")
         left, right = line.split("->", 1)
         lhs = parse_term(left.strip(), sig)
-        rhs = parse_lincomb(right.strip(), sig)
+        right = right.strip()
+        rhs = LinComb(lhs.arity) if right == "0" else parse_lincomb(right, sig)
         rules.append(make_rule(f"{prefix}{len(rules) + 1}", lhs, rhs, order))
     return rules
 

@@ -153,6 +153,8 @@ class RatFunc:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return o / self
 
     def __pow__(self, n: int):

@@ -1,13 +1,11 @@
 """Truncated bivariate power series and Hilbert-series computation.
 
 The counting variables are a (unary-vertex degree) and m (binary-vertex
-degree); all coefficients are exact rationals.  Series are computed over
+degree); the coefficients are integer counts.  Series are computed over
 plane monomials directly, so the coefficients are the plane counts.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .automata import BottomUpAutomaton, determinize, grammar_from_rules
 from .terms import plane_count
@@ -24,14 +22,14 @@ class BivariateSeries:
         if coeffs:
             for (i, j), c in coeffs.items():
                 if i + j <= D and c:
-                    self.coeffs[(i, j)] = Fraction(c)
+                    self.coeffs[(i, j)] = c
 
     @staticmethod
     def zero(D: int) -> "BivariateSeries":
         return BivariateSeries(D)
 
-    def coefficient(self, i: int, j: int) -> Fraction:
-        return self.coeffs.get((i, j), Fraction(0))
+    def coefficient(self, i: int, j: int) -> int:
+        return self.coeffs.get((i, j), 0)
 
     def __eq__(self, other):
         return (
@@ -57,7 +55,7 @@ class BivariateSeries:
     def scale(self, c) -> "BivariateSeries":
         out = BivariateSeries(self.D)
         if c:
-            out.coeffs = {k: Fraction(c) * v for k, v in self.coeffs.items()}
+            out.coeffs = {k: c * v for k, v in self.coeffs.items()}
         return out
 
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
@@ -81,7 +79,7 @@ class BivariateSeries:
 
 
 def format_series(x: BivariateSeries) -> str:
-    """One line `a^i m^j<TAB>p/q` per coefficient with i+j <= D, in graded
+    """One line `a^i m^j<TAB>n` per coefficient with i+j <= D, in graded
     lexicographic order; zero coefficients are included for completeness."""
     lines = []
     for total in range(x.D + 1):
@@ -97,7 +95,7 @@ def free_series(D: int) -> BivariateSeries:
     out = BivariateSeries(D)
     for k in range(D + 1):
         for l in range(D - k + 1):
-            out.coeffs[(k, l)] = Fraction(plane_count(k, l))
+            out.coeffs[(k, l)] = plane_count(k, l)
     return out
 
 
@@ -133,14 +131,9 @@ def solve_series(aut: BottomUpAutomaton, D: int) -> dict:
 
 def hilbert_series(rules, D: int) -> BivariateSeries:
     """Count of irreducible plane monomials by grading: the sum of G_b over
-    non-accepting (reducible-free) automaton states."""
-    aut = determinize(grammar_from_rules(rules))
-    g = solve_series(aut, D)
-    out = BivariateSeries.zero(D)
-    for b in aut.states:
-        if not aut.accepting(b):
-            out = out + g[b]
-    return out
+    the automaton's states, all of which are live."""
+    g = solve_series(determinize(grammar_from_rules(rules)), D)
+    return sum(g.values(), BivariateSeries.zero(D))
 
 
 def unstable_degrees(stable_gradings, D: int) -> list[tuple[int, int]]:

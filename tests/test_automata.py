@@ -1,9 +1,6 @@
-from homoperad.automata import (
-    LEAF,
-    determinize,
-    format_automaton,
-    grammar_from_rules,
-)
+from pathlib import Path
+
+from homoperad.automata import LEAF, SINK, determinize, grammar_from_rules
 from homoperad.orders import LEX_MA
 from homoperad.rewrite import RewritingSystem, is_irreducible, parse_rules
 from homoperad.terms import HOM_SIGNATURE, enumerate_plane
@@ -49,15 +46,25 @@ def test_grammar_no_rules():
 
 def test_determinize_single_rule_exact_states():
     aut = determinize(grammar_from_rules(rules(RULE1)))
-    assert set(aut.states) == {(1,), (1, 2), (1, 3), (0, 1, 3), (0, 1, 2)}
+    assert set(aut.states) == {(1,), (1, 2), (1, 3)}
     assert aut.leaf_state == (1,)
     assert aut.f_a[(1,)] == (1, 2)
     assert aut.f_m[((1,), (1,))] == (1, 3)
-    # alpha on top of a product: redex root appears one m above
-    assert aut.f_m[((1, 2), (1, 3))] == (0, 1, 3)
-    assert aut.f_a[(0, 1, 3)] == (0, 1, 2)
-    assert aut.accepting((0, 1, 3))
+    # alpha on top of a product: the redex root is one m above, in the sink,
+    # which has no stored transition in or out
+    assert ((1, 2), (1, 3)) not in aut.f_m
+    assert aut.run(("m", "a", 1, "m", 2, 3)) is SINK
+    assert aut.run(("a", "m", "a", 1, "m", 2, 3)) is SINK
+    assert aut.accepting(SINK)
     assert not aut.accepting((1, 2))
+
+
+def test_order_ten_system_has_34_live_states():
+    path = Path(__file__).resolve().parents[1] / "bench" / "data" / "homass-o10.rules"
+    aut = determinize(grammar_from_rules(rules(path.read_text())))
+    assert len(aut.states) == 34
+    assert not any(0 in s for s in aut.states)
+    assert not any(0 in t for t in [*aut.f_a.values(), *aut.f_m.values()])
 
 
 def test_automaton_language_matches_redex_search():
@@ -77,12 +84,3 @@ def test_run_on_single_box():
     aut = determinize(grammar_from_rules(rules(RULE1)))
     assert aut.run((1,)) == (1,)
     assert not aut.accepts((1,))
-
-
-def test_format_automaton_shape():
-    aut = determinize(grammar_from_rules(rules(RULE1)))
-    text = format_automaton(aut)
-    assert text.startswith("states: ")
-    assert "leaf: {1}" in text
-    assert "f_a:" in text and "f_m:" in text
-    assert text.count("\n") == 4 + 2 * len(aut.states) + 1

@@ -215,6 +215,9 @@ MALFORMED = {
     "rules-directory": (None, ["normalize", "--rules", DATA, "--term", "1"]),
     "algebra-directory": (None, ["check-algebra", DATA, "--identities", "skew"]),
     "hilbert-no-rules": (None, ["hilbert", "--degree", "3"]),
+    "normalize-no-rules": (None, ["normalize", "--term", "m 1 2"]),
+    "ambiguities-no-rules": (None, ["ambiguities"]),
+    "complete-no-rules": (None, ["complete", "--max-order", "3"]),
     "identity-after-known": (None, ["check-algebra", QSL2, "--identities", "skew,nope"]),
 }
 
@@ -287,6 +290,18 @@ def test_envelope(capsys):
     assert code == 0
     assert "a e -> q * e" in out.splitlines()
     assert out.endswith("m a 1 m 2 3 -> m m 1 2 a 3\n")
+
+
+def test_envelope_zero_rule_reads_back(capsys, tmp_path):
+    table = tmp_path / "zero.json"
+    table.write_text('{"dim": 1, "mult": [[["0"]]], "alpha": [["0"]], "bracket": true}')
+    code, out, _ = run(capsys, ["envelope", str(table), "--names", "x"])
+    assert code == 0
+    assert "a x -> 0" in out.splitlines()
+    rules = tmp_path / "zero.rules"
+    rules.write_text(out)
+    code, out, err = run(capsys, ["normalize", "--rules", str(rules), "--term", "m a x 1"])
+    assert (code, out, err) == (0, "0\n", "")
 
 
 def test_help_and_unknown_flag(capsys):

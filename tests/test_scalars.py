@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,14 @@ def test_division_by_zero():
         q / RatFunc.const(0)
     with pytest.raises(ZeroDivisionError):
         RatFunc((1,), (0,))
+
+
+def test_unsupported_operand_is_a_type_error():
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(2.5, q)
+        with pytest.raises(TypeError):
+            op(q, 2.5)
 
 
 @given(ratfuncs(), ratfuncs(), ratfuncs())
