@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .rewrite import Rule
-from .terms import TermError, subterm_ends
+from .terms import TermError
 
 LEAF = ("leaf",)
 SINK = None  # the state of every subset holding grammar state 0
@@ -49,8 +49,7 @@ def grammar_from_rules(rules) -> TreeGrammar:
 
     for rule in rules:
         _check_signature(rule)
-        word = rule.lhs.word
-        ends = subterm_ends(word, rule.lhs.sig)
+        word, ends = rule.lhs.word, rule.lhs.ends
 
         # Assign states to internal edges breadth-first from the root, so
         # the numbering matches the natural reading of the pattern.

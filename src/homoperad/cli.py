@@ -97,7 +97,7 @@ def cmd_complete(args) -> int:
         if outs:
             rules_f, census_f, log_f = outs
             ordered = sorted(state.system, key=lambda r: (r.order, str(r.lhs)))
-            rules_f.write(format_rules(ordered))
+            rules_f.write(format_rules(ordered, sig))
             census_f.writelines(f"{o}\t{n}\n" for o, n in state.census().items())
             log_f.writelines(
                 f"{amb.site}\t{amb.rule1},{amb.rule2}\t{outcome}\n"
@@ -154,7 +154,7 @@ def cmd_hilbert(args) -> int:
         stable = [_parse_grading(s) for s in args.stable]
         _, _, rules = load_rules_path(args.rules, args.order)
         series = hilbert_series(rules, args.degree)
-        warnings = unstable_degrees(stable, args.degree)
+        warnings = unstable_degrees(rules, stable, args.degree)
     sys.stdout.write(format_series(series))
     if warnings:
         print(

@@ -19,7 +19,7 @@ from .rewrite import (
     normal_form,
     orient,
 )
-from .terms import Context, Signature, TermError, grading, subterm_ends, word_key
+from .terms import Context, Signature, TermError, grading, word_key
 
 
 @dataclass(frozen=True)
@@ -71,30 +71,21 @@ def _renumber(tokens, sig) -> Context:
     return Context(word, sig, _checked=True)
 
 
-def lhs_table(lhs: Context) -> tuple[list[int], list[int]]:
-    """The subterm-end table of an lhs word and, for each position, the
-    vertex count of the subterm rooted there."""
-    ends = subterm_ends(lhs.word, lhs.sig)
-    before = list(itertools.accumulate((not isinstance(t, int) for t in lhs.word), initial=0))
-    return ends, [before[end] - before[i] for i, end in enumerate(ends)]
-
-
-def _superpositions(s1: Rule, s2: Rule, sig: Signature, table1, table2, max_order):
+def _superpositions(s1: Rule, s2: Rule, sig: Signature, max_order):
     """Sites of order at most ``max_order`` where lhs(s2), rooted at a vertex
     of lhs(s1), unifies with it, in position order.  Yields (site, position
-    of the s2 embedding); s1 embeds at the root.  ``table1``/``table2`` are
-    the ``lhs_table``s of the two rules."""
+    of the s2 embedding); s1 embeds at the root."""
     w1, w2 = s1.lhs.word, s2.lhs.word
-    ends1, orders1 = table1
+    ends1, sizes1 = s1.lhs.ends, s1.lhs.sizes
     n1, n2, root2 = s1.order, s2.order, w2[0]  # an lhs is rooted at a symbol
     for p, tok in enumerate(w1):
         if tok != root2:
             continue
         # the merged subterm has at least the vertices of lhs(s2)
-        outside = n1 - orders1[p]
+        outside = n1 - sizes1[p]
         if outside + n2 > max_order:
             continue
-        got = _merge(w1, p, w2, 0, sig, ends1, table2[0])
+        got = _merge(w1, p, w2, 0, sig, ends1, s2.lhs.ends)
         if got is None:
             continue
         merged, _, jend = got
@@ -105,20 +96,13 @@ def _superpositions(s1: Rule, s2: Rule, sig: Signature, table1, table2, max_orde
         yield _renumber(w1[:p] + tuple(merged) + w1[ends1[p] :], sig), p
 
 
-def overlaps(
-    s1: Rule, s2: Rule, sig: Signature, max_order=math.inf, tables=None
-) -> list[Ambiguity]:
+def overlaps(s1: Rule, s2: Rule, sig: Signature, max_order=math.inf) -> list[Ambiguity]:
     """The plane critical ambiguities of order at most ``max_order`` between
     the two rules (both directions, deduplicated; the trivial root
-    self-overlap is dropped).  ``tables`` maps rule ids to their
-    ``lhs_table``s; without it the two tables are computed here."""
-    if tables is None:
-        t1, t2 = lhs_table(s1.lhs), lhs_table(s2.lhs)
-    else:
-        t1, t2 = tables[s1.id], tables[s2.id]
+    self-overlap is dropped)."""
     seen = {}
-    for a, b, ta, tb in ((s1, s2, t1, t2), (s2, s1, t2, t1)):
-        for site, p in _superpositions(a, b, sig, ta, tb, max_order):
+    for a, b in ((s1, s2), (s2, s1)):
+        for site, p in _superpositions(a, b, sig, max_order):
             if p == 0 and a.id == b.id:
                 continue  # identical embeddings, nothing to compare
             key = (site.word, frozenset({(a.id, 0), (b.id, p)}))
@@ -214,16 +198,12 @@ def complete(
         refuse_inhomogeneous(initial)
     system = RewritingSystem(sig, order, initial)
     counter = len(system)
-    # lhs tables of every rule made in this call, by id; a rule re-added with
-    # a re-normalized rhs keeps its id and lhs.  Not pruned on removal, since
-    # a rule removed inside adjoin still has its overlaps pushed.
-    tables = {r.id: lhs_table(r.lhs) for r in system}
     heap = []
     log = []
     seq = itertools.count()
 
     def push_overlaps(a: Rule, b: Rule):
-        for amb in overlaps(a, b, sig, max_order, tables):
+        for amb in overlaps(a, b, sig, max_order):
             key = (
                 amb.order,
                 word_key(amb.site.word),
@@ -253,7 +233,6 @@ def complete(
             if require_homogeneous and not is_homogeneous(new.lhs, new.rhs):
                 raise RuleError(f"generated rule {new.id} is not homogeneous")
             system.add(new)
-            tables[new.id] = lhs_table(new.lhs)
             added.append(new)
             if not inter_reduce:
                 continue

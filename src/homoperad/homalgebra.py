@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement, product
 
 from .linear import LinComb
 from .orders import LEX_MA, TermOrder
-from .rewrite import Rule, make_rule, orient
+from .rewrite import Rule, format_rules, make_rule, orient
 from .scalars import format_scalar, parse_scalar
 from .terms import Context, Signature
 
@@ -317,9 +317,7 @@ class EnvelopePresentation:
     order: TermOrder
 
     def to_text(self) -> str:
-        lines = [f"op {n} {k}" for n, k in self.signature.symbols]
-        lines.extend(f"{r.lhs} -> {r.rhs}" for r in self.rules)
-        return "\n".join(lines) + "\n"
+        return format_rules(self.rules, self.signature)
 
 
 def envelope_presentation(

@@ -8,7 +8,7 @@ from fractions import Fraction
 from .linear import LinComb, leading_monomial, maximal
 from .orders import GT, TermOrder
 from .scalars import parse_scalar
-from .terms import Context, Signature, TermError, planarize, subterm_ends, word_key
+from .terms import HOM_SIGNATURE, Context, Signature, TermError, planarize, word_key
 
 
 class RuleError(TermError):
@@ -130,8 +130,7 @@ def find_redexes(t: Context, sys: RewritingSystem) -> list[Redex]:
 
     The trie is walked from every symbol of t; a symbol edge consumes one
     token, a wildcard edge a whole subterm, found in t's end table."""
-    word = t.word
-    ends = subterm_ends(word, t.sig)
+    word, ends = t.word, t.ends
     root = sys._trie
     out = []
     for pos, tok in enumerate(word):
@@ -306,7 +305,7 @@ def parse_rules(text: str, sig: Signature, order: TermOrder, prefix="r") -> list
         if not line or line.startswith("#"):
             continue
         if "->" not in line:
-            raise RuleError(f"line {lineno}: expected `<lhs> -> <rhs>`")
+            raise TermError(f"line {lineno}: expected `<lhs> -> <rhs>`")
         left, right = line.split("->", 1)
         lhs = parse_term(left.strip(), sig)
         right = right.strip()
@@ -315,5 +314,9 @@ def parse_rules(text: str, sig: Signature, order: TermOrder, prefix="r") -> list
     return rules
 
 
-def format_rules(rules) -> str:
-    return "\n".join(f"{r.lhs} -> {r.rhs}" for r in rules) + "\n"
+def format_rules(rules, sig: Signature) -> str:
+    """One rule per line, after the `op` lines of ``sig`` unless it is the
+    default hom signature, so a rules file carries its own signature."""
+    lines = [] if sig == HOM_SIGNATURE else [str(sig)]
+    lines.extend(f"{r.lhs} -> {r.rhs}" for r in rules)
+    return "\n".join(lines) + "\n"

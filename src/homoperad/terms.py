@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial
 
 
@@ -68,13 +69,15 @@ Token = str | int  # symbol name or box index
 
 
 class Context:
-    """An n-context: a Polish word using each of Box_1..Box_n exactly once."""
+    """An n-context: a Polish word using each of Box_1..Box_n exactly once.
+    Its tables ``ends`` and ``sizes`` are built on first read and kept."""
 
-    __slots__ = ("word", "sig", "arity", "_hash")
+    __slots__ = ("word", "sig", "arity", "_hash", "_ends", "_sizes")
 
     def __init__(self, word: tuple[Token, ...], sig: Signature, _checked=False):
         self.word = word
         self.sig = sig
+        self._ends = self._sizes = None
         if _checked:
             self.arity = sum(1 for t in word if isinstance(t, int))
         else:
@@ -108,6 +111,21 @@ class Context:
     def order(self) -> int:
         """Vertex count: number of non-box tokens."""
         return len(self.word) - self.arity
+
+    @property
+    def ends(self) -> list[int]:
+        """``ends[i]`` is one past the subterm rooted at ``word[i]``."""
+        if self._ends is None:
+            self._ends = subterm_ends(self.word, self.sig)
+        return self._ends
+
+    @property
+    def sizes(self) -> list[int]:
+        """``sizes[i]`` is the vertex count of the subterm rooted at ``word[i]``."""
+        if self._sizes is None:
+            before = list(accumulate((not isinstance(t, int) for t in self.word), initial=0))
+            self._sizes = [before[end] - before[i] for i, end in enumerate(self.ends)]
+        return self._sizes
 
     def is_plane(self) -> bool:
         expect = 1

@@ -219,6 +219,7 @@ MALFORMED = {
     "ambiguities-no-rules": (None, ["ambiguities"]),
     "complete-no-rules": (None, ["complete", "--max-order", "3"]),
     "identity-after-known": (None, ["check-algebra", QSL2, "--identities", "skew,nope"]),
+    "rules-line-without-arrow": ("m a 1 m 2 3\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
 }
 
 
@@ -301,6 +302,15 @@ def test_envelope_zero_rule_reads_back(capsys, tmp_path):
     rules = tmp_path / "zero.rules"
     rules.write_text(out)
     code, out, err = run(capsys, ["normalize", "--rules", str(rules), "--term", "m a x 1"])
+    assert (code, out, err) == (0, "0\n", "")
+    # complete --out keeps the `op` lines, so its rules read back too
+    prefix = str(tmp_path / "done")
+    code, _, _ = run(
+        capsys, ["complete", "--rules", str(rules), "--max-order", "5", "--out", prefix]
+    )
+    assert code == 0
+    assert (tmp_path / "done.rules").read_text().startswith("op m 2\nop a 1\nop x 0\n")
+    code, out, err = run(capsys, ["normalize", "--rules", prefix + ".rules", "--term", "a x"])
     assert (code, out, err) == (0, "0\n", "")
 
 

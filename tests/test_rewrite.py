@@ -127,8 +127,8 @@ def test_non_plane_lhs_is_planarized():
 def test_rule_file_round_trip():
     text = "m a 1 m 2 3 -> m m 1 2 a 3\nm m 1 a 2 a m 3 4 -> m m 1 m 2 3 a a 4\n"
     rules = parse_rules(text, HOM_SIGNATURE, LEX_MA)
-    assert format_rules(rules) == text
-    again = parse_rules(format_rules(rules), HOM_SIGNATURE, LEX_MA)
+    assert format_rules(rules, HOM_SIGNATURE) == text
+    again = parse_rules(format_rules(rules, HOM_SIGNATURE), HOM_SIGNATURE, LEX_MA)
     assert [(r.lhs, r.rhs) for r in again] == [(r.lhs, r.rhs) for r in rules]
 
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homoperad import rewrite
+from homoperad import rewrite, terms
 from homoperad.completion import complete
 from homoperad.homalgebra import envelope_presentation, q_sl2
 from homoperad.linear import LinComb
@@ -276,6 +276,15 @@ def test_identical_patterns_both_match_in_id_order():
     got = find_redexes(t, sys_)
     assert [(r.position, r.rule.id) for r in got] == [(0, "z3"), (2, "z1"), (2, "z2")]
     assert got == ref_find_redexes(t, sys_)
+
+
+def test_a_term_builds_its_end_table_once(end_tables_built):
+    sys_ = homass12()  # completes, building tables, on its first call
+    end_tables_built.clear()
+    t = terms.parse("m a m a 1 m 2 3 m 4 5", HOM_SIGNATURE)
+    first = find_redexes(t, sys_)
+    assert find_redexes(t, sys_) == first == ref_find_redexes(t, sys_)
+    assert len(end_tables_built) == 1
 
 
 # --- the system edited in place ----------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 from homoperad.automata import determinize, grammar_from_rules
 from homoperad.completion import complete
-from homoperad.orders import LEX_MA
+from homoperad.orders import LEX_MA, RIGHT_COMB
 from homoperad.rewrite import RewritingSystem, parse_rules
 from homoperad.series import (
     BivariateSeries,
@@ -12,7 +12,7 @@ from homoperad.series import (
     solve_series,
     unstable_degrees,
 )
-from homoperad.terms import HOM_SIGNATURE, plane_count
+from homoperad.terms import ASS_SIGNATURE, HOM_SIGNATURE, plane_count
 
 HOMASS_RULE = "m a 1 m 2 3 -> m m 1 2 a 3"
 
@@ -114,8 +114,14 @@ def test_format_series_layout():
 
 
 def test_unstable_degrees():
-    assert (1, 0) in unstable_degrees([], 2)
-    assert (0, 2) not in unstable_degrees([], 2)
-    got = unstable_degrees([(2, 3)], 3)
+    rules = parse_rules(HOMASS_RULE, HOM_SIGNATURE, LEX_MA)
+    assert (1, 0) in unstable_degrees(rules, [], 2)
+    assert (0, 2) not in unstable_degrees(rules, [], 2)
+    got = unstable_degrees(rules, [(2, 3)], 3)
     assert (1, 1) not in got
     assert (3, 0) in got
+    # a pattern without an a can change the a-free counts too
+    rules = parse_rules("m 1 m 2 3 -> m m 1 2 3", ASS_SIGNATURE, RIGHT_COMB)
+    got = unstable_degrees(rules, [(0, 0)], 4)
+    assert got == [(i, n - i) for n in range(1, 5) for i in range(n + 1)]
+    assert (0, 2) not in unstable_degrees(rules, [(0, 3)], 3)
