@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 a failed check (`check-algebra` FAIL, or
 `hilbert --strict` with coefficients not guaranteed stable), 2 parse error
 or refused input (an inhomogeneous rule or an unwritable `--out` for
 `complete`), 3 budget exhausted, 4 order failure (a rule or candidate could
-not be oriented by the active term order).
+not be oriented by the active term order), 5 write error (writing or
+closing a `complete --out` file failed).
 """
 
 from __future__ import annotations
@@ -13,14 +14,7 @@ import argparse
 import contextlib
 import sys
 
-from .completion import (
-    Candidate,
-    Resolved,
-    complete,
-    overlaps,
-    refuse_inhomogeneous,
-    resolve,
-)
+from .completion import complete, overlaps, refuse_inhomogeneous, resolve
 from .homalgebra import (
     AlgebraFormatError,
     check_hom_associative,
@@ -30,7 +24,7 @@ from .homalgebra import (
     envelope_presentation,
     load_algebra,
 )
-from .linear import IncomparableLeading
+from .linear import IncomparableLeading, leading_monomial
 from .orders import get_order
 from .rewrite import (
     RewritingSystem,
@@ -48,6 +42,7 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_ORDER = 4
+EXIT_WRITE = 5
 
 
 def load_rules_path(path: str, order_name: str):
@@ -97,12 +92,17 @@ def cmd_complete(args) -> int:
         if outs:
             rules_f, census_f, log_f = outs
             ordered = sorted(state.system, key=lambda r: (r.order, str(r.lhs)))
-            rules_f.write(format_rules(ordered, sig))
-            census_f.writelines(f"{o}\t{n}\n" for o, n in state.census().items())
-            log_f.writelines(
-                f"{amb.site}\t{amb.rule1},{amb.rule2}\t{outcome}\n"
-                for amb, outcome in state.log
-            )
+            try:
+                with stack.pop_all():  # closing flushes, so a write may fail there
+                    rules_f.write(format_rules(ordered, sig))
+                    census_f.writelines(f"{o}\t{n}\n" for o, n in state.census().items())
+                    log_f.writelines(
+                        f"{amb.site}\t{amb.rule1},{amb.rule2}\t{outcome}\n"
+                        for amb, outcome in state.log
+                    )
+            except OSError as e:
+                print(f"write error: {e}", file=sys.stderr)
+                return EXIT_WRITE
     if state.status == "budget":
         print("budget exhausted before reaching max order", file=sys.stderr)
         return EXIT_BUDGET
@@ -123,13 +123,15 @@ def cmd_ambiguities(args) -> int:
             ambs.extend(overlaps(r1, r2, sig))
     ambs.sort(key=lambda a: (a.order, str(a.site), a.rule1, a.rule2))
     for amb in ambs:
-        outcome = resolve(amb, system)
-        if isinstance(outcome, Resolved):
+        diff = resolve(amb, system)
+        if not diff:
             verdict = "resolved"
-        elif isinstance(outcome, Candidate):
-            verdict = f"candidate\t{outcome.diff}"
         else:
-            verdict = "order_failure"
+            try:
+                leading_monomial(diff, order)
+                verdict = f"candidate\t{diff}"
+            except IncomparableLeading:
+                verdict = "order_failure"
         print(f"{amb.site}\t{amb.rule1},{amb.rule2}\t{verdict}")
     return EXIT_OK
 

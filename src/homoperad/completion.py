@@ -8,7 +8,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from .linear import IncomparableLeading, LinComb, leading_monomial
+from .linear import IncomparableLeading, LinComb
 from .rewrite import (
     RewritingSystem,
     Rule,
@@ -38,31 +38,30 @@ class Ambiguity:
         return self.site.order
 
 
-def _merge(a, i, b, j, sig, ends_a, ends_b):
-    """Unify two linear patterns token-wise; boxes are local wildcards.
-    ``ends_a``/``ends_b`` are the words' subterm-end tables.
-    Returns (merged tokens, end in a, end in b) or None on symbol clash.
-    Box tokens are copied as they are; ``_renumber`` numbers them afterwards."""
-    ta, tb = a[i], b[j]
-    if isinstance(ta, int) and isinstance(tb, int):
-        return [ta], i + 1, j + 1
-    if isinstance(ta, int):
-        end = ends_b[j]
-        return b[j:end], i + 1, end
-    if isinstance(tb, int):
-        end = ends_a[i]
-        return a[i:end], end, j + 1
-    if ta != tb:
-        return None
-    out = [ta]
-    i, j = i + 1, j + 1
-    for _ in range(sig.arity(ta)):
-        got = _merge(a, i, b, j, sig, ends_a, ends_b)
-        if got is None:
+def _merge(a, i, b, ends_a, ends_b):
+    """Unify the subterm of Polish word ``a`` at ``i`` with the whole of
+    Polish word ``b`` in one lockstep walk; boxes are local wildcards and
+    ``ends_a``/``ends_b`` the words' subterm-end tables. Returns the merged
+    tokens, or None on a symbol clash. Equal symbols have equal arity, so
+    both words end together. Box tokens are copied as they are;
+    ``_renumber`` numbers them afterwards."""
+    out, j, stop = [], 0, ends_a[i]
+    while i < stop:
+        ta, tb = a[i], b[j]
+        if isinstance(tb, int):  # a box of b takes the subterm of a (or its box)
+            end = ends_a[i]
+            out.extend(a[i:end])
+            i, j = end, j + 1
+        elif isinstance(ta, int):
+            end = ends_b[j]
+            out.extend(b[j:end])
+            i, j = i + 1, end
+        elif ta == tb:
+            out.append(ta)
+            i, j = i + 1, j + 1
+        else:
             return None
-        frag, i, j = got
-        out.extend(frag)
-    return out, i, j
+    return out
 
 
 def _renumber(tokens, sig) -> Context:
@@ -85,11 +84,8 @@ def _superpositions(s1: Rule, s2: Rule, sig: Signature, max_order):
         outside = n1 - sizes1[p]
         if outside + n2 > max_order:
             continue
-        got = _merge(w1, p, w2, 0, sig, ends1, s2.lhs.ends)
-        if got is None:
-            continue
-        merged, _, jend = got
-        if jend != len(w2):
+        merged = _merge(w1, p, w2, ends1, s2.lhs.ends)
+        if merged is None:
             continue
         if outside + sum(1 for t in merged if not isinstance(t, int)) > max_order:
             continue
@@ -98,17 +94,23 @@ def _superpositions(s1: Rule, s2: Rule, sig: Signature, max_order):
 
 def overlaps(s1: Rule, s2: Rule, sig: Signature, max_order=math.inf) -> list[Ambiguity]:
     """The plane critical ambiguities of order at most ``max_order`` between
-    the two rules (both directions, deduplicated; the trivial root
-    self-overlap is dropped)."""
-    seen = {}
-    for a, b in ((s1, s2), (s2, s1)):
-        for site, p in _superpositions(a, b, sig, max_order):
-            if p == 0 and a.id == b.id:
-                continue  # identical embeddings, nothing to compare
-            key = (site.word, frozenset({(a.id, 0), (b.id, p)}))
-            if key not in seen:
-                seen[key] = Ambiguity(site, a.id, b.id, p)
-    return list(seen.values())
+    the two rules, each found once: lhs(s2) rooted at each vertex of lhs(s1)
+    (not at its root when the rules are one rule, which is no ambiguity),
+    then, for two rules, lhs(s1) rooted below the root of lhs(s2); the root
+    site of two rules is the same from both sides."""
+    same = s1.id == s2.id
+    out = [
+        Ambiguity(site, s1.id, s2.id, p)
+        for site, p in _superpositions(s1, s2, sig, max_order)
+        if p or not same
+    ]
+    if not same:
+        out += [
+            Ambiguity(site, s2.id, s1.id, p)
+            for site, p in _superpositions(s2, s1, sig, max_order)
+            if p
+        ]
+    return out
 
 
 def _reduction_of(amb_site: Context, redexes, rule_id: str, pos: int) -> LinComb:
@@ -121,36 +123,18 @@ def _reduction_of(amb_site: Context, redexes, rule_id: str, pos: int) -> LinComb
 
 
 @dataclass(frozen=True)
-class Resolved:
-    pass
-
-
-@dataclass(frozen=True)
-class Candidate:
-    diff: LinComb
-
-
-@dataclass(frozen=True)
 class Failure:
     diff: LinComb
     reason: str
 
 
-def resolve(amb: Ambiguity, sys: RewritingSystem):
-    """Reduce the site along both redexes; Resolved when the normal forms
-    agree, otherwise a Candidate for orientation (Failure when the term
-    order cannot orient the difference)."""
+def resolve(amb: Ambiguity, sys: RewritingSystem) -> LinComb:
+    """Reduce the site along both redexes and return the difference of the
+    two normal forms, which is zero when the ambiguity resolves."""
     redexes = find_redexes(amb.site, sys)
     left = normal_form(_reduction_of(amb.site, redexes, amb.rule1, 0), sys)
     right = normal_form(_reduction_of(amb.site, redexes, amb.rule2, amb.pos2), sys)
-    d = left - right
-    if not d:
-        return Resolved()
-    try:
-        leading_monomial(d, sys.order)
-    except IncomparableLeading as e:
-        return Failure(d, str(e))
-    return Candidate(d)
+    return left - right
 
 
 def is_homogeneous(lhs: Context, rhs: LinComb) -> bool:
@@ -249,8 +233,7 @@ def complete(
                 ):
                     rhs = normal_form(old.rhs, system)
                     system.remove(old.id)
-                    if rhs != LinComb.monomial(old.lhs):
-                        system.add(make_rule(old.id, old.lhs, rhs, order))
+                    system.add(make_rule(old.id, old.lhs, rhs, order))
         return added
 
     while heap:
@@ -259,17 +242,16 @@ def complete(
         (key, _, amb) = heapq.heappop(heap)
         if amb.rule1 not in system or amb.rule2 not in system:
             continue
-        outcome = resolve(amb, system)
-        if isinstance(outcome, Resolved):
+        diff = resolve(amb, system)
+        if not diff:
             log.append((amb, "resolved"))
             continue
-        # a Failure's diff is in normal form: adjoin's orient raises the same error
         try:
-            added = adjoin(outcome.diff)
+            added = adjoin(diff)
         except IncomparableLeading as e:
             log.append((amb, "order_failure"))
             return CompletionState(
-                system, "order_failure", max_order, log, Failure(outcome.diff, str(e))
+                system, "order_failure", max_order, log, Failure(diff, str(e))
             )
         log.append((amb, "new_rule " + ",".join(r.id for r in added)))
         for new in added:

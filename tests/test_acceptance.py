@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import factorial
 
 from homoperad.automata import SINK, determinize, grammar_from_rules
-from homoperad.completion import complete, overlaps, resolve, Resolved
+from homoperad.completion import complete, overlaps, resolve
 from homoperad.homalgebra import (
     check_hom_associative,
     check_hom_jacobi,
@@ -100,7 +100,7 @@ def test_criterion_1_associative_operad():
     system = RewritingSystem(ASS_SIGNATURE, RIGHT_COMB, rules)
     ambs = overlaps(rules[0], rules[0], ASS_SIGNATURE)
     ok = len(ambs) == 1
-    ok = ok and isinstance(resolve(ambs[0], system), Resolved)
+    ok = ok and not resolve(ambs[0], system)
     # census counts rules by vertex count, so the single binary-tree rule
     # sits at order 2
     state = complete(system, max_order=6)

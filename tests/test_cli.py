@@ -1,4 +1,7 @@
+import hashlib
 import importlib.resources
+import os
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +16,7 @@ HOMASS = data_path("homass.rules")
 ASSOC = data_path("assoc.rules")
 QSL2 = data_path("qsl2.json")
 DATA = data_path("")
+HOMASS_O12 = str(Path(__file__).resolve().parents[1] / "bench" / "data" / "homass-o12.rules")
 
 
 def run(capsys, argv):
@@ -143,6 +147,46 @@ def test_repeated_runs_are_byte_identical(capsys):
         assert code == 0
         outs.append(out)
     assert outs[0] == outs[1]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of each output, pinned when completion and the ambiguity listing
+# were rewritten, so that any change to their bytes shows here
+CENSUS_15 = "6a68144c7e07ce716dd8b2ddbc53a821f89ce3fdcb4e31e288edd6c4ab1e0046"
+RULES_15 = "96c318aee4c636012754f377ebaf4e21f64d57d8c9d2e33ce33a9eca06d819de"
+LOG_15 = "74d833d68f555841e6c666db60f4a18de16894c4c6819076caafed81f7228b39"
+AMBIGUITIES_O12 = "adb0e7677591b0bb7e0a76f9055d33e90acfb946e3e232e4a0009621a7cb331a"
+
+
+def test_outputs_are_byte_identical_to_pinned_digests(capsys, tmp_path):
+    prefix = tmp_path / "P"
+    code, out, err = run(
+        capsys, ["complete", "--rules", HOMASS, "--max-order", "15", "--out", str(prefix)]
+    )
+    assert (code, err) == (0, "")
+    assert sha256(out) == CENSUS_15
+    assert sha256((tmp_path / "P.census.tsv").read_text()) == CENSUS_15
+    assert sha256((tmp_path / "P.rules").read_text()) == RULES_15
+    assert sha256((tmp_path / "P.log").read_text()) == LOG_15
+    code, out, err = run(capsys, ["ambiguities", "--rules", HOMASS_O12])
+    assert (code, err) == (0, "")
+    assert sha256(out) == AMBIGUITIES_O12
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_complete_write_failure_is_a_write_error(capsys, tmp_path):
+    (tmp_path / "P.log").symlink_to("/dev/full")
+    code, out, err = run(
+        capsys,
+        ["complete", "--rules", HOMASS, "--max-order", "5", "--out", str(tmp_path / "P")],
+    )
+    assert code == 5
+    assert out == "3\t1\n5\t1\n"
+    assert err.startswith("write error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_ambiguities_listing(capsys):

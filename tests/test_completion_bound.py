@@ -131,29 +131,49 @@ def test_bounded_overlaps_equal_filtered_reference(pair, k):
     assert overlaps(a, b, sig, max_order=k) == ref_bounded(a, b, sig, k)
 
 
-@settings(max_examples=150, deadline=None)
-@given(rule_pairs(), st.integers(3, 20))
-def test_no_merge_at_a_position_that_cannot_fit(pair, k):
-    """Each top-level merge (lhs(b) from its root, j == 0) is tried only at
-    a position p of lhs(a) where order(a) - order(a|p) + order(b) <= k."""
-    sig, a, b = pair
+def merges_tried(a, b, sig, k):
+    """The (word, position, word) of every ``_merge`` call that
+    ``overlaps(a, b, sig, max_order=k)`` makes, each one from the root of
+    its second word."""
     tried = []
     merge = completion._merge
 
-    def recording(x, i, y, j, *rest):
-        if j == 0:
-            tried.append((x, i, y))
-        return merge(x, i, y, j, *rest)
+    def recording(x, i, y, *rest):
+        tried.append((x, i, y))
+        return merge(x, i, y, *rest)
 
     completion._merge = recording
     try:
         overlaps(a, b, sig, max_order=k)
     finally:
         completion._merge = merge
+    return tried
+
+
+def assert_merges_fit(tried, sig, k):
     for x, i, y in tried:
         n_x = sum(1 for t in x if not isinstance(t, int))
         n_y = sum(1 for t in y if not isinstance(t, int))
         assert n_x - subterm_order(x, sig, i) + n_y <= k
+
+
+@settings(max_examples=150, deadline=None)
+@given(rule_pairs(), st.integers(3, 20))
+def test_no_merge_at_a_position_that_cannot_fit(pair, k):
+    """Each merge of lhs(b) into lhs(a) is tried only at a position p of
+    lhs(a) where order(a) - order(a|p) + order(b) <= k."""
+    sig, a, b = pair
+    assert_merges_fit(merges_tried(a, b, sig, k), sig, k)
+
+
+def test_merges_are_recorded():
+    """The recorder above sees the merges: the hom-associativity rule
+    against itself at k = 20 is tried at its inner ``m`` (position 3)."""
+    system = homass()
+    r = system.rules[0]
+    tried = merges_tried(r, r, system.sig, 20)
+    assert 3 in [i for _, i, _ in tried]
+    assert_merges_fit(tried, system.sig, 20)
 
 
 def test_context_tables_are_subterm_ends_and_vertex_counts():
