@@ -154,7 +154,10 @@ def cmd_hilbert(args) -> int:
         if not args.rules:
             raise TermError("hilbert needs --rules or --free")
         stable = [_parse_grading(s) for s in args.stable]
-        _, _, rules = load_rules_path(args.rules, args.order)
+        sig, _, rules = load_rules_path(args.rules, args.order)
+        if set(sig.symbols) != set(HOM_SIGNATURE.symbols):
+            got = ", ".join(f"{name}/{n}" for name, n in sig.symbols)
+            raise TermError(f"hilbert counts over m/2, a/1; the rules are over {got}")
         series = hilbert_series(rules, args.degree)
         warnings = unstable_degrees(rules, stable, args.degree)
     sys.stdout.write(format_series(series))

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 from .linear import IncomparableLeading, LinComb
 from .rewrite import (
+    _RULES,
+    _WILD,
     RewritingSystem,
     Rule,
     RuleError,
@@ -18,6 +20,7 @@ from .rewrite import (
     make_rule,
     normal_form,
     orient,
+    trie_leaf,
 )
 from .terms import Context, Signature, TermError, grading, word_key
 
@@ -113,6 +116,121 @@ def overlaps(s1: Rule, s2: Rule, sig: Signature, max_order=math.inf) -> list[Amb
     return out
 
 
+# --- the subterm index -----------------------------------------------------
+
+
+def _terms_below(node: dict, room, arity: dict):
+    """(node, k) at the end of each complete term spelled from the inner
+    trie ``node`` that has k <= ``room`` vertices."""
+    stack = [(node, 1, 0)]
+    while stack:
+        node, need, k = stack.pop()
+        for key, child in node.items():  # an inner node: a term is still open
+            if key == _WILD:
+                left, size = need - 1, k
+            elif k < room:
+                left, size = need + arity[key] - 1, k + 1
+            else:
+                continue
+            if left:
+                stack.append((child, left, size))
+            else:
+                yield child, size
+
+
+def _walk(trie: dict, word, ends, i, room, arity: dict, both=True):
+    """(leaf, cost) of each trie term that unifies with the subterm of
+    ``word`` at i, walked in lockstep: a box of ``word`` takes one whole trie
+    term, whose vertices it adds to the cost, and with ``both`` a trie box
+    takes the subterm of ``word`` opposite it, at no cost.  Without ``both``
+    the trie terms found are the instances of the subterm.  Walks that cost
+    more than ``room`` are cut."""
+    stop = ends[i]
+    stack = [(trie, i, 0)]
+    while stack:
+        node, i, cost = stack.pop()
+        if i == stop:
+            yield node, cost
+            continue
+        tok = word[i]
+        if isinstance(tok, int):
+            for child, k in _terms_below(node, room - cost, arity):
+                stack.append((child, i + 1, cost + k))
+            continue
+        child = node.get(tok)
+        if child is not None:
+            stack.append((child, i + 1, cost))
+        child = node.get(_WILD) if both else None
+        if child is not None:
+            stack.append((child, ends[i], cost))
+
+
+class _SubtermIndex:
+    """Every symbol-rooted subterm of a system's rules in one discrimination
+    trie, laid out as the system's lhs trie.  A leaf maps the id of each
+    rule that holds the subterm to the fewest lhs vertices outside it, or to
+    infinity when only an rhs monomial holds it.  A whole lhs is left out:
+    the system's own lhs trie holds it.  ``complete`` adds and removes each
+    rule here as it does in the system."""
+
+    def __init__(self, system: RewritingSystem):
+        self.system = system
+        self.arity = dict(system.sig.symbols)
+        self.trie = {}
+        for rule in system:
+            self.add(rule)
+
+    def _leaves(self, rule: Rule):
+        """(leaf, vertices outside) of each subterm the index holds."""
+        lhs = rule.lhs
+        for term in (lhs, *rule.rhs.support()):
+            word, ends = term.word, term.ends
+            first = 1 if term is lhs else 0  # the system's trie holds a whole lhs
+            for p in range(first, len(word)):
+                if not isinstance(word[p], int):
+                    outside = lhs.order - lhs.sizes[p] if term is lhs else math.inf
+                    yield trie_leaf(self.trie, word[p : ends[p]]), outside
+
+    def add(self, rule: Rule):
+        for leaf, outside in self._leaves(rule):
+            leaf[rule.id] = min(outside, leaf.get(rule.id, outside))
+
+    def remove(self, rule: Rule):
+        for leaf, _ in self._leaves(rule):
+            leaf.pop(rule.id, None)
+
+    def partners(self, new: Rule, room) -> set:
+        """Ids of the rules with an ambiguity with ``new`` of at most
+        ``room`` vertices more than ``new.lhs``, plus ``new`` itself: those
+        whose lhs unifies with a subterm of ``new.lhs``, and those with an
+        lhs subterm below the root that unifies with ``new.lhs`` and fits
+        with the vertices outside it.  These are exactly the rules ``other``
+        with a nonempty ``overlaps(new, other, sig, new.order + room)``."""
+        word, ends = new.lhs.word, new.lhs.ends
+        out = {new.id}
+        if room < 0:  # no site that holds new.lhs fits
+            return out
+        for p, tok in enumerate(word):
+            if not isinstance(tok, int):
+                for leaf, _ in _walk(self.system._trie, word, ends, p, room, self.arity):
+                    out.update(r.id for r in leaf[_RULES])
+        for leaf, cost in _walk(self.trie, word, ends, 0, room, self.arity):
+            out.update(rid for rid, outside in leaf.items() if cost + outside <= room)
+        return out
+
+    def instances(self, lhs: Context) -> dict:
+        """Maps the id of each rule that holds an instance of ``lhs`` to
+        whether its lhs holds one; otherwise an rhs monomial does."""
+        word, ends, arity = lhs.word, lhs.ends, self.arity
+        out = {}
+        for leaf, _ in _walk(self.system._trie, word, ends, 0, math.inf, arity, both=False):
+            out.update((r.id, True) for r in leaf[_RULES])
+        for leaf, _ in _walk(self.trie, word, ends, 0, math.inf, arity, both=False):
+            for rid, outside in leaf.items():
+                out[rid] = out.get(rid, False) or outside < math.inf
+        return out
+
+
 def _reduction_of(amb_site: Context, redexes, rule_id: str, pos: int) -> LinComb:
     """Reduct of the site at the redex of ``rule_id`` rooted at ``pos``,
     picked from the site's ``find_redexes`` list."""
@@ -174,13 +292,25 @@ def complete(
     """Run the critical-pairs/completion procedure up to sites of the given
     order.  Ambiguities are processed in increasing (site order, site word,
     rule pair) priority; candidate differences are normalized, oriented and
-    adjoined; with ``inter_reduce`` the system is kept fully reduced.  With
+    adjoined; with ``inter_reduce`` the system is kept fully reduced.  A
+    subterm index finds the rules each new rule is superposed with and the
+    rules it reduces, so no other pair is searched.  With
     ``require_homogeneous`` an input rule that is not grading-homogeneous is
     refused with a TermError before any work."""
     sig, order = initial.sig, initial.order
     if require_homogeneous:
         refuse_inhomogeneous(initial)
     system = RewritingSystem(sig, order, initial)
+    index = _SubtermIndex(system)
+
+    def put(rule: Rule):
+        system.add(rule)
+        index.add(rule)
+
+    def drop(rule: Rule):
+        system.remove(rule.id)
+        index.remove(rule)
+
     counter = len(system)
     heap = []
     log = []
@@ -216,24 +346,20 @@ def complete(
             new = orient(f"r{counter}", d, order)
             if require_homogeneous and not is_homogeneous(new.lhs, new.rhs):
                 raise RuleError(f"generated rule {new.id} is not homogeneous")
-            system.add(new)
+            put(new)
             added.append(new)
             if not inter_reduce:
                 continue
-            one = RewritingSystem(sig, order, [new])
-            # a pattern occurs only in a term with at least as many vertices
+            hits = index.instances(new.lhs)
             for old in system.rules[:-1]:  # all but new, added last
-                if old.order >= new.order and find_redexes(old.lhs, one):
-                    system.remove(old.id)
+                in_lhs = hits.get(old.id)
+                if in_lhs:
+                    drop(old)
                     work.append(LinComb.monomial(old.lhs) - old.rhs)
-                elif any(
-                    find_redexes(m, one)
-                    for m in old.rhs.support()
-                    if m.order >= new.order
-                ):
+                elif in_lhs is not None:  # an rhs monomial holds new.lhs
                     rhs = normal_form(old.rhs, system)
-                    system.remove(old.id)
-                    system.add(make_rule(old.id, old.lhs, rhs, order))
+                    drop(old)
+                    put(make_rule(old.id, old.lhs, rhs, order))
         return added
 
     while heap:
@@ -255,6 +381,8 @@ def complete(
             )
         log.append((amb, "new_rule " + ",".join(r.id for r in added)))
         for new in added:
+            partners = index.partners(new, max_order - new.order)
             for other in system:
-                push_overlaps(new, other)
+                if other.id in partners:
+                    push_overlaps(new, other)
     return CompletionState(system, "complete", max_order, log)

@@ -67,6 +67,15 @@ _WILD = 0  # trie edge of a pattern box; box tokens themselves are >= 1
 _RULES = None  # trie key of the rules whose lhs ends at that node
 
 
+def trie_leaf(trie: dict, word) -> dict:
+    """The node of a discrimination trie at the end of the path that spells
+    ``word``, with every box one ``_WILD`` edge; missing nodes are made."""
+    node = trie
+    for tok in word:
+        node = node.setdefault(_WILD if isinstance(tok, int) else tok, {})
+    return node
+
+
 class RewritingSystem:
     """A validated collection of rules sharing one term order, edited in
     place by ``add`` and ``remove``; iteration is in insertion order.
@@ -83,22 +92,16 @@ class RewritingSystem:
         for r in rules:
             self.add(r)
 
-    def _leaf(self, lhs: Context) -> dict:
-        node = self._trie
-        for tok in lhs.word:
-            node = node.setdefault(_WILD if isinstance(tok, int) else tok, {})
-        return node
-
     def add(self, rule: Rule):
         if rule.id in self._rules:
             raise RuleError(f"duplicate rule id {rule.id}")
         self._rules[rule.id] = rule
-        self._leaf(rule.lhs).setdefault(_RULES, []).append(rule)
+        trie_leaf(self._trie, rule.lhs.word).setdefault(_RULES, []).append(rule)
 
     def remove(self, rule_id: str):
         """Drop a rule; its trie path stays, with no rules at the end."""
         rule = self._rules.pop(rule_id)
-        self._leaf(rule.lhs)[_RULES].remove(rule)
+        trie_leaf(self._trie, rule.lhs.word)[_RULES].remove(rule)
 
     @property
     def rules(self) -> tuple:
@@ -215,15 +218,6 @@ def _rewrite(x: LinComb, mono: Context, red: Redex) -> LinComb:
     rest = LinComb(x.arity)
     rest.terms = {m: c for m, c in x.terms.items() if m != mono}
     return rest + replaced
-
-
-def reduce_once(x: LinComb, sys: RewritingSystem, log=None):
-    """One rewriting step at the order-greatest reducible monomial, first
-    redex in Polish position order.  Returns (result, progressed)."""
-    step = _choose(x, lambda mono: find_redexes(mono, sys), sys.order, log, None)
-    if step is None:
-        return x, False
-    return _rewrite(x, *step), True
 
 
 def normal_form(x: LinComb, sys: RewritingSystem, log=None, rng=None) -> LinComb:

@@ -49,15 +49,6 @@ class BivariateSeries:
                 out.coeffs[key] = c
         return out
 
-    def __sub__(self, other: "BivariateSeries") -> "BivariateSeries":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "BivariateSeries":
-        out = BivariateSeries(self.D)
-        if c:
-            out.coeffs = {k: c * v for k, v in self.coeffs.items()}
-        return out
-
     def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
         D = min(self.D, other.D)
         out = BivariateSeries(D)

@@ -176,6 +176,25 @@ def test_outputs_are_byte_identical_to_pinned_digests(capsys, tmp_path):
     assert sha256(out) == AMBIGUITIES_O12
 
 
+# the same at order 16, pinned before completion found its superposition
+# partners and inter-reduction targets through a subterm index
+CENSUS_16 = "3cc662fa5e1f37b40a2792a6df920e25853f4865eba83364825e6b0d2b27f985"
+RULES_16 = "3e214528426f84a8c8d76afb516b4dfb40b5cb68009d71accc4525468643cd32"
+LOG_16 = "aa58dfb11a3e6d860babee2e1f88ac6ffc9b728650b9ff94ee5272bca22788d5"
+
+
+def test_order_16_outputs_are_byte_identical_to_pinned_digests(capsys, tmp_path):
+    prefix = tmp_path / "P"
+    code, out, err = run(
+        capsys, ["complete", "--rules", HOMASS, "--max-order", "16", "--out", str(prefix)]
+    )
+    assert (code, err) == (0, "")
+    assert sha256(out) == CENSUS_16
+    assert sha256((tmp_path / "P.census.tsv").read_text()) == CENSUS_16
+    assert sha256((tmp_path / "P.rules").read_text()) == RULES_16
+    assert sha256((tmp_path / "P.log").read_text()) == LOG_16
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_complete_write_failure_is_a_write_error(capsys, tmp_path):
     (tmp_path / "P.log").symlink_to("/dev/full")
@@ -264,6 +283,14 @@ MALFORMED = {
     "complete-no-rules": (None, ["complete", "--max-order", "3"]),
     "identity-after-known": (None, ["check-algebra", QSL2, "--identities", "skew,nope"]),
     "rules-line-without-arrow": ("m a 1 m 2 3\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
+    "hilbert-assoc-signature": (
+        None,
+        ["hilbert", "--rules", ASSOC, "--order", "right_comb", "--degree", "3"],
+    ),
+    "hilbert-leibniz-signature": (
+        None,
+        ["hilbert", "--rules", data_path("leibniz.rules"), "--order", "right_comb", "--degree", "3"],
+    ),
 }
 
 

@@ -267,3 +267,84 @@ def test_complete_builds_few_end_tables(end_tables_built):
     to order 13, where rebuilding them made 1,304."""
     complete(homass(), max_order=13)
     assert len(end_tables_built) <= 700
+
+
+# --- the subterm index: partners and inter-reduction targets ----------------------
+
+
+def systems_with_prefixes():
+    """(system, max_order) over a prefix of the order-12 homass system."""
+    sig, order, rules = rule_file("homass-o12")
+    return st.builds(
+        lambda n, k: (RewritingSystem(sig, order, rules[:n]), k),
+        st.integers(1, len(rules)),
+        st.integers(8, 16),
+    )
+
+
+def assert_index_is_exact(system, max_order):
+    """For every rule as the newest: the partners are the rules with a
+    nonempty ``overlaps`` and the rule itself, and the instance hits are
+    the rules that one-rule ``find_redexes`` finds in an lhs or else in an
+    rhs monomial."""
+    sig = system.sig
+    index = completion._SubtermIndex(system)
+    for new in system:
+        want = {o.id for o in system if overlaps(new, o, sig, max_order)} | {new.id}
+        assert index.partners(new, max_order - new.order) == want
+        one = RewritingSystem(sig, system.order, [new])
+        in_lhs = {o.id: bool(find_redexes(o.lhs, one)) for o in system}
+        in_rhs = {o.id: any(find_redexes(m, one) for m in o.rhs.support()) for o in system}
+        want = {rid: hit for rid, hit in in_lhs.items() if hit or in_rhs[rid]}
+        assert index.instances(new.lhs) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(systems_with_prefixes())
+def test_index_is_exact_on_homass_prefixes(case):
+    assert_index_is_exact(*case)
+
+
+@pytest.mark.parametrize("name", ["assoc", "leibniz", "envelope"])
+@pytest.mark.parametrize("max_order", [3, 5, 8])
+def test_index_is_exact_on_other_signatures(name, max_order):
+    """Non-hom signatures, and the constants of an envelope, whose terms
+    end without a box."""
+    if name == "envelope":
+        system = envelope()
+    else:
+        sig, order, rules = rule_file(name)
+        system = RewritingSystem(sig, order, rules)
+    assert_index_is_exact(system, max_order)
+
+
+def index_entries(trie, arity):
+    """(path, rule id, outside) of every leaf entry of a subterm trie."""
+    out = set()
+    stack = [(trie, (), 1)]
+    while stack:
+        node, path, need = stack.pop()
+        if not need:
+            out.update((path, rid, outside) for rid, outside in node.items())
+            continue
+        for key, child in node.items():
+            left = need - 1 if key == completion._WILD else need + arity[key] - 1
+            stack.append((child, path + (key,), left))
+    return out
+
+
+def test_index_remove_and_add_leave_the_index_of_the_rules_present():
+    sig, order, rules = rule_file("homass-o12")
+    system = RewritingSystem(sig, order, rules)
+    index = completion._SubtermIndex(system)
+    for r in rules[::2]:
+        system.remove(r.id)
+        index.remove(r)
+    fresh = completion._SubtermIndex(RewritingSystem(sig, order, rules[1::2]))
+    assert index_entries(index.trie, index.arity) == index_entries(fresh.trie, fresh.arity)
+    for r in rules[::2]:
+        system.add(r)
+        index.add(r)
+    fresh = completion._SubtermIndex(RewritingSystem(sig, order, rules))
+    assert index_entries(index.trie, index.arity) == index_entries(fresh.trie, fresh.arity)
+    assert index_entries(index.trie, index.arity)

@@ -8,6 +8,8 @@ from homoperad.orders import LEX_MA, RIGHT_COMB
 from homoperad.rewrite import (
     RewritingSystem,
     RuleError,
+    _choose,
+    _rewrite,
     find_redexes,
     format_rules,
     is_irreducible,
@@ -21,6 +23,16 @@ from homoperad.terms import ASS_SIGNATURE, HOM_SIGNATURE, Permutation, act, pars
 
 def th(text):
     return parse(text, HOM_SIGNATURE)
+
+
+def reduce_once(x, sys_, log=None):
+    """Reference: one rewriting step at the order-greatest reducible
+    monomial, first redex in Polish position order, as ``normal_form``
+    steps.  Returns (result, progressed)."""
+    step = _choose(x, lambda mono: find_redexes(mono, sys_), sys_.order, log, None)
+    if step is None:
+        return x, False
+    return _rewrite(x, *step), True
 
 
 def homass_system():
@@ -93,8 +105,6 @@ def test_difference_to_normal_form_is_a_reduction_chain():
     nf = normal_form(x, sys_)
     steps = 0
     cur = x
-    from homoperad.rewrite import reduce_once
-
     while True:
         cur, progressed = reduce_once(cur, sys_)
         if not progressed:
