@@ -12,11 +12,11 @@ from .linear import IncomparableLeading, LinComb
 from .rewrite import (
     _RULES,
     _WILD,
+    Redex,
     RewritingSystem,
     Rule,
     RuleError,
     apply_redex,
-    find_redexes,
     make_rule,
     normal_form,
     orient,
@@ -231,13 +231,20 @@ class _SubtermIndex:
         return out
 
 
-def _reduction_of(amb_site: Context, redexes, rule_id: str, pos: int) -> LinComb:
-    """Reduct of the site at the redex of ``rule_id`` rooted at ``pos``,
-    picked from the site's ``find_redexes`` list."""
-    for red in redexes:
-        if red.position == pos and red.rule.id == rule_id:
-            return apply_redex(amb_site, red)
-    raise TermError(f"rule {rule_id} does not match the ambiguity site")
+def _reduct(site: Context, rule: Rule, pos: int) -> LinComb:
+    """Reduct of the site at the redex of ``rule`` rooted at token ``pos``.
+    The lhs is plane and linear, so its k-th box binds the k-th subterm met."""
+    word, ends = site.word, site.ends
+    bindings, j = [], pos
+    for tok in rule.lhs.word:
+        if isinstance(tok, int):
+            bindings.append(word[j : ends[j]])
+            j = ends[j]
+        elif word[j] == tok:
+            j += 1
+        else:
+            raise TermError(f"rule {rule.id} does not match the ambiguity site")
+    return apply_redex(site, Redex(rule, pos, j, tuple(bindings)))
 
 
 @dataclass(frozen=True)
@@ -249,9 +256,8 @@ class Failure:
 def resolve(amb: Ambiguity, sys: RewritingSystem) -> LinComb:
     """Reduce the site along both redexes and return the difference of the
     two normal forms, which is zero when the ambiguity resolves."""
-    redexes = find_redexes(amb.site, sys)
-    left = normal_form(_reduction_of(amb.site, redexes, amb.rule1, 0), sys)
-    right = normal_form(_reduction_of(amb.site, redexes, amb.rule2, amb.pos2), sys)
+    left = normal_form(_reduct(amb.site, sys[amb.rule1], 0), sys)
+    right = normal_form(_reduct(amb.site, sys[amb.rule2], amb.pos2), sys)
     return left - right
 
 

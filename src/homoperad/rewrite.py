@@ -110,6 +110,9 @@ class RewritingSystem:
     def __contains__(self, rule_id):
         return rule_id in self._rules
 
+    def __getitem__(self, rule_id) -> Rule:
+        return self._rules[rule_id]
+
     def __len__(self):
         return len(self._rules)
 

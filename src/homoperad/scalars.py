@@ -1,145 +1,284 @@
 """Exact scalars: arbitrary-precision rationals and rational functions in q.
 
-Rationals are ``fractions.Fraction``.  Rational functions are kept in a
-canonical form (fraction reduced, denominator monic) so that equality is
-syntactic.  Mixed arithmetic promotes rationals into constant functions.
+Rationals are ``fractions.Fraction``.  A rational function is stored as a
+pair of integer-coefficient polynomials N/D (int tuples, constant term
+first) in a canonical form, so that equality is syntactic:
+
+- gcd(N, D) = 1 over Q[q];
+- the integer content of N and D together is 1;
+- the leading coefficient of D is positive.
+
+When D is a constant, as it is for every polynomial in q, the form costs
+one integer gcd; only a non-constant D and N run the primitive polynomial
+remainder sequence (pseudo-division; Knuth, TAOCP vol. 2, 4.6.1).
+``Fraction`` appears only at the edges: the ``num``/``den`` views (monic
+denominator), ``const``, coercion, ``subs`` and printing.  Mixed arithmetic
+promotes rationals into constant functions.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Scalar = "Fraction | RatFunc"
 
 
-def _trim(coeffs: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+# --- integer polynomials: int tuples, constant term first, no trailing 0 ----
+
+
+def _trim(coeffs):
     n = len(coeffs)
-    while n and coeffs[n - 1] == 0:
+    while n and not coeffs[n - 1]:
         n -= 1
-    return coeffs[:n]
+    return tuple(coeffs[:n])
 
 
 def _poly_add(p, q):
     if len(p) < len(q):
         p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return _trim(tuple(out))
+    out = [a + b for a, b in zip(p, q)]
+    out += p[len(q) :]
+    return _trim(out)
 
 
 def _poly_neg(p):
     return tuple(-c for c in p)
 
 
+def _poly_scale(p, c):
+    return p if c == 1 else tuple(c * a for a in p)
+
+
 def _poly_mul(p, q):
     if not p or not q:
         return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    if len(q) == 1:
+        return _poly_scale(p, q[0])
+    if len(p) == 1:
+        return _poly_scale(q, p[0])
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _trim(tuple(out))
+        if a:
+            for j, b in enumerate(q, i):
+                out[j] += a * b
+    return tuple(out)
 
 
-def _poly_divmod(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-    lead = q[-1]
-    for i in range(len(p) - len(q), -1, -1):
-        c = rem[i + len(q) - 1] / lead
+def _poly_pow(p, n):
+    out = (1,)
+    while n:
+        if n & 1:
+            out = _poly_mul(out, p)
+        n >>= 1
+        if n:
+            p = _poly_mul(p, p)
+    return out
+
+
+def _primitive(p):
+    """p divided by its integer content."""
+    g = math.gcd(*p)
+    return p if g == 1 else tuple(c // g for c in p)
+
+
+def _pseudo_rem(a, b):
+    """The remainder of lc(b)^k * a by b for some k >= 0: each step scales
+    the running remainder by lc(b) so that it cancels in the integers."""
+    r, n, lead = list(a), len(b), b[-1]
+    while len(r) >= n:
+        c, s = r[-1], len(r) - n
+        r = [x * lead for x in r]
+        for i, y in enumerate(b, s):
+            r[i] -= c * y
+        while r and not r[-1]:
+            r.pop()
+    return tuple(r)
+
+
+def _poly_gcd(a, b):
+    """A primitive gcd, unique up to sign, of two non-zero integer
+    polynomials, by the primitive remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _pseudo_rem(a, b)
+        a, b = b, _primitive(r) if r else ()
+    return a
+
+
+def _exact_div(a, b):
+    """a / b in Z[q], for a primitive b that divides a over Q[q]; by Gauss's
+    lemma the quotient is integral, so each step divides exactly."""
+    r, n, lead = list(a), len(b), b[-1]
+    quo = [0] * (len(a) - n + 1)
+    for s in range(len(quo) - 1, -1, -1):
+        c = quo[s] = r[s + n - 1] // lead
         if c:
-            quo[i] = c
-            for j, b in enumerate(q):
-                rem[i + j] -= c * b
-    return _trim(tuple(quo)), _trim(tuple(rem))
+            for i, y in enumerate(b, s):
+                r[i] -= c * y
+    return tuple(quo)
 
 
-def _poly_gcd(p, q):
-    while q:
-        p, q = q, _poly_divmod(p, q)[1]
-    if p:
-        p = tuple(c / p[-1] for c in p)  # monic
-    return p
+def _integral(num, den):
+    """Trimmed int tuples with the same ratio as the rational tuples given."""
+    num, den = [Fraction(c) for c in num], [Fraction(c) for c in den]
+    m = math.lcm(*(c.denominator for c in num + den))
+    return (
+        _trim([c.numerator * (m // c.denominator) for c in num]),
+        _trim([c.numerator * (m // c.denominator) for c in den]),
+    )
+
+
+def _horner(p, value):
+    out = Fraction(0)
+    for c in reversed(p):
+        out = out * value + c
+    return out
+
+
+def _poly_str(p):
+    if not p:
+        return "0"
+    parts = []
+    for i, c in enumerate(p):
+        if not c:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            var = "q" if i == 1 else f"q^{i}"
+            parts.append(var if c == 1 else f"-{var}" if c == -1 else f"{c}*{var}")
+    return " + ".join(parts).replace("+ -", "- ")
 
 
 class RatFunc:
     """A rational function in one indeterminate q over the rationals."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_n", "_d")
 
-    def __init__(self, num, den=(Fraction(1),)):
-        num = _trim(tuple(Fraction(c) for c in num))
-        den = _trim(tuple(Fraction(c) for c in den))
+    def __init__(self, num, den=(1,), _checked=False):
+        """``num``/``den`` are coefficient sequences, constant term first, of
+        anything ``Fraction`` accepts.  With ``_checked`` they are trimmed
+        int tuples already, and only the reduction to canonical form runs."""
+        if not _checked:
+            num, den = _integral(num, den)
         if not den:
             raise ZeroDivisionError("zero denominator")
-        g = _poly_gcd(num, den)
-        if g and g != (Fraction(1),):
-            num = _poly_divmod(num, g)[0]
-            den = _poly_divmod(den, g)[0]
-        lead = den[-1]
-        if lead != 1:
-            num = tuple(c / lead for c in num)
-            den = tuple(c / lead for c in den)
-        self.num = num
-        self.den = den
+        if not num:
+            den = (1,)
+        elif den != (1,):
+            if len(num) > 1 and len(den) > 1:
+                g = _poly_gcd(num, den)
+                if len(g) > 1:
+                    num, den = _exact_div(num, g), _exact_div(den, g)
+            g = math.gcd(*num, *den)
+            if den[-1] < 0:
+                g = -g
+            if g != 1:
+                num = tuple(c // g for c in num)
+                den = tuple(c // g for c in den)
+        self._n = num
+        self._d = den
+
+    @property
+    def num(self) -> tuple:
+        """Numerator coefficients as Fractions, over the monic denominator."""
+        lead = self._d[-1]
+        return tuple(Fraction(c, lead) for c in self._n)
+
+    @property
+    def den(self) -> tuple:
+        """Monic denominator coefficients as Fractions."""
+        lead = self._d[-1]
+        return tuple(Fraction(c, lead) for c in self._d)
 
     @staticmethod
     def const(c) -> "RatFunc":
-        return RatFunc((Fraction(c),))
+        c = Fraction(c)
+        return RatFunc((c.numerator,) if c else (), (c.denominator,), _checked=True)
 
     @staticmethod
     def q() -> "RatFunc":
-        return RatFunc((Fraction(0), Fraction(1)))
+        return RatFunc((0, 1), _checked=True)
 
     @staticmethod
     def _coerce(x):
+        """x as a RatFunc, or None; every zero rational is the one shared zero."""
         if isinstance(x, RatFunc):
             return x
         if isinstance(x, (int, Fraction)):
-            return RatFunc.const(x)
+            return RatFunc.const(x) if x else _ZERO
+        return None
+
+    def _fraction(self):
+        """The value as a Fraction when it is constant, else None."""
+        if len(self._d) == 1 and len(self._n) <= 1:
+            return Fraction(self._n[0], self._d[0]) if self._n else Fraction(0)
         return None
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._n)
 
     def __eq__(self, other):
         o = self._coerce(other)
-        return o is not None and self.num == o.num and self.den == o.den
+        return o is not None and self._n == o._n and self._d == o._d
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # a constant hashes as the Fraction it equals
+        c = self._fraction()
+        return hash((self._n, self._d)) if c is None else hash(c)
+
+    def _plus(self, n2, d2):
+        """self + n2/d2, for trimmed int tuples n2 and d2."""
+        n1, d1 = self._n, self._d
+        if d1 == d2:  # a common denominator, 1 for every polynomial
+            return RatFunc(_poly_add(n1, n2), d1, _checked=True)
+        return RatFunc(
+            _poly_add(_poly_mul(n1, d2), _poly_mul(n2, d1)),
+            _poly_mul(d1, d2),
+            _checked=True,
+        )
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(
-            _poly_add(_poly_mul(self.num, o.den), _poly_mul(o.num, self.den)),
-            _poly_mul(self.den, o.den),
-        )
+        if not o._n:
+            return self
+        if not self._n:
+            return o
+        return self._plus(o._n, o._d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(_poly_neg(self.num), self.den)
+        return RatFunc(_poly_neg(self._n), self._d, _checked=True)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        if not o._n:
+            return self
+        return self._plus(_poly_neg(o._n), o._d)
 
     def __rsub__(self, other):
-        return -(self - other)
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RatFunc(_poly_mul(self.num, o.num), _poly_mul(self.den, o.den))
+        if not self._n or not o._n:
+            return _ZERO
+        return RatFunc(
+            _poly_mul(self._n, o._n), _poly_mul(self._d, o._d), _checked=True
+        )
 
     __rmul__ = __mul__
 
@@ -149,7 +288,9 @@ class RatFunc:
             return NotImplemented
         if not o:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(_poly_mul(self.num, o.den), _poly_mul(self.den, o.num))
+        return RatFunc(
+            _poly_mul(self._n, o._d), _poly_mul(self._d, o._n), _checked=True
+        )
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -158,42 +299,25 @@ class RatFunc:
         return o / self
 
     def __pow__(self, n: int):
+        num, den = self._n, self._d
         if n < 0:
-            return RatFunc.const(1) / self ** (-n)
-        out = RatFunc.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            if not num:
+                raise ZeroDivisionError("division by zero rational function")
+            num, den, n = den, num, -n
+        return RatFunc(_poly_pow(num, n), _poly_pow(den, n), _checked=True)
 
     def subs(self, value):
         """Evaluate at a rational value of q."""
-        num = sum((c * value**i for i, c in enumerate(self.num)), Fraction(0))
-        den = sum((c * value**i for i, c in enumerate(self.den)), Fraction(0))
-        return num / den
-
-    def _poly_str(self, p):
-        if not p:
-            return "0"
-        parts = []
-        for i, c in enumerate(p):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                var = "q" if i == 1 else f"q^{i}"
-                parts.append(var if c == 1 else f"-{var}" if c == -1 else f"{c}*{var}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _horner(self._n, value) / _horner(self._d, value)
 
     def __repr__(self):
-        n = self._poly_str(self.num)
-        if self.den == (Fraction(1),):
+        n = _poly_str(self.num)
+        if len(self._d) == 1:
             return n
-        return f"({n})/({self._poly_str(self.den)})"
+        return f"({n})/({_poly_str(self.den)})"
+
+
+_ZERO = RatFunc((), _checked=True)
 
 
 class ScalarParseError(ValueError):
@@ -293,9 +417,8 @@ def parse_scalar(text: str):
         raise ScalarParseError(str(e)) from e
     if p.peek() is not None:
         raise ScalarParseError(f"trailing input at token {p.pos}")
-    if isinstance(v, RatFunc) and len(v.num) <= 1 and v.den == (Fraction(1),):
-        return v.num[0] if v.num else Fraction(0)
-    return v
+    c = v._fraction() if isinstance(v, RatFunc) else None
+    return v if c is None else c
 
 
 def format_scalar(c) -> str:

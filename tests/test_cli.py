@@ -195,6 +195,47 @@ def test_order_16_outputs_are_byte_identical_to_pinned_digests(capsys, tmp_path)
     assert sha256((tmp_path / "P.log").read_text()) == LOG_16
 
 
+# the q-coefficient outputs of the lab, pinned while rational functions
+# still had Fraction coefficients
+QTWIST = str(Path(__file__).resolve().parents[1] / "bench" / "data" / "qtwist-ut4.json")
+ALL_IDENTITIES = "hom-associative,hom-jacobi,skew,multiplicative"
+LAB_DIGESTS = {
+    "check-qsl2": (
+        ["check-algebra", QSL2, "--identities", ALL_IDENTITIES], 1,
+        "c9c39027e2ce9e7c3dd15fc58994717dabefee4908f3c3554e2975d2bacc6566",
+    ),
+    "check-qtwist": (
+        ["check-algebra", QTWIST, "--identities", ALL_IDENTITIES], 1,
+        "0b2ba8efcb61a38be3efe8e162ba2e589c4438aefbdb44a72d571bc7e116cad2",
+    ),
+    "envelope-qsl2": (
+        ["envelope", QSL2, "--names", "e,f,h"], 0,
+        "835b817988d73b4afc2cebb4325ad773928a2d9d777fa147d8a13cb0fcd989de",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, rc, digest", LAB_DIGESTS.values(), ids=LAB_DIGESTS)
+def test_lab_outputs_are_byte_identical_to_pinned_digests(capsys, argv, rc, digest):
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (rc, "")
+    assert sha256(out) == digest
+
+
+def test_normalize_with_q_coefficients(capsys, tmp_path):
+    rules = tmp_path / "qsl2.rules"
+    code, out, _ = run(capsys, ["envelope", QSL2, "--names", "e,f,h"])
+    assert code == 0
+    rules.write_text(out)
+    for term, want in [
+        ("m h m f e", "(-1/2 - 1/2*q) * m h h + m h m e f"),
+        ("m m f e a h", "(-1/2*q - 1/2*q^2) * m h h + q * m m e f h"),
+        ("m m h f m e f", "(-2*q) * m f m e f + m m f h m e f"),
+    ]:
+        code, out, _ = run(capsys, ["normalize", "--rules", str(rules), "--term", term])
+        assert (code, out) == (0, want + "\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_complete_write_failure_is_a_write_error(capsys, tmp_path):
     (tmp_path / "P.log").symlink_to("/dev/full")

@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from homoperad.linear import LinComb
 from homoperad.scalars import RatFunc, ScalarParseError, format_scalar, parse_scalar
+from homoperad.terms import HOM_SIGNATURE, parse
 
 q = RatFunc.q()
 
@@ -106,3 +108,36 @@ def test_format_parse_round_trip(x):
 
 def test_format_scalar_fraction():
     assert format_scalar(Fraction(-3, 7)) == "-3/7"
+
+
+def scalars():
+    """Small ints, Fractions and rational functions, constant or not, so
+    that equal values of different types come up often."""
+    fracs = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 2))
+    return st.one_of(
+        st.integers(-2, 2),
+        fracs,
+        fracs.map(RatFunc.const),
+        fracs.map(lambda c: c * q / q),
+        st.sampled_from([q, 1 + q, q / 2, (1 + q) / q, 1 / q, -q]),
+    )
+
+
+def test_a_constant_is_one_set_element_with_its_fraction():
+    assert len({q / q, Fraction(1), 1}) == 1
+    assert len({RatFunc.const(Fraction(-3, 4)), Fraction(-3, 4)}) == 1
+
+
+@given(scalars(), scalars())
+def test_equal_scalars_hash_equal(a, b):
+    assert (a == b) == (b == a)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+@given(st.lists(scalars(), min_size=2, max_size=2), st.lists(scalars(), min_size=2, max_size=2))
+def test_equal_combinations_hash_equal(xs, ys):
+    monos = [parse("m 1 2", HOM_SIGNATURE), parse("m 2 1", HOM_SIGNATURE)]
+    a, b = LinComb(2, dict(zip(monos, xs))), LinComb(2, dict(zip(monos, ys)))
+    if a == b:
+        assert hash(a) == hash(b)
