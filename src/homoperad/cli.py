@@ -244,7 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hilbert", help="irreducible plane monomial counts")
     common(sp)
     sp.add_argument("--degree", type=int, required=True)
-    sp.add_argument("--free", action="store_true", help="closed-form free series")
+    sp.add_argument(
+        "--free", action="store_true", help="free series: the count of the empty rule set"
+    )
     sp.add_argument(
         "--stable",
         action="append",

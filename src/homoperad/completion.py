@@ -15,7 +15,6 @@ from .rewrite import (
     Redex,
     RewritingSystem,
     Rule,
-    RuleError,
     apply_redex,
     make_rule,
     normal_form,
@@ -231,22 +230,6 @@ class _SubtermIndex:
         return out
 
 
-def _reduct(site: Context, rule: Rule, pos: int) -> LinComb:
-    """Reduct of the site at the redex of ``rule`` rooted at token ``pos``.
-    The lhs is plane and linear, so its k-th box binds the k-th subterm met."""
-    word, ends = site.word, site.ends
-    bindings, j = [], pos
-    for tok in rule.lhs.word:
-        if isinstance(tok, int):
-            bindings.append(word[j : ends[j]])
-            j = ends[j]
-        elif word[j] == tok:
-            j += 1
-        else:
-            raise TermError(f"rule {rule.id} does not match the ambiguity site")
-    return apply_redex(site, Redex(rule, pos, j, tuple(bindings)))
-
-
 @dataclass(frozen=True)
 class Failure:
     diff: LinComb
@@ -256,8 +239,8 @@ class Failure:
 def resolve(amb: Ambiguity, sys: RewritingSystem) -> LinComb:
     """Reduce the site along both redexes and return the difference of the
     two normal forms, which is zero when the ambiguity resolves."""
-    left = normal_form(_reduct(amb.site, sys[amb.rule1], 0), sys)
-    right = normal_form(_reduct(amb.site, sys[amb.rule2], amb.pos2), sys)
+    left = normal_form(apply_redex(amb.site, Redex(sys[amb.rule1], 0)), sys)
+    right = normal_form(apply_redex(amb.site, Redex(sys[amb.rule2], amb.pos2)), sys)
     return left - right
 
 
@@ -277,7 +260,6 @@ def refuse_inhomogeneous(rules):
 class CompletionState:
     system: RewritingSystem
     status: str  # "complete" | "budget" | "order_failure"
-    max_order: int
     log: list = field(default_factory=list)
     failure: Failure | None = None
 
@@ -350,8 +332,6 @@ def complete(
                 continue
             counter += 1
             new = orient(f"r{counter}", d, order)
-            if require_homogeneous and not is_homogeneous(new.lhs, new.rhs):
-                raise RuleError(f"generated rule {new.id} is not homogeneous")
             put(new)
             added.append(new)
             if not inter_reduce:
@@ -370,7 +350,7 @@ def complete(
 
     while heap:
         if deadline is not None and time.monotonic() > deadline:
-            return CompletionState(system, "budget", max_order, log)
+            return CompletionState(system, "budget", log)
         (key, _, amb) = heapq.heappop(heap)
         if amb.rule1 not in system or amb.rule2 not in system:
             continue
@@ -382,13 +362,11 @@ def complete(
             added = adjoin(diff)
         except IncomparableLeading as e:
             log.append((amb, "order_failure"))
-            return CompletionState(
-                system, "order_failure", max_order, log, Failure(diff, str(e))
-            )
+            return CompletionState(system, "order_failure", log, Failure(diff, str(e)))
         log.append((amb, "new_rule " + ",".join(r.id for r in added)))
         for new in added:
             partners = index.partners(new, max_order - new.order)
             for other in system:
                 if other.id in partners:
                     push_overlaps(new, other)
-    return CompletionState(system, "complete", max_order, log)
+    return CompletionState(system, "complete", log)

@@ -13,7 +13,7 @@ class IncomparableLeading(ValueError):
 
 
 class LinComb:
-    """A finite Context -> Scalar map; zero coefficients are never stored."""
+    """A finite Context -> scalar map; zero coefficients are never stored."""
 
     __slots__ = ("arity", "terms")
 

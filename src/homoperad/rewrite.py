@@ -122,13 +122,11 @@ class RewritingSystem:
 
 @dataclass(frozen=True)
 class Redex:
-    """A match of a rule pattern inside a term: the span of the matched
-    subterm and the fragment of the host bound to each pattern box."""
+    """A match of a rule pattern inside a term: the rule, and the token of
+    the term at which its lhs is rooted."""
 
     rule: Rule
     position: int
-    end: int
-    bindings: tuple  # bindings[i] = token span for pattern Box_{i+1}
 
 
 def find_redexes(t: Context, sys: RewritingSystem) -> list[Redex]:
@@ -143,36 +141,47 @@ def find_redexes(t: Context, sys: RewritingSystem) -> list[Redex]:
         node = root.get(tok)  # None at a box: no trie key is >= 1
         if node is None:
             continue
-        stack = [(node, pos + 1, ())]
+        stack = [(node, pos + 1)]
         while stack:
-            node, j, bindings = stack.pop()
+            node, j = stack.pop()
             rules = node.get(_RULES)
             if rules is not None:
                 # a complete term is no prefix of another, so this is a leaf
-                out.extend(Redex(r, pos, j, bindings) for r in rules)
+                out.extend(Redex(r, pos) for r in rules)
                 continue
             child = node.get(word[j])
             if child is not None:
-                stack.append((child, j + 1, bindings))
+                stack.append((child, j + 1))
             child = node.get(_WILD)
             if child is not None:
-                end = ends[j]
-                stack.append((child, end, bindings + (word[j:end],)))
+                stack.append((child, ends[j]))
     out.sort(key=lambda rd: (rd.position, rd.rule.id))
     return out
 
 
 def apply_redex(t: Context, redex: Redex) -> LinComb:
     """Replace the matched subterm by the rule's replacement, splicing the
-    captured fragments back in.  Box numbering of t is untouched."""
-    head = t.word[: redex.position]
-    tail = t.word[redex.end :]
+    fragments its boxes bind back in.  The lhs is plane and linear, so in
+    one lockstep walk with t its k-th box binds the k-th subterm met; a
+    symbol it does not match raises a TermError.  Box numbering of t is
+    untouched."""
+    word, ends, rule = t.word, t.ends, redex.rule
+    bindings, j = [], redex.position
+    for tok in rule.lhs.word:
+        if isinstance(tok, int):
+            bindings.append(word[j : ends[j]])
+            j = ends[j]
+        elif word[j] == tok:
+            j += 1
+        else:
+            raise TermError(f"rule {rule.id} does not match {t} at token {redex.position}")
+    head, tail = word[: redex.position], word[j:]
     out = LinComb(t.arity)
-    for mono, coeff in redex.rule.rhs.terms.items():
+    for mono, coeff in rule.rhs.terms.items():
         mid = []
         for tok in mono.word:
             if isinstance(tok, int):
-                mid.extend(redex.bindings[tok - 1])
+                mid.extend(bindings[tok - 1])
             else:
                 mid.append(tok)
         out.add_term(Context(head + tuple(mid) + tail, t.sig, _checked=True), coeff)

@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-Scalar = "Fraction | RatFunc"
-
 
 # --- integer polynomials: int tuples, constant term first, no trailing 0 ----
 

@@ -2,13 +2,13 @@
 
 The counting variables are a (unary-vertex degree) and m (binary-vertex
 degree); the coefficients are integer counts.  Series are computed over
-plane monomials directly, so the coefficients are the plane counts.
+plane monomials directly, so the coefficients are the plane counts.  The
+free series is the count of the empty rule set, by the same automaton.
 """
 
 from __future__ import annotations
 
 from .automata import BottomUpAutomaton, determinize, grammar_from_rules
-from .terms import plane_count
 
 
 class BivariateSeries:
@@ -81,13 +81,9 @@ def format_series(x: BivariateSeries) -> str:
 
 
 def free_series(D: int) -> BivariateSeries:
-    """The count of all plane monomials over {m/2, a/1}: the coefficient of
-    a^k m^l is the closed form ``plane_count(k, l)``."""
-    out = BivariateSeries(D)
-    for k in range(D + 1):
-        for l in range(D - k + 1):
-            out.coeffs[(k, l)] = plane_count(k, l)
-    return out
+    """The count of all plane monomials over {m/2, a/1}: the Hilbert series
+    of the empty rewriting system, every monomial of which is irreducible."""
+    return hilbert_series((), D)
 
 
 def solve_series(aut: BottomUpAutomaton, D: int) -> dict:

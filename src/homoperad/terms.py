@@ -295,67 +295,3 @@ def enumerate_plane(k: int, l: int, limit: int = 20) -> list[Context]:
     if k + l > limit:
         raise TermError(f"order {k + l} exceeds limit {limit}")
     return [Context(w, HOM_SIGNATURE, _checked=True) for w in _plane_words(k, l)]
-
-
-@dataclass(frozen=True)
-class WeightedTree:
-    """A plane binary tree with natural weights on internal vertices only.
-
-    ``shape`` is either an int (a leaf, carrying its input number) or a pair
-    of subtrees; ``weights`` assigns each internal vertex, addressed by its
-    root path (tuple of 0/1 steps), the number of unary wraps above it.
-    """
-
-    shape: object
-    weights: tuple[tuple[tuple[int, ...], int], ...]
-
-    def weight_map(self) -> dict:
-        return dict(self.weights)
-
-
-class WeightedTreeError(TermError):
-    """The term applies the unary map directly to an input box."""
-
-
-def to_weighted_tree(c: Context) -> WeightedTree:
-    """Encode a hom-term as a weighted binary tree.  Partial: every a-token
-    must sit above an m-vertex, since leaves carry no weight."""
-    word = c.word
-    weights = []
-
-    def walk(i: int, path: tuple[int, ...]):
-        wraps = 0
-        while i < len(word) and word[i] == "a":
-            wraps += 1
-            i += 1
-        t = word[i]
-        if isinstance(t, int):
-            if wraps:
-                raise WeightedTreeError(
-                    f"unary map applied to input box at token {i - wraps}"
-                )
-            return i + 1, t
-        if t != "m":
-            raise TermError(f"unsupported symbol {t!r} in weighted-tree encoding")
-        weights.append((path, wraps))
-        i, left = walk(i + 1, path + (0,))
-        i, right = walk(i, path + (1,))
-        return i, (left, right)
-
-    end, shape = walk(0, ())
-    assert end == len(word)
-    return WeightedTree(shape, tuple(weights))
-
-
-def from_weighted_tree(t: WeightedTree, sig: Signature = HOM_SIGNATURE) -> Context:
-    wmap = t.weight_map()
-
-    def build(node, path):
-        if isinstance(node, int):
-            return (node,)
-        left, right = node
-        return ("a",) * wmap[path] + ("m",) + build(left, path + (0,)) + build(
-            right, path + (1,)
-        )
-
-    return Context(build(t.shape, ()), sig)

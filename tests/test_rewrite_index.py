@@ -27,7 +27,7 @@ from homoperad.rewrite import (
     parse_rules,
 )
 from homoperad.scalars import RatFunc
-from homoperad.terms import Context, HOM_SIGNATURE, Signature, enumerate_plane
+from homoperad.terms import Context, HOM_SIGNATURE, Signature, TermError, enumerate_plane
 
 
 # --- references -------------------------------------------------------------
@@ -66,10 +66,22 @@ def ref_find_redexes(t: Context, sys: RewritingSystem) -> list[Redex]:
         if isinstance(tok, int):
             continue
         for r in by_root.get(tok, ()):
-            m = ref_match_at(r.lhs, t, pos)
-            if m is not None:
-                out.append(Redex(r, *m))
+            if ref_match_at(r.lhs, t, pos) is not None:
+                out.append(Redex(r, pos))
     out.sort(key=lambda rd: (rd.position, rd.rule.id))
+    return out
+
+
+def ref_reduct(t: Context, rule: Rule, pos: int) -> LinComb:
+    """The rule's replacement spliced into t at pos, with the fragments
+    that ``ref_match_at`` binds to its boxes."""
+    _, end, bindings = ref_match_at(rule.lhs, t, pos)
+    out = LinComb(t.arity)
+    for mono, coeff in rule.rhs.terms.items():
+        mid = []
+        for tok in mono.word:
+            mid.extend(bindings[tok - 1] if isinstance(tok, int) else (tok,))
+        out.add_term(Context(t.word[:pos] + tuple(mid) + t.word[end:], t.sig), coeff)
     return out
 
 
@@ -254,10 +266,41 @@ def test_every_lhs_matches_itself_at_the_root():
         sys_ = make()
         for r in sys_.rules:
             reds = find_redexes(r.lhs, sys_)
-            assert any(
-                red.rule is r and red.position == 0 and red.end == len(r.lhs.word)
-                for red in reds
-            ), (name, r.id)
+            assert any(red.rule is r and red.position == 0 for red in reds), (name, r.id)
+
+
+# --- apply_redex ---------------------------------------------------------------
+
+
+def check_reducts(name, t):
+    sys_ = SYSTEMS[name]()
+    for red in find_redexes(t, sys_):
+        assert apply_redex(t, red) == ref_reduct(t, red.rule, red.position)
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomials("homass12", 16))
+def test_apply_redex_equals_reference_splice_homass12(t):
+    check_reducts("homass12", t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(monomials("leibniz", 8))
+def test_apply_redex_equals_reference_splice_leibniz(t):
+    check_reducts("leibniz", t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomials("envelope", 10))
+def test_apply_redex_equals_reference_splice_envelope(t):
+    check_reducts("envelope", t)
+
+
+def test_a_redex_that_does_not_match_raises():
+    (rule,) = rules_file_system("homass.rules", LEX_MA)  # m a 1 m 2 3 -> m m 1 2 a 3
+    for text, pos in (("a m 1 2", 0), ("m 1 m 2 3", 0), ("a m a 1 a 2", 1)):
+        with pytest.raises(TermError):
+            apply_redex(terms.parse(text, HOM_SIGNATURE), Redex(rule, pos))
 
 
 def test_identical_patterns_both_match_in_id_order():

@@ -9,18 +9,15 @@ from homoperad.terms import (
     Permutation,
     Signature,
     TermError,
-    WeightedTreeError,
     act,
     compose,
     enumerate_plane,
-    from_weighted_tree,
     grading,
     parse,
     plane_count,
     planarize,
     print_term,
     subterm_ends,
-    to_weighted_tree,
 )
 
 
@@ -178,24 +175,6 @@ def test_compose_equivariance():
         left = compose(act(sigma, outer), [inners[sigma.inverse()(i) - 1] for i in range(1, outer.arity + 1)])
         right = compose(outer, inners)
         assert planarize(left)[0] == planarize(right)[0]
-
-
-def test_weighted_tree_round_trip():
-    c = t("a m 1 2")
-    wt = to_weighted_tree(c)
-    assert wt.weight_map() == {(): 1}
-    assert from_weighted_tree(wt) == c
-    c = t("a a m m 1 2 a m 3 4")
-    assert from_weighted_tree(to_weighted_tree(c)) == c
-
-
-def test_weighted_tree_rejects_alpha_on_leaf():
-    with pytest.raises(WeightedTreeError):
-        to_weighted_tree(t("m a 1 2"))
-    # alpha^3( m( alpha(m(alpha^2(x1), x2)), alpha^4(x3) ) )
-    bad = t("a a a m a m a a 1 2 a a a a 3")
-    with pytest.raises(WeightedTreeError):
-        to_weighted_tree(bad)
 
 
 @given(st.integers(0, 4), st.integers(0, 3))
