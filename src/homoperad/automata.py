@@ -10,11 +10,16 @@ Every reachable subset holds state 1 (it has ``leaf``, ``a(1)`` and
 (``a(0)``, ``m(0, 1)``, ``m(1, 0)``).  The automaton therefore keeps only
 the live subsets, those without 0, and sends every reducible monomial to
 one implicit sink.
+
+The subset construction runs on int bitsets, one bit per grammar state,
+and ``minimize`` then merges the live subsets into the classes of the
+coarsest partition that the transitions respect (Moore refinement), which
+is all the Hilbert count needs.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 from .rewrite import Rule
@@ -109,39 +114,137 @@ class BottomUpAutomaton:
 
 
 def determinize(g: TreeGrammar) -> BottomUpAutomaton:
-    """Reachable-subset construction over a worklist: ``states`` grows as it
-    is walked, and on reaching a state s the transitions f_a[s] and
-    f_m[(s, t)], f_m[(t, s)] for every t up to s are computed, once each.
-    The sink is never stored or paired, nor any transition into it."""
-    a_prods = {}  # c -> set of b with b -> a(c)
-    m_prods = {}  # (c, d) -> set of b with b -> m(c, d)
-    leaf = set()
+    """Reachable-subset construction over a worklist: the list of states
+    grows as it is walked, and on reaching a state s the transitions
+    f_a[s] and f_m[(s, t)], f_m[(t, s)] for every t up to s are computed,
+    once each.
+    The sink is never stored or paired, nor any transition into it.
+
+    A subset is an int with bit b set for grammar state b, so the sink test
+    is bit 0.  Each m-production has a bit of its own: bit b when it is the
+    only m-production of b, a bit past the grammar states otherwise.  A
+    state s keeps the mask of the productions with their left child in s
+    and the mask of those with their right child in s; the productions
+    that fire in m(s, t) are the AND of the first mask of s and the second
+    of t."""
+    n = len(g.states)
+    a_image = [0] * n  # c -> mask of b with b -> a(c)
+    left, right = [0] * n, [0] * n  # c -> mask of the m-productions with child c
+    shared = {}  # bit of b -> mask of b's m-productions, when it has several
+    m_count = Counter(b for b, ps in g.productions.items() for p in ps if p[0] == "m")
+    leaf, extra = 0, n
     for b, ps in g.productions.items():
         for p in ps:
             if p == LEAF:
-                leaf.add(b)
+                leaf |= 1 << b
             elif p[0] == "a":
-                a_prods.setdefault(p[1], set()).add(b)
+                a_image[p[1]] |= 1 << b
             else:
-                m_prods.setdefault((p[1], p[2]), set()).add(b)
+                if m_count[b] == 1:
+                    bit = 1 << b
+                else:
+                    bit, extra = 1 << extra, extra + 1
+                    shared[1 << b] = shared.get(1 << b, 0) | bit
+                left[p[1]] |= bit
+                right[p[2]] |= bit
+    own = (1 << n) - 1
 
-    leaf_state = tuple(sorted(leaf))  # (1,): a pattern edge is never a box
-    states, seen, f_a, f_m = [leaf_state], {leaf_state}, {}, {}
+    def members(s):
+        return tuple(c for c in range(n) if s >> c & 1)
 
-    def reach(table, key, subset):
-        """Set table[key] to the state of a set of grammar states, appended
-        to ``states`` when new, unless the set is the sink."""
-        if 0 in subset:
+    subsets, index = [members(leaf)], {leaf: 0}  # the states; mask -> position
+    f_a, f_m, lefts, rights = {}, {}, [], []
+
+    def reach(table, key, u):
+        """Set table[key] to the subset u, appended to the states when new,
+        unless u is the sink."""
+        if u & 1:
             return
-        u = tuple(sorted(subset))
-        if u not in seen:
-            seen.add(u)
-            states.append(u)
-        table[key] = u
+        if u not in index:
+            index[u] = len(subsets)
+            subsets.append(members(u))
+        table[key] = subsets[index[u]]
 
-    for k, s in enumerate(states):
-        reach(f_a, s, {b for c in s for b in a_prods.get(c, ())})
-        for t in states[: k + 1]:
-            for x, y in ((s, t), (t, s)):
-                reach(f_m, (x, y), {b for c in x for d in y for b in m_prods.get((c, d), ())})
-    return BottomUpAutomaton(tuple(states), leaf_state, f_a, f_m)
+    def fire(productions):
+        """The set of grammar states of a mask of fired m-productions."""
+        u = productions & own
+        for b, bits in shared.items():
+            if productions & bits:
+                u |= b
+        return u
+
+    for k, s in enumerate(subsets):
+        a = l = r = 0
+        for c in s:
+            a, l, r = a | a_image[c], l | left[c], r | right[c]
+        lefts.append(l)
+        rights.append(r)
+        reach(f_a, s, a)
+        for j, t in enumerate(subsets[: k + 1]):
+            reach(f_m, (s, t), fire(l & rights[j]))
+            if j != k:
+                reach(f_m, (t, s), fire(lefts[j] & r))
+    return BottomUpAutomaton(tuple(subsets), subsets[0], f_a, f_m)
+
+
+def minimize(aut: BottomUpAutomaton) -> BottomUpAutomaton:
+    """Moore refinement of the live states (*TATA*, §1.5).  The blocks
+    start as one block of live states and the sink alone; a block splits
+    until any two of its states have f_a images in one block and, for every
+    state t, f_m images with t on the left and on the right in one block, a
+    missing transition counting as the sink.  The result keeps the first
+    state of each block, in the order of ``states``, with the transitions
+    among those representatives, so it accepts what ``aut`` accepts; and
+    the series of a block's representative is the sum of its members'."""
+    states = aut.states
+    n = len(states)
+    index = {s: i for i, s in enumerate(states)}  # the sink is n
+    # A tuple does not cache its hash, and the subsets in the transition
+    # tables are normally the very objects in ``states``: find them by id.
+    by_id = {id(s): i for i, s in enumerate(states)}
+
+    def at(u):
+        i = by_id.get(id(u))
+        return i if i is not None and states[i] is u else index[u]
+
+    fa = [n] * n
+    for c, b in aut.f_a.items():
+        fa[at(c)] = at(b)
+    rows = [[n] * n for _ in states]
+    for (c, d), b in aut.f_m.items():
+        rows[at(c)][at(d)] = at(b)
+    cols = list(zip(*rows))
+
+    block = [0] * n + [-1]
+    count = 1
+    while True:
+        look = block.__getitem__
+        sigs = {}
+        new = [
+            sigs.setdefault(
+                (block[i], block[fa[i]], *map(look, rows[i]), *map(look, cols[i])),
+                len(sigs),
+            )
+            for i in range(n)
+        ]
+        block = new + [-1]
+        if len(sigs) == count:
+            break
+        count = len(sigs)
+
+    first = {}  # block -> its first state
+    for i in range(n):
+        first.setdefault(block[i], i)
+    reps = list(first.values())
+    rep = [states[first[k]] for k in block[:n]] + [SINK]
+    return BottomUpAutomaton(
+        tuple(states[i] for i in reps),
+        rep[at(aut.leaf_state)],
+        {states[i]: rep[fa[i]] for i in reps if fa[i] != n},
+        {
+            (states[i], states[j]): rep[rows[i][j]]
+            for i in reps
+            for j in reps
+            if rows[i][j] != n
+        },
+    )

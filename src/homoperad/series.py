@@ -8,7 +8,7 @@ free series is the count of the empty rule set, by the same automaton.
 
 from __future__ import annotations
 
-from .automata import BottomUpAutomaton, determinize, grammar_from_rules
+from .automata import BottomUpAutomaton, determinize, grammar_from_rules, minimize
 
 
 class BivariateSeries:
@@ -92,19 +92,33 @@ def solve_series(aut: BottomUpAutomaton, D: int) -> dict:
     G_b = [b = leaf] + a * sum_{f_a(c)=b} G_c + m * sum_{f_m(c,d)=b} G_c G_d.
     Every production raises the total degree by exactly one, so the counts
     of degree n follow from those below it: one pass, degree by degree."""
-    # g[b][n][i]: monomials in state b with i a-vertices and n - i m-vertices
-    g = {b: [[0] * (n + 1) for n in range(D + 1)] for b in aut.states}
-    g[aut.leaf_state][0][0] = 1
+    index = {b: k for k, b in enumerate(aut.states)}
+    # g[b][n][i]: monomials in state number b with i a-vertices and n - i
+    # m-vertices
+    g = [[[0] * (n + 1) for n in range(D + 1)] for _ in aut.states]
+    g[index[aut.leaf_state]][0][0] = 1
+    a_moves = [(index[c], index[b]) for c, b in aut.f_a.items()]
+    # The m-transitions into b with left state c share one convolution with
+    # the sum over their right states d of g[d]; sums[n] is its degree n.
+    rights = {}
+    for (c, d), b in aut.f_m.items():
+        rights.setdefault((index[b], index[c]), []).append(index[d])
+    groups = [(b, c, ds, []) for (b, c), ds in rights.items()]
+
     for n in range(1, D + 1):
-        for c, b in aut.f_a.items():
+        for _, _, ds, sums in groups:
+            sums.append(list(map(sum, zip(*(g[d][n - 1] for d in ds)))))
+        for c, b in a_moves:
             row = g[b][n]
             for i, k in enumerate(g[c][n - 1]):
                 row[i + 1] += k
-        for (c, d), b in aut.f_m.items():
-            row = g[b][n]
+        for b, c, _, sums in groups:
+            row, lefts = g[b][n], g[c]
             for n1 in range(n):
-                right = g[d][n - 1 - n1]
-                for i1, k1 in enumerate(g[c][n1]):
+                left, right = lefts[n1], sums[n - 1 - n1]
+                if not any(left):
+                    continue
+                for i1, k1 in enumerate(left):
                     if k1:
                         for i2, k2 in enumerate(right):
                             row[i1 + i2] += k1 * k2
@@ -112,14 +126,16 @@ def solve_series(aut: BottomUpAutomaton, D: int) -> dict:
         b: BivariateSeries(
             D, {(i, n - i): k for n, row in enumerate(rows) for i, k in enumerate(row)}
         )
-        for b, rows in g.items()
+        for b, rows in zip(aut.states, g)
     }
 
 
 def hilbert_series(rules, D: int) -> BivariateSeries:
-    """Count of irreducible plane monomials by grading: the sum of G_b over
-    the automaton's states, all of which are live."""
-    g = solve_series(determinize(grammar_from_rules(rules)), D)
+    """Count of irreducible plane monomials by grading: the sum of G_B over
+    the classes B of the minimized automaton.  Every live state is in one
+    class, and the series of a class is the sum of its states' series,
+    because the transitions respect the classes."""
+    g = solve_series(minimize(determinize(grammar_from_rules(rules))), D)
     return sum(g.values(), BivariateSeries.zero(D))
 
 

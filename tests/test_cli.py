@@ -195,6 +195,20 @@ def test_order_16_outputs_are_byte_identical_to_pinned_digests(capsys, tmp_path)
     assert sha256((tmp_path / "P.log").read_text()) == LOG_16
 
 
+# the degree-12 count of the order-12 system and its warning about unstable
+# degrees, pinned while every state pair still had its own convolution
+HILBERT_O12 = "5d95a89c070422957cabd59aa3a4de93ab92f829977affbcaf197af9fd3fb14d"
+HILBERT_O12_WARNING = "23e41cd4d3aff9c0c47b88dda9d06d96cea04d0197e9fbed384f84c79de9ea57"
+
+
+def test_order_12_hilbert_count_is_byte_identical_to_pinned_digest(capsys):
+    code, out, err = run(capsys, ["hilbert", "--rules", HOMASS_O12, "--degree", "12"])
+    assert code == 0
+    assert sha256(out) == HILBERT_O12
+    assert err.startswith("warning: coefficients not guaranteed stable at degrees a^1m^0 ")
+    assert sha256(err) == HILBERT_O12_WARNING
+
+
 # the q-coefficient outputs of the lab, pinned while rational functions
 # still had Fraction coefficients
 QTWIST = str(Path(__file__).resolve().parents[1] / "bench" / "data" / "qtwist-ut4.json")

@@ -1,14 +1,22 @@
 """The worklist subset construction and the degree-by-degree series count,
-checked against the frontier-and-refill construction and the fixed-point
-solve they replaced, which are kept here as references.  The references
-build every subset; the construction keeps only the live ones, without
-grammar state 0, so it is compared with the references' live part."""
+checked against the frontier-and-refill construction, the fixed-point
+solve and the one-convolution-per-pair solve they replaced, which are kept
+here as references.  The references build every subset; the construction
+keeps only the live ones, without grammar state 0, so it is compared with
+the references' live part."""
 
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
-from homoperad.automata import LEAF, BottomUpAutomaton, determinize, grammar_from_rules
+from homoperad.automata import (
+    LEAF,
+    BottomUpAutomaton,
+    determinize,
+    grammar_from_rules,
+    minimize,
+)
 from homoperad.completion import complete
 from homoperad.orders import LEX_MA
 from homoperad.rewrite import RewritingSystem, parse_rules
@@ -94,6 +102,31 @@ def ref_solve_series(aut: BottomUpAutomaton, D: int) -> dict:
     return g
 
 
+def ref_pair_solve(aut: BottomUpAutomaton, D: int) -> dict:
+    """Degree by degree, with one convolution per m-transition."""
+    g = {b: [[0] * (n + 1) for n in range(D + 1)] for b in aut.states}
+    g[aut.leaf_state][0][0] = 1
+    for n in range(1, D + 1):
+        for c, b in aut.f_a.items():
+            row = g[b][n]
+            for i, k in enumerate(g[c][n - 1]):
+                row[i + 1] += k
+        for (c, d), b in aut.f_m.items():
+            row = g[b][n]
+            for n1 in range(n):
+                right = g[d][n - 1 - n1]
+                for i1, k1 in enumerate(g[c][n1]):
+                    if k1:
+                        for i2, k2 in enumerate(right):
+                            row[i1 + i2] += k1 * k2
+    return {
+        b: BivariateSeries(
+            D, {(i, n - i): k for n, row in enumerate(rows) for i, k in enumerate(row)}
+        )
+        for b, rows in g.items()
+    }
+
+
 # --- rule lists -------------------------------------------------------------
 
 
@@ -166,3 +199,24 @@ def test_solve_series_degree_zero_is_the_leaf():
     g = solve_series(aut, 0)
     assert g[aut.leaf_state] == BivariateSeries(0, {(0, 0): 1})
     assert all(not g[b].coeffs for b in aut.states if b != aut.leaf_state)
+
+
+@pytest.mark.parametrize("name,k", PREFIXES)
+def test_solve_series_matches_per_pair_solve(name, k):
+    aut, _ = automata(rule_list(name)[:k])
+    assert solve_series(aut, 10) == ref_pair_solve(aut, 10)
+
+
+def test_solve_series_matches_per_pair_solve_on_the_order_twelve_system():
+    path = Path(__file__).resolve().parents[1] / "bench" / "data" / "homass-o12.rules"
+    rules = parse_rules(path.read_text(), HOM_SIGNATURE, LEX_MA)
+    aut = determinize(grammar_from_rules(rules))
+    assert solve_series(aut, 8) == ref_pair_solve(aut, 8)
+
+
+@pytest.mark.parametrize("name,k", PREFIXES)
+def test_class_series_sum_to_the_state_series(name, k):
+    aut, _ = automata(rule_list(name)[:k])
+    zero = BivariateSeries.zero(9)
+    by_class = sum(solve_series(minimize(aut), 9).values(), zero)
+    assert by_class == sum(solve_series(aut, 9).values(), zero)
