@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 a failed check (`check-algebra` FAIL, or
 `hilbert --strict` with coefficients not guaranteed stable), 2 parse error
 or refused input (an inhomogeneous rule or an unwritable `--out` for
-`complete`), 3 budget exhausted, 4 order failure (a rule or candidate could
-not be oriented by the active term order), 5 write error (writing or
-closing a `complete --out` file failed).
+`complete`; for `normalize` and `ambiguities`, a rule with a replacement
+monomial of more vertices than its pattern), 3 budget exhausted, 4 order
+failure (a rule or candidate could not be oriented by the active term
+order), 5 write error (writing or closing a `complete --out` file failed).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .rewrite import (
     normal_form,
     parse_lincomb,
     parse_rules,
+    refuse_growing,
 )
 from .scalars import ScalarParseError, format_scalar
 from .series import format_series, free_series, hilbert_series, unstable_degrees
@@ -67,6 +69,7 @@ def load_rules_path(path: str, order_name: str):
 
 def cmd_normalize(args) -> int:
     sig, order, rules = load_rules_path(args.rules, args.order)
+    refuse_growing(rules)  # a rule that grows its monomial may never stop
     system = RewritingSystem(sig, order, rules)
     text = args.term if args.term is not None else sys.stdin.read()
     x = parse_lincomb(text.strip(), sig)
@@ -116,6 +119,7 @@ def cmd_complete(args) -> int:
 
 def cmd_ambiguities(args) -> int:
     sig, order, rules = load_rules_path(args.rules, args.order)
+    refuse_growing(rules)
     system = RewritingSystem(sig, order, rules)
     ambs = []
     for i, r1 in enumerate(rules):

@@ -49,6 +49,27 @@ def lex_ma_compare(x: Context, y: Context) -> str:
     return GT if len(x.word) > len(y.word) else LT
 
 
+@lru_cache(maxsize=None)
+def _key_table(sig: Signature, arity: int) -> dict:
+    """Token values of ``lex_ma_key`` on one arity class: symbols by
+    ascending ``lex_ma`` precedence, then the boxes, Box_1 highest."""
+    ranks = _symbol_ranks(sig)
+    ranked = sorted(ranks, key=ranks.__getitem__)
+    table = {name: p for p, name in enumerate(ranked)}
+    table.update((i, len(ranked) + arity - i) for i in range(1, arity + 1))
+    return table
+
+
+def lex_ma_key(c: Context) -> tuple:
+    """A total sort key on each arity class that refines ``lex_ma``.  At the
+    first token where two words differ, a higher symbol wins as in
+    ``lex_ma``; where ``lex_ma`` finds them incomparable, a box beats any
+    symbol and a lower box index beats a higher one, the word that
+    ``word_key`` sorts first.  So the key-greatest of a set is its
+    ``word_key``-least ``lex_ma``-maximal element."""
+    return tuple(map(_key_table(c.sig, c.arity).__getitem__, c.word))
+
+
 def _h_vector(c: Context) -> tuple[int, ...]:
     """h_i = number of binary vertices entered from the right on the path
     from Box_i up to the root."""
@@ -88,11 +109,15 @@ def right_comb_compare(x: Context, y: Context) -> str:
 
 
 class TermOrder:
-    """A named comparison procedure on same-arity contexts."""
+    """A named comparison procedure on same-arity contexts.  ``key``, when
+    the order has one, is a total sort key that refines it, as
+    ``lex_ma_key`` does; ``right_comb``'s incomparability is not
+    transitive, so no key reproduces its tie-break."""
 
-    def __init__(self, name: str, compare_fn):
+    def __init__(self, name: str, compare_fn, key=None):
         self.name = name
         self._compare = compare_fn
+        self.key = key
 
     def compare(self, x: Context, y: Context) -> str:
         return self._compare(x, y)
@@ -101,7 +126,7 @@ class TermOrder:
         return f"TermOrder({self.name})"
 
 
-LEX_MA = TermOrder("lex_ma", lex_ma_compare)
+LEX_MA = TermOrder("lex_ma", lex_ma_compare, lex_ma_key)
 RIGHT_COMB = TermOrder("right_comb", right_comb_compare)
 
 ORDERS = {"lex_ma": LEX_MA, "right_comb": RIGHT_COMB}

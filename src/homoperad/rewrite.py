@@ -188,6 +188,21 @@ def apply_redex(t: Context, redex: Redex) -> LinComb:
     return out
 
 
+def refuse_growing(rules):
+    """Raise a TermError naming the first rule with a replacement monomial
+    of more vertices than its pattern.  When none grows, each step trades a
+    monomial for monomials of fewer vertices, or of the same vertex count
+    and arity and below it in the term order, of which there are finitely
+    many, so reduction terminates."""
+    for r in rules:
+        for mono in r.rhs.support():
+            if mono.order > r.lhs.order:
+                raise TermError(
+                    f"rule {r.id}: replacement monomial {mono} has more vertices "
+                    f"than the pattern {r.lhs}"
+                )
+
+
 def is_irreducible(x: LinComb | Context, sys: RewritingSystem) -> bool:
     monos = [x] if isinstance(x, Context) else list(x.support())
     return all(not find_redexes(m, sys) for m in monos)
@@ -205,42 +220,23 @@ def _pick_greatest(monos, order, log):
     return pick
 
 
-def _choose(x: LinComb, redexes, order, log, rng):
-    """The (monomial, redex) one step rewrites, or None when x is in normal
-    form.  Deterministic: the order-greatest reducible monomial and its
-    first redex.  With ``rng``: uniform over every redex of every monomial.
-    ``redexes(mono)`` gives the sorted redex list of a monomial."""
-    if rng is not None:
-        choices = [(mono, red) for mono in x.support() for red in redexes(mono)]
-        return choices[rng.randrange(len(choices))] if choices else None
-    reducible = {}
-    for mono in x.support():
-        reds = redexes(mono)
-        if reds:
-            reducible[mono] = reds[0]
-    if not reducible:
-        return None
-    target = _pick_greatest(list(reducible), order, log)
-    return target, reducible[target]
-
-
-def _rewrite(x: LinComb, mono: Context, red: Redex) -> LinComb:
-    """x with the monomial ``mono`` replaced by its reduct at ``red``."""
-    replaced = apply_redex(mono, red).scale(x.terms[mono])
-    rest = LinComb(x.arity)
-    rest.terms = {m: c for m, c in x.terms.items() if m != mono}
-    return rest + replaced
-
-
 def normal_form(x: LinComb, sys: RewritingSystem, log=None, rng=None) -> LinComb:
-    """Iterate reduction to a fixed point.  With ``rng`` supplied, the
-    monomial and redex are chosen at random each step instead of by the
-    deterministic strategy; a complete system reaches the same answer.
+    """Iterate reduction to a fixed point.  Each step rewrites the
+    order-greatest reducible monomial at its first redex; with ``rng``
+    supplied, the monomial and redex are instead uniform over every redex
+    of every monomial.  A complete system reaches the same answer.
 
-    Monomials are immutable and ``sys`` must not change during the call, so
-    the redexes of each distinct monomial are searched once per call and
-    kept until it returns."""
-    memo = {}
+    The sum and its reducible monomials, each with its sorted redex list,
+    are two dicts edited in place: a step pops the rewritten monomial,
+    adds the scaled reduct term by term and drops what cancels, so the
+    terms keep the order of ``rest + reduct``.  The greatest is the
+    maximum of the order's key when it has one; otherwise, or when ties
+    are recorded in ``log``, it is the ``_pick_greatest`` antichain's pick.
+
+    Monomials are immutable and ``sys`` must not change during the call,
+    so each distinct monomial is searched for redexes once, when it first
+    enters the sum, and keyed at most once."""
+    memo, ranks = {}, {}
 
     def redexes(mono):
         reds = memo.get(mono)
@@ -248,11 +244,50 @@ def normal_form(x: LinComb, sys: RewritingSystem, log=None, rng=None) -> LinComb
             reds = memo[mono] = find_redexes(mono, sys)
         return reds
 
-    while True:
-        step = _choose(x, redexes, sys.order, log, rng)
-        if step is None:
-            return x
-        x = _rewrite(x, *step)
+    def rank(mono):
+        r = ranks.get(mono)
+        if r is None:
+            r = ranks[mono] = key(mono)
+        return r
+
+    key = sys.order.key if log is None else None
+    terms = dict(x.terms)
+    reducible = {}
+    for mono in terms:
+        reds = redexes(mono)
+        if reds:
+            reducible[mono] = reds
+    while reducible:
+        if rng is not None:
+            choices = [(mono, red) for mono, reds in reducible.items() for red in reds]
+            mono, red = choices[rng.randrange(len(choices))]
+        else:
+            if len(reducible) == 1:
+                mono = next(iter(reducible))
+            elif key is not None:
+                mono = max(reducible, key=rank)
+            else:
+                mono = _pick_greatest(list(reducible), sys.order, log)
+            red = reducible[mono][0]
+        coeff = terms.pop(mono)
+        del reducible[mono]
+        for m, v in apply_redex(mono, red).terms.items():
+            old = terms.get(m)
+            if old is None:
+                terms[m] = coeff * v
+                reds = redexes(m)
+                if reds:
+                    reducible[m] = reds
+                continue
+            c = old + coeff * v
+            if c:
+                terms[m] = c
+            else:
+                del terms[m]
+                reducible.pop(m, None)
+    out = LinComb(x.arity)
+    out.terms = terms
+    return out
 
 
 # --- rule file format -------------------------------------------------------
@@ -278,7 +313,8 @@ def _split_summands(tokens):
 
 
 def parse_lincomb(text: str, sig: Signature) -> LinComb:
-    """Parse `[c *] <polish> { (+|-) [c *] <polish> }`."""
+    """Parse `[c *] <polish> { (+|-) [c *] <polish> }`, adding each summand
+    into one sum in place."""
     from .terms import parse as parse_term
 
     tokens = text.split()
@@ -292,8 +328,12 @@ def parse_lincomb(text: str, sig: Signature) -> LinComb:
             coeff = coeff * parse_scalar(" ".join(toks[:cut]))
             toks = toks[cut + 1 :]
         ctx = parse_term(" ".join(toks), sig)
-        piece = LinComb.monomial(ctx, coeff)
-        result = piece if result is None else result + piece
+        if result is None:
+            result = LinComb.monomial(ctx, coeff)
+        elif ctx.arity != result.arity:
+            raise TermError("arity mismatch in addition")
+        else:
+            result.add_term(ctx, coeff)
     if result is None:
         raise TermError(f"cannot parse linear combination {text!r}")
     return result

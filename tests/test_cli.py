@@ -1,6 +1,8 @@
 import hashlib
 import importlib.resources
 import os
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -209,6 +211,47 @@ def test_order_12_hilbert_count_is_byte_identical_to_pinned_digest(capsys):
     assert sha256(err) == HILBERT_O12_WARNING
 
 
+def grown_word(rng, k, l):
+    """The Polish text of a plane monomial with k unary and l binary
+    vertices, grown top-down from ``rng``."""
+
+    def grow(k, l):
+        if k == 0 and l == 0:
+            return [0]
+        if k and (not l or rng.random() < k / (k + l)):
+            return ["a"] + grow(k - 1, l)
+        k1, l1 = rng.randint(0, k), rng.randint(0, l - 1)
+        return ["m"] + grow(k1, l1) + grow(k - k1, l - 1 - l1)
+
+    boxes = iter(range(1, k + 2 * l + 2))
+    return " ".join(str(next(boxes)) if t == 0 else t for t in grow(k, l))
+
+
+def thirty_term_sum(seed):
+    """A signed sum of thirty (5,7) monomials, in the order they are drawn."""
+    rng = random.Random(seed)
+    terms = {}
+    while len(terms) < 30:
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+        terms[grown_word(rng, 5, 7)] = c
+    return " ".join(f"{'-' if c < 0 else '+'} {abs(c)} * {w}" for w, c in terms.items())
+
+
+# sha256 of the normal forms of twenty such sums, pinned while every
+# reduction step still walked and copied the whole sum
+NORMALIZE_O12 = "df79c7c66c9786c8ea99c9d15351a3806718afb0b188a8d6b829c26c7f10bca3"
+
+
+def test_normal_forms_of_thirty_term_sums_are_byte_identical_to_pinned_digest(capsys):
+    outs = []
+    for seed in range(20):
+        argv = ["normalize", "--rules", HOMASS_O12, "--term", thirty_term_sum(seed)]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert sha256("".join(outs)) == NORMALIZE_O12
+
+
 # the q-coefficient outputs of the lab, pinned while rational functions
 # still had Fraction coefficients
 QTWIST = str(Path(__file__).resolve().parents[1] / "bench" / "data" / "qtwist-ut4.json")
@@ -332,6 +375,8 @@ def test_hilbert_malformed_stable_is_a_parse_error(capsys, value):
     assert "Traceback" not in err
 
 
+GROWING = "op m 2\nop a 1\nop e 0\na e -> m e a e\n"
+
 # case -> (input file text or None, argv with FILE standing for that file)
 MALFORMED = {
     "op-arity": ("op m x\nm 1 2 -> m 2 1\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
@@ -360,6 +405,9 @@ MALFORMED = {
         None,
         ["hilbert", "--rules", data_path("leibniz.rules"), "--order", "right_comb", "--degree", "3"],
     ),
+    # `a e` rewrites to a term that contains `a e`, so reduction never ends
+    "normalize-growing-rule": (GROWING, ["normalize", "--rules", "FILE", "--term", "a e"]),
+    "ambiguities-growing-rule": (GROWING, ["ambiguities", "--rules", "FILE"]),
 }
 
 

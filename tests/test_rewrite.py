@@ -6,10 +6,11 @@ import pytest
 from homoperad.linear import LinComb
 from homoperad.orders import LEX_MA, RIGHT_COMB
 from homoperad.rewrite import (
+    Redex,
     RewritingSystem,
     RuleError,
-    _choose,
-    _rewrite,
+    _pick_greatest,
+    apply_redex,
     find_redexes,
     format_rules,
     is_irreducible,
@@ -18,11 +19,42 @@ from homoperad.rewrite import (
     parse_lincomb,
     parse_rules,
 )
-from homoperad.terms import ASS_SIGNATURE, HOM_SIGNATURE, Permutation, act, parse
+from homoperad.terms import ASS_SIGNATURE, HOM_SIGNATURE, Context, Permutation, act, parse
 
 
 def th(text):
     return parse(text, HOM_SIGNATURE)
+
+
+# --- references: one step of the reduction loop that walked and copied the
+# whole sum at every step, kept as it stood in ``homoperad.rewrite`` --------
+
+
+def _choose(x: LinComb, redexes, order, log, rng):
+    """The (monomial, redex) one step rewrites, or None when x is in normal
+    form.  Deterministic: the order-greatest reducible monomial and its
+    first redex.  With ``rng``: uniform over every redex of every monomial.
+    ``redexes(mono)`` gives the sorted redex list of a monomial."""
+    if rng is not None:
+        choices = [(mono, red) for mono in x.support() for red in redexes(mono)]
+        return choices[rng.randrange(len(choices))] if choices else None
+    reducible = {}
+    for mono in x.support():
+        reds = redexes(mono)
+        if reds:
+            reducible[mono] = reds[0]
+    if not reducible:
+        return None
+    target = _pick_greatest(list(reducible), order, log)
+    return target, reducible[target]
+
+
+def _rewrite(x: LinComb, mono: Context, red: Redex) -> LinComb:
+    """x with the monomial ``mono`` replaced by its reduct at ``red``."""
+    replaced = apply_redex(mono, red).scale(x.terms[mono])
+    rest = LinComb(x.arity)
+    rest.terms = {m: c for m, c in x.terms.items() if m != mono}
+    return rest + replaced
 
 
 def reduce_once(x, sys_, log=None):

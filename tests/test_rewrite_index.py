@@ -21,13 +21,22 @@ from homoperad.rewrite import (
     Rule,
     RuleError,
     RewritingSystem,
+    _pick_greatest,
     apply_redex,
     find_redexes,
     normal_form,
     parse_rules,
 )
 from homoperad.scalars import RatFunc
-from homoperad.terms import Context, HOM_SIGNATURE, Signature, TermError, enumerate_plane
+from homoperad.terms import (
+    Context,
+    HOM_SIGNATURE,
+    Permutation,
+    Signature,
+    TermError,
+    act,
+    enumerate_plane,
+)
 
 
 # --- references -------------------------------------------------------------
@@ -420,12 +429,20 @@ def ground_sums(draw, name: str, max_ops: int, max_terms: int):
 
 
 def check_normal_form(name, x, seed):
+    """Both strategies equal the reference, term order included; the
+    deterministic one also with and without a tie log, which switches the
+    pick between the order's key and the antichain."""
     sys_ = SYSTEMS[name]()
     log, ref_log = [], []
-    assert normal_form(x, sys_, log=log) == ref_normal_form(x, sys_, log=ref_log)
+    want = ref_normal_form(x, sys_, log=ref_log)
+    got = normal_form(x, sys_, log=log)
+    assert got == want and list(got.terms) == list(want.terms)
     assert log == ref_log
+    got = normal_form(x, sys_)
+    assert got == want and list(got.terms) == list(want.terms)
     got = normal_form(x, sys_, rng=random.Random(seed))
-    assert got == ref_normal_form(x, sys_, rng=random.Random(seed))
+    want = ref_normal_form(x, sys_, rng=random.Random(seed))
+    assert got == want and list(got.terms) == list(want.terms)
 
 
 @settings(max_examples=40, deadline=None)
@@ -444,6 +461,34 @@ def test_normal_form_equals_reference_leibniz(x, seed):
 @given(ground_sums("envelope", 5, 4), st.integers(0, 10**6))
 def test_normal_form_equals_reference_envelope(x, seed):
     check_normal_form("envelope", x, seed)
+
+
+@st.composite
+def permuted_words(draw, k: int, l: int):
+    """A hom monomial with k unary and l binary vertices, plane or with
+    its boxes permuted."""
+    t = draw(graded_word(HOM_SIGNATURE, k, l))
+    images = draw(st.permutations(range(1, t.arity + 1)))
+    return act(Permutation(tuple(images)), t) if draw(st.booleans()) else t
+
+
+@st.composite
+def one_arity_sets(draw):
+    """A set of distinct monomials of one arity class: hom monomials of one
+    grading, or ground terms over the envelope signature, with its
+    constants."""
+    if draw(st.booleans()):
+        k, l = draw(st.integers(0, 4)), draw(st.integers(1, 5))
+        words = permuted_words(k, l)
+    else:
+        words = plane_words(envelope().sig, 6, boxes=False)
+    return list(dict.fromkeys(draw(st.lists(words, min_size=1, max_size=12))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_arity_sets())
+def test_lex_ma_key_maximum_is_the_antichain_pick(monos):
+    assert max(monos, key=LEX_MA.key) == _pick_greatest(monos, LEX_MA, None)
 
 
 def random_monomial(rng, k, l):
