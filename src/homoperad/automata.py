@@ -9,12 +9,14 @@ Every reachable subset holds state 1 (it has ``leaf``, ``a(1)`` and
 ``m(1, 1)``), so a subset holding state 0 only leads to subsets holding 0
 (``a(0)``, ``m(0, 1)``, ``m(1, 0)``).  The automaton therefore keeps only
 the live subsets, those without 0, and sends every reducible monomial to
-one implicit sink.
+one sink, SINK.
 
 The subset construction runs on int bitsets, one bit per grammar state,
-and ``minimize`` then merges the live subsets into the classes of the
-coarsest partition that the transitions respect (Moore refinement), which
-is all the Hilbert count needs.
+and numbers the live subsets 0..n-1; the transition tables are a list
+and n rows of n entries, indexed by those numbers.  ``minimize`` then
+merges the states into the classes of the coarsest partition that the
+transitions respect (Moore refinement), numbered the same way, which is
+all the Hilbert count needs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .rewrite import Rule
 from .terms import TermError
 
 LEAF = ("leaf",)
-SINK = None  # the state of every subset holding grammar state 0
+SINK = -1  # where every reducible monomial goes; never a state number
 
 
 @dataclass(frozen=True)
@@ -81,16 +83,16 @@ def grammar_from_rules(rules) -> TreeGrammar:
 
 @dataclass(frozen=True)
 class BottomUpAutomaton:
-    """A partial DFA: a transition missing from ``f_a`` or ``f_m`` goes to
-    SINK, the one accepting state."""
+    """A DFA on the live states, numbered 0..n-1 with the leaf's state 0:
+    ``f_a[c]`` is the state of a(c) and ``f_m[c][d]`` that of m(c, d), or
+    SINK when the monomial is reducible."""
 
-    states: tuple[tuple[int, ...], ...]  # sorted live subsets, reachable only
-    leaf_state: tuple[int, ...]
-    f_a: dict  # state -> state
-    f_m: dict  # (state, state) -> state
+    f_a: list  # state -> state
+    f_m: list  # n rows of n states
 
-    def accepting(self, state) -> bool:
-        return state is SINK
+    @property
+    def states(self) -> range:
+        return range(len(self.f_a))
 
     def run(self, word):
         """Evaluate a plane monomial bottom-up; returns the final state,
@@ -98,35 +100,36 @@ class BottomUpAutomaton:
         stack = []
         for tok in reversed(word):
             if isinstance(tok, int):
-                stack.append(self.leaf_state)
+                stack.append(0)
             elif tok == "a":
-                stack.append(self.f_a.get(stack.pop()))
+                c = stack.pop()
+                stack.append(SINK if c == SINK else self.f_a[c])
             elif tok == "m":
-                left, right = stack.pop(), stack.pop()
-                stack.append(self.f_m.get((left, right)))
+                c, d = stack.pop(), stack.pop()
+                stack.append(SINK if SINK in (c, d) else self.f_m[c][d])
             else:
                 raise TermError(f"unsupported symbol {tok!r}")
         (final,) = stack
         return final
 
     def accepts(self, word) -> bool:
-        return self.accepting(self.run(word))
+        return self.run(word) == SINK
 
 
 def determinize(g: TreeGrammar) -> BottomUpAutomaton:
-    """Reachable-subset construction over a worklist: the list of states
-    grows as it is walked, and on reaching a state s the transitions
-    f_a[s] and f_m[(s, t)], f_m[(t, s)] for every t up to s are computed,
-    once each.
-    The sink is never stored or paired, nor any transition into it.
+    """Reachable-subset construction over a worklist: the live subsets are
+    numbered in the order they are reached, the leaf's first, and on
+    reaching state k the transitions f_a[k], f_m[k][j] and f_m[j][k] for
+    every j up to k are computed, once each.  A subset holding grammar
+    state 0 is SINK; it is never numbered or paired.
 
     A subset is an int with bit b set for grammar state b, so the sink test
     is bit 0.  Each m-production has a bit of its own: bit b when it is the
     only m-production of b, a bit past the grammar states otherwise.  A
-    state s keeps the mask of the productions with their left child in s
-    and the mask of those with their right child in s; the productions
-    that fire in m(s, t) are the AND of the first mask of s and the second
-    of t."""
+    state keeps the mask of the productions with their left child in its
+    subset and the mask of those with their right child in it; the
+    productions that fire in m(c, d) are the AND of the first mask of c and
+    the second of d."""
     n = len(g.states)
     a_image = [0] * n  # c -> mask of b with b -> a(c)
     left, right = [0] * n, [0] * n  # c -> mask of the m-productions with child c
@@ -149,21 +152,19 @@ def determinize(g: TreeGrammar) -> BottomUpAutomaton:
                 right[p[2]] |= bit
     own = (1 << n) - 1
 
-    def members(s):
-        return tuple(c for c in range(n) if s >> c & 1)
+    subsets, number = [leaf], {leaf: 0}  # the worklist; subset -> state
+    f_a, f_m, lefts, rights = [], [], [], []
 
-    subsets, index = [members(leaf)], {leaf: 0}  # the states; mask -> position
-    f_a, f_m, lefts, rights = {}, {}, [], []
-
-    def reach(table, key, u):
-        """Set table[key] to the subset u, appended to the states when new,
-        unless u is the sink."""
+    def state(u):
+        """The number of the subset u, appended to the worklist when new;
+        SINK when u holds grammar state 0."""
         if u & 1:
-            return
-        if u not in index:
-            index[u] = len(subsets)
-            subsets.append(members(u))
-        table[key] = subsets[index[u]]
+            return SINK
+        k = number.get(u)
+        if k is None:
+            k = number[u] = len(subsets)
+            subsets.append(u)
+        return k
 
     def fire(productions):
         """The set of grammar states of a mask of fired m-productions."""
@@ -175,47 +176,36 @@ def determinize(g: TreeGrammar) -> BottomUpAutomaton:
 
     for k, s in enumerate(subsets):
         a = l = r = 0
-        for c in s:
+        while s:
+            c = (s & -s).bit_length() - 1
             a, l, r = a | a_image[c], l | left[c], r | right[c]
+            s &= s - 1
         lefts.append(l)
         rights.append(r)
-        reach(f_a, s, a)
-        for j, t in enumerate(subsets[: k + 1]):
-            reach(f_m, (s, t), fire(l & rights[j]))
-            if j != k:
-                reach(f_m, (t, s), fire(lefts[j] & r))
-    return BottomUpAutomaton(tuple(subsets), subsets[0], f_a, f_m)
+        f_a.append(state(a))
+        row = []
+        for j in range(k):
+            row.append(state(fire(l & rights[j])))
+            f_m[j].append(state(fire(lefts[j] & r)))
+        row.append(state(fire(l & r)))
+        f_m.append(row)
+    return BottomUpAutomaton(f_a, f_m)
 
 
 def minimize(aut: BottomUpAutomaton) -> BottomUpAutomaton:
     """Moore refinement of the live states (*TATA*, §1.5).  The blocks
     start as one block of live states and the sink alone; a block splits
     until any two of its states have f_a images in one block and, for every
-    state t, f_m images with t on the left and on the right in one block, a
-    missing transition counting as the sink.  The result keeps the first
-    state of each block, in the order of ``states``, with the transitions
-    among those representatives, so it accepts what ``aut`` accepts; and
-    the series of a block's representative is the sum of its members'."""
-    states = aut.states
-    n = len(states)
-    index = {s: i for i, s in enumerate(states)}  # the sink is n
-    # A tuple does not cache its hash, and the subsets in the transition
-    # tables are normally the very objects in ``states``: find them by id.
-    by_id = {id(s): i for i, s in enumerate(states)}
-
-    def at(u):
-        i = by_id.get(id(u))
-        return i if i is not None and states[i] is u else index[u]
-
-    fa = [n] * n
-    for c, b in aut.f_a.items():
-        fa[at(c)] = at(b)
-    rows = [[n] * n for _ in states]
-    for (c, d), b in aut.f_m.items():
-        rows[at(c)][at(d)] = at(b)
+    state t, f_m images with t on the left and on the right in one block.
+    Blocks are numbered by their first state, so the leaf's is 0, and the
+    result keeps the transitions of each block's first state, so it
+    accepts what ``aut`` accepts; and the series of a block is the sum of
+    its members'."""
+    fa, rows = aut.f_a, aut.f_m
     cols = list(zip(*rows))
-
-    block = [0] * n + [-1]
+    n = len(fa)
+    # The sink's block ends the list, where the index SINK = -1 finds it.
+    block = [0] * n + [SINK]
     count = 1
     while True:
         look = block.__getitem__
@@ -227,24 +217,16 @@ def minimize(aut: BottomUpAutomaton) -> BottomUpAutomaton:
             )
             for i in range(n)
         ]
-        block = new + [-1]
+        block = new + [SINK]
         if len(sigs) == count:
             break
         count = len(sigs)
 
-    first = {}  # block -> its first state
+    reps = []  # reps[k]: the first state of block k, which follows those of 0..k-1
     for i in range(n):
-        first.setdefault(block[i], i)
-    reps = list(first.values())
-    rep = [states[first[k]] for k in block[:n]] + [SINK]
+        if block[i] == len(reps):
+            reps.append(i)
     return BottomUpAutomaton(
-        tuple(states[i] for i in reps),
-        rep[at(aut.leaf_state)],
-        {states[i]: rep[fa[i]] for i in reps if fa[i] != n},
-        {
-            (states[i], states[j]): rep[rows[i][j]]
-            for i in reps
-            for j in reps
-            if rows[i][j] != n
-        },
+        [block[fa[i]] for i in reps],
+        [[block[rows[i][j]] for j in reps] for i in reps],
     )

@@ -2,11 +2,13 @@
 
 Exit codes: 0 success, 1 a failed check (`check-algebra` FAIL, or
 `hilbert --strict` with coefficients not guaranteed stable), 2 parse error
-or refused input (an inhomogeneous rule or an unwritable `--out` for
-`complete`; for `normalize` and `ambiguities`, a rule with a replacement
-monomial of more vertices than its pattern), 3 budget exhausted, 4 order
-failure (a rule or candidate could not be oriented by the active term
-order), 5 write error (writing or closing a `complete --out` file failed).
+or refused input (a negative `hilbert --degree`; for `complete`, a negative
+`--max-order` or an inhomogeneous rule, both refused before any `--out`
+file is created, or an unwritable `--out`; for `normalize` and
+`ambiguities`, a rule with a replacement monomial of more vertices than
+its pattern), 3 budget exhausted, 4 order failure (a rule or candidate
+could not be oriented by the active term order), 5 write error (writing
+or closing a `complete --out` file failed).
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_complete(args) -> int:
+    if args.max_order < 0:
+        raise TermError(f"--max-order expects N >= 0, got {args.max_order}")
     sig, order, rules = load_rules_path(args.rules, args.order)
     refuse_inhomogeneous(rules)  # before any --out file is created
     exts = (".rules", ".census.tsv", ".log") if args.out else ()

@@ -208,19 +208,13 @@ def is_irreducible(x: LinComb | Context, sys: RewritingSystem) -> bool:
     return all(not find_redexes(m, sys) for m in monos)
 
 
-def _pick_greatest(monos, order, log):
+def _pick_greatest(monos, order):
     """The order-greatest monomial; Polish-lex-least fallback among maximal
-    candidates when the order cannot decide, recorded in ``log``."""
-    top = maximal(monos, order)
-    if len(top) == 1:
-        return top[0]
-    pick = min(top, key=lambda m: word_key(m.word))
-    if log is not None:
-        log.append(("tie", tuple(sorted(str(m) for m in top)), str(pick)))
-    return pick
+    candidates when the order cannot decide."""
+    return min(maximal(monos, order), key=lambda m: word_key(m.word))
 
 
-def normal_form(x: LinComb, sys: RewritingSystem, log=None, rng=None) -> LinComb:
+def normal_form(x: LinComb, sys: RewritingSystem, rng=None) -> LinComb:
     """Iterate reduction to a fixed point.  Each step rewrites the
     order-greatest reducible monomial at its first redex; with ``rng``
     supplied, the monomial and redex are instead uniform over every redex
@@ -230,8 +224,8 @@ def normal_form(x: LinComb, sys: RewritingSystem, log=None, rng=None) -> LinComb
     are two dicts edited in place: a step pops the rewritten monomial,
     adds the scaled reduct term by term and drops what cancels, so the
     terms keep the order of ``rest + reduct``.  The greatest is the
-    maximum of the order's key when it has one; otherwise, or when ties
-    are recorded in ``log``, it is the ``_pick_greatest`` antichain's pick.
+    maximum of the order's key when it has one; otherwise it is the
+    ``_pick_greatest`` antichain's pick.
 
     Monomials are immutable and ``sys`` must not change during the call,
     so each distinct monomial is searched for redexes once, when it first
@@ -250,7 +244,7 @@ def normal_form(x: LinComb, sys: RewritingSystem, log=None, rng=None) -> LinComb
             r = ranks[mono] = key(mono)
         return r
 
-    key = sys.order.key if log is None else None
+    key = sys.order.key
     terms = dict(x.terms)
     reducible = {}
     for mono in terms:
@@ -267,7 +261,7 @@ def normal_form(x: LinComb, sys: RewritingSystem, log=None, rng=None) -> LinComb
             elif key is not None:
                 mono = max(reducible, key=rank)
             else:
-                mono = _pick_greatest(list(reducible), sys.order, log)
+                mono = _pick_greatest(list(reducible), sys.order)
             red = reducible[mono][0]
         coeff = terms.pop(mono)
         del reducible[mono]

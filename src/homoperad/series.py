@@ -8,7 +8,7 @@ free series is the count of the empty rule set, by the same automaton.
 
 from __future__ import annotations
 
-from .automata import BottomUpAutomaton, determinize, grammar_from_rules, minimize
+from .automata import SINK, BottomUpAutomaton, determinize, grammar_from_rules, minimize
 
 
 class BivariateSeries:
@@ -23,10 +23,6 @@ class BivariateSeries:
             for (i, j), c in coeffs.items():
                 if i + j <= D and c:
                     self.coeffs[(i, j)] = c
-
-    @staticmethod
-    def zero(D: int) -> "BivariateSeries":
-        return BivariateSeries(D)
 
     def coefficient(self, i: int, j: int) -> int:
         return self.coeffs.get((i, j), 0)
@@ -86,23 +82,24 @@ def free_series(D: int) -> BivariateSeries:
     return hilbert_series((), D)
 
 
-def solve_series(aut: BottomUpAutomaton, D: int) -> dict:
+def solve_series(aut: BottomUpAutomaton, D: int) -> list:
     """Truncated at total degree D, the series G_b counting the plane
-    monomials that the automaton sends to state b:
-    G_b = [b = leaf] + a * sum_{f_a(c)=b} G_c + m * sum_{f_m(c,d)=b} G_c G_d.
-    Every production raises the total degree by exactly one, so the counts
-    of degree n follow from those below it: one pass, degree by degree."""
-    index = {b: k for k, b in enumerate(aut.states)}
-    # g[b][n][i]: monomials in state number b with i a-vertices and n - i
-    # m-vertices
+    monomials that the automaton sends to state b, listed by state:
+    G_b = [b = 0] + a * sum_{f_a(c)=b} G_c + m * sum_{f_m(c,d)=b} G_c G_d,
+    state 0 being the leaf's.  Every production raises the total degree by
+    exactly one, so the counts of degree n follow from those below it: one
+    pass, degree by degree."""
+    # g[b][n][i]: monomials in state b with i a-vertices and n - i m-vertices
     g = [[[0] * (n + 1) for n in range(D + 1)] for _ in aut.states]
-    g[index[aut.leaf_state]][0][0] = 1
-    a_moves = [(index[c], index[b]) for c, b in aut.f_a.items()]
+    g[0][0][0] = 1
+    a_moves = [(c, b) for c, b in enumerate(aut.f_a) if b != SINK]
     # The m-transitions into b with left state c share one convolution with
     # the sum over their right states d of g[d]; sums[n] is its degree n.
     rights = {}
-    for (c, d), b in aut.f_m.items():
-        rights.setdefault((index[b], index[c]), []).append(index[d])
+    for c, row in enumerate(aut.f_m):
+        for d, b in enumerate(row):
+            if b != SINK:
+                rights.setdefault((b, c), []).append(d)
     groups = [(b, c, ds, []) for (b, c), ds in rights.items()]
 
     for n in range(1, D + 1):
@@ -122,12 +119,12 @@ def solve_series(aut: BottomUpAutomaton, D: int) -> dict:
                     if k1:
                         for i2, k2 in enumerate(right):
                             row[i1 + i2] += k1 * k2
-    return {
-        b: BivariateSeries(
+    return [
+        BivariateSeries(
             D, {(i, n - i): k for n, row in enumerate(rows) for i, k in enumerate(row)}
         )
-        for b, rows in zip(aut.states, g)
-    }
+        for rows in g
+    ]
 
 
 def hilbert_series(rules, D: int) -> BivariateSeries:
@@ -136,7 +133,7 @@ def hilbert_series(rules, D: int) -> BivariateSeries:
     class, and the series of a class is the sum of its states' series,
     because the transitions respect the classes."""
     g = solve_series(minimize(determinize(grammar_from_rules(rules))), D)
-    return sum(g.values(), BivariateSeries.zero(D))
+    return sum(g, BivariateSeries(D))
 
 
 def unstable_degrees(rules, stable_gradings, D: int) -> list[tuple[int, int]]:

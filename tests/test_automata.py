@@ -48,26 +48,65 @@ def test_grammar_no_rules():
             assert not aut.accepts(c.word)
 
 
+def witnesses(aut):
+    """One monomial reaching each state, built up from the box; the run
+    ignores box labels, so every box is 1."""
+    found = {0: (1,)}
+    while len(found) < len(aut.states):
+        for c, b in enumerate(aut.f_a):
+            if c in found and b != SINK:
+                found.setdefault(b, ("a", *found[c]))
+        for c, row in enumerate(aut.f_m):
+            for d, b in enumerate(row):
+                if c in found and d in found and b != SINK:
+                    found.setdefault(b, ("m", *found[c], *found[d]))
+    return found
+
+
+def grammar_states(g, word):
+    """The grammar states that generate the plane monomial ``word``: the
+    subset of the subset construction, run on the grammar itself."""
+    stack = []
+    for tok in reversed(word):
+        head = "leaf" if isinstance(tok, int) else tok
+        kids = [stack.pop() for _ in range({"leaf": 0, "a": 1, "m": 2}[head])]
+        stack.append(
+            {
+                b
+                for b, ps in g.productions.items()
+                if any(p[0] == head and all(c in k for c, k in zip(p[1:], kids)) for p in ps)
+            }
+        )
+    (states,) = stack
+    return states
+
+
 def test_determinize_single_rule_exact_states():
-    aut = determinize(grammar_from_rules(rules(RULE1)))
-    assert set(aut.states) == {(1,), (1, 2), (1, 3)}
-    assert aut.leaf_state == (1,)
-    assert aut.f_a[(1,)] == (1, 2)
-    assert aut.f_m[((1,), (1,))] == (1, 3)
-    # alpha on top of a product: the redex root is one m above, in the sink,
-    # which has no stored transition in or out
-    assert ((1, 2), (1, 3)) not in aut.f_m
-    assert aut.run(("m", "a", 1, "m", 2, 3)) is SINK
-    assert aut.run(("a", "m", "a", 1, "m", 2, 3)) is SINK
-    assert aut.accepting(SINK)
-    assert not aut.accepting((1, 2))
+    g = grammar_from_rules(rules(RULE1))
+    aut = determinize(g)
+    # state 0 is the leaf's {1}, 1 is {1, 2} = a(0), 2 is {1, 3} = m(0, 0)
+    subsets = {s: grammar_states(g, w) for s, w in witnesses(aut).items()}
+    assert subsets == {0: {1}, 1: {1, 2}, 2: {1, 3}}
+    assert aut.states == range(3)
+    assert aut.f_a == [1, 1, 1]
+    # alpha on top of a product: the redex root is one m above, in the sink
+    assert aut.f_m == [[2, 2, 2], [2, 2, SINK], [2, 2, 2]]
+    assert aut.run(("m", "a", 1, "m", 2, 3)) == SINK
+    assert aut.run(("a", "m", "a", 1, "m", 2, 3)) == SINK
+    assert aut.accepts(("m", "a", 1, "m", 2, 3))
+    assert not aut.accepts(("a", 1))
 
 
 def test_order_ten_system_has_34_live_states():
-    aut = determinize(grammar_from_rules(rules(ORDER_TEN.read_text())))
+    g = grammar_from_rules(rules(ORDER_TEN.read_text()))
+    aut = determinize(g)
     assert len(aut.states) == 34
-    assert not any(0 in s for s in aut.states)
-    assert not any(0 in t for t in [*aut.f_a.values(), *aut.f_m.values()])
+    subsets = [frozenset(grammar_states(g, w)) for w in witnesses(aut).values()]
+    assert len(set(subsets)) == 34
+    assert not any(0 in s for s in subsets)
+    targets = {*aut.f_a, *(b for row in aut.f_m for b in row)}
+    assert targets <= {SINK, *aut.states}
+    assert all(len(row) == 34 for row in aut.f_m)
 
 
 def test_automaton_language_matches_redex_search():
@@ -85,22 +124,8 @@ def test_automaton_language_matches_redex_search():
 
 def test_run_on_single_box():
     aut = determinize(grammar_from_rules(rules(RULE1)))
-    assert aut.run((1,)) == (1,)
+    assert aut.run((1,)) == 0
     assert not aut.accepts((1,))
-
-
-def witnesses(aut):
-    """One monomial reaching each state, built up from the box; the run
-    ignores box labels, so every box is 1."""
-    found = {aut.leaf_state: (1,)}
-    while len(found) < len(aut.states):
-        for c, b in aut.f_a.items():
-            if c in found:
-                found.setdefault(b, ("a", *found[c]))
-        for (c, d), b in aut.f_m.items():
-            if c in found and d in found:
-                found.setdefault(b, ("m", *found[c], *found[d]))
-    return found
 
 
 @pytest.mark.parametrize("text", SYSTEMS, ids=["rule1", "rule1-rule2", "order10"])
@@ -113,17 +138,17 @@ def test_minimize_blocks_are_a_congruence(text):
     assert set(block.values()) == set(small.states)
     block[SINK] = SINK
     for s in aut.states:
-        assert block[aut.f_a.get(s)] == small.f_a.get(block[s])
+        assert block[aut.f_a[s]] == small.f_a[block[s]]
         for t in aut.states:
-            assert block[aut.f_m.get((s, t))] == small.f_m.get((block[s], block[t]))
+            assert block[aut.f_m[s][t]] == small.f_m[block[s]][block[t]]
     for s in aut.states:
         for s2 in aut.states:
             if block[s] != block[s2]:
                 continue
-            assert block[aut.f_a.get(s)] == block[aut.f_a.get(s2)]
+            assert block[aut.f_a[s]] == block[aut.f_a[s2]]
             for t in aut.states:
-                assert block[aut.f_m.get((s, t))] == block[aut.f_m.get((s2, t))]
-                assert block[aut.f_m.get((t, s))] == block[aut.f_m.get((t, s2))]
+                assert block[aut.f_m[s][t]] == block[aut.f_m[s2][t]]
+                assert block[aut.f_m[t][s]] == block[aut.f_m[t][s2]]
 
 
 def test_minimized_automaton_accepts_what_determinize_accepts():
@@ -143,4 +168,14 @@ def test_minimized_automaton_accepts_what_determinize_accepts():
 def test_order_ten_system_has_28_classes():
     small = minimize(determinize(grammar_from_rules(rules(ORDER_TEN.read_text()))))
     assert len(small.states) == 28
-    assert small.leaf_state == (1,)
+    assert small.run((1,)) == 0
+
+
+@pytest.mark.parametrize("text", ["", *SYSTEMS], ids=["empty", "rule1", "rule1-rule2", "order10"])
+def test_minimize_sends_the_leaf_to_class_zero(text):
+    aut = determinize(grammar_from_rules(rules(text)))
+    small = minimize(aut)
+    assert small.run((1,)) == 0
+    # the classes are numbered in the order of their first states
+    block = {s: small.run(w) for s, w in witnesses(aut).items()}
+    assert list(dict.fromkeys(block[s] for s in aut.states)) == list(small.states)

@@ -384,6 +384,7 @@ MALFORMED = {
     "no-mult": ('{"dim": 1, "alpha": [["1"]]}', ["check-algebra", "FILE", "--identities", "skew"]),
     "not-json": ("dim 1\n", ["check-algebra", "FILE", "--identities", "skew"]),
     "negative-degree": (None, ["hilbert", "--free", "--degree", "-1"]),
+    "negative-max-order": (None, ["complete", "--rules", HOMASS, "--max-order", "-3"]),
     "envelope-names": (None, ["envelope", QSL2, "--names", "e,f"]),
     "envelope-not-bracket": (
         '{"dim": 1, "mult": [[["0"]]], "alpha": [["1"]]}',

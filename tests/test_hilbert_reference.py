@@ -1,10 +1,13 @@
 """The worklist subset construction and the degree-by-degree series count,
 checked against the frontier-and-refill construction, the fixed-point
 solve and the one-convolution-per-pair solve they replaced, which are kept
-here as references.  The references build every subset; the construction
-keeps only the live ones, without grammar state 0, so it is compared with
-the references' live part."""
+here as references.  The reference construction publishes its states as
+sorted tuples of grammar states, with ``f_m`` keyed by pairs of them, and
+builds every subset; the construction numbers only the live ones, without
+grammar state 0, so it is compared with the references' live part through
+the subset that each state number stands for."""
 
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import pytest
 
 from homoperad.automata import (
     LEAF,
+    SINK,
     BottomUpAutomaton,
     determinize,
     grammar_from_rules,
@@ -30,7 +34,18 @@ RULE2 = "m m 1 a 2 a m 3 4 -> m m 1 m 2 3 a a 4"
 # --- references -------------------------------------------------------------
 
 
-def ref_determinize(g) -> BottomUpAutomaton:
+@dataclass(frozen=True)
+class TupleAutomaton:
+    """States are sorted tuples of grammar states; a transition missing
+    from ``f_a`` or ``f_m`` goes to the sink."""
+
+    states: tuple
+    leaf_state: tuple
+    f_a: dict  # state -> state
+    f_m: dict  # (state, state) -> state
+
+
+def ref_determinize(g) -> TupleAutomaton:
     a_prods, m_prods, leaf = {}, {}, set()
     for b, ps in g.productions.items():
         for p in ps:
@@ -75,10 +90,10 @@ def ref_determinize(g) -> BottomUpAutomaton:
             for t in states:
                 f_m[(s, t)] = subset_m(s, t)
         frontier = new
-    return BottomUpAutomaton(tuple(states), leaf_state, f_a, f_m)
+    return TupleAutomaton(tuple(states), leaf_state, f_a, f_m)
 
 
-def ref_solve_series(aut: BottomUpAutomaton, D: int) -> dict:
+def ref_solve_series(aut: TupleAutomaton, D: int) -> dict:
     a_into = {b: [] for b in aut.states}
     m_into = {b: [] for b in aut.states}
     for c, b in aut.f_a.items():
@@ -102,29 +117,34 @@ def ref_solve_series(aut: BottomUpAutomaton, D: int) -> dict:
     return g
 
 
-def ref_pair_solve(aut: BottomUpAutomaton, D: int) -> dict:
+def ref_pair_solve(aut: BottomUpAutomaton, D: int) -> list:
     """Degree by degree, with one convolution per m-transition."""
-    g = {b: [[0] * (n + 1) for n in range(D + 1)] for b in aut.states}
-    g[aut.leaf_state][0][0] = 1
+    g = [[[0] * (n + 1) for n in range(D + 1)] for _ in aut.states]
+    g[0][0][0] = 1
     for n in range(1, D + 1):
-        for c, b in aut.f_a.items():
+        for c, b in enumerate(aut.f_a):
+            if b == SINK:
+                continue
             row = g[b][n]
             for i, k in enumerate(g[c][n - 1]):
                 row[i + 1] += k
-        for (c, d), b in aut.f_m.items():
-            row = g[b][n]
-            for n1 in range(n):
-                right = g[d][n - 1 - n1]
-                for i1, k1 in enumerate(g[c][n1]):
-                    if k1:
-                        for i2, k2 in enumerate(right):
-                            row[i1 + i2] += k1 * k2
-    return {
-        b: BivariateSeries(
+        for c, targets in enumerate(aut.f_m):
+            for d, b in enumerate(targets):
+                if b == SINK:
+                    continue
+                row = g[b][n]
+                for n1 in range(n):
+                    right = g[d][n - 1 - n1]
+                    for i1, k1 in enumerate(g[c][n1]):
+                        if k1:
+                            for i2, k2 in enumerate(right):
+                                row[i1 + i2] += k1 * k2
+    return [
+        BivariateSeries(
             D, {(i, n - i): k for n, row in enumerate(rows) for i, k in enumerate(row)}
         )
-        for b, rows in g.items()
-    }
+        for rows in g
+    ]
 
 
 # --- rule lists -------------------------------------------------------------
@@ -164,41 +184,66 @@ def test_order_ten_list_has_ten_rules():
     assert len(order_ten_rules()) == 10
 
 
-def live(aut: BottomUpAutomaton):
+def live(aut: TupleAutomaton) -> TupleAutomaton:
     """The states without grammar state 0, and the transitions among them."""
-    states = {s for s in aut.states if 0 not in s}
+    states = tuple(s for s in aut.states if 0 not in s)
     f_a = {c: b for c, b in aut.f_a.items() if c in states and b in states}
     f_m = {
         (c, d): b
         for (c, d), b in aut.f_m.items()
         if c in states and d in states and b in states
     }
-    return states, f_a, f_m
+    return TupleAutomaton(states, aut.leaf_state, f_a, f_m)
+
+
+def subsets(aut: BottomUpAutomaton, ref: TupleAutomaton) -> list:
+    """The subset of ``ref`` that each state number of ``aut`` stands for:
+    the leaf's state 0 is ``ref``'s leaf, and a transition of ``aut`` into
+    a state names the subset that ``ref`` reaches from the same sources."""
+    sub = {0: ref.leaf_state}
+    while len(sub) < len(aut.states):
+        size = len(sub)
+        for c, s in list(sub.items()):
+            moves = [(aut.f_a[c], ref.f_a.get(s))]
+            for d, t in list(sub.items()):
+                moves.append((aut.f_m[c][d], ref.f_m.get((s, t))))
+                moves.append((aut.f_m[d][c], ref.f_m.get((t, s))))
+            for b, u in moves:
+                if b != SINK:
+                    sub.setdefault(b, u)
+        assert len(sub) > size, "a state that no transition reaches"
+    return [sub[k] for k in aut.states]
 
 
 @pytest.mark.parametrize("name,k", PREFIXES)
 def test_determinize_matches_reference(name, k):
     got, ref = automata(rule_list(name)[:k])
-    states, f_a, f_m = live(ref)
-    assert set(got.states) == states
-    assert len(got.states) == len(states)
-    assert got.leaf_state == ref.leaf_state
-    assert got.f_a == f_a
-    assert got.f_m == f_m
+    ref = live(ref)
+    sub = subsets(got, ref)
+    # the numbering is one to one onto the live subsets, leaf first
+    assert len(got.states) == len(ref.states)
+    assert set(sub) == set(ref.states)
+    assert sub[0] == ref.leaf_state
+    # and carries every transition, the sink to a missing entry
+    named = sub + [None]  # named[SINK] is None
+    for c in got.states:
+        assert named[got.f_a[c]] == ref.f_a.get(sub[c])
+        for d in got.states:
+            assert named[got.f_m[c][d]] == ref.f_m.get((sub[c], sub[d]))
 
 
 @pytest.mark.parametrize("name,k", PREFIXES)
 def test_solve_series_matches_reference(name, k):
     aut, ref = automata(rule_list(name)[:k])
     want = ref_solve_series(ref, 9)
-    assert solve_series(aut, 9) == {b: want[b] for b in aut.states}
+    assert solve_series(aut, 9) == [want[s] for s in subsets(aut, ref)]
 
 
 def test_solve_series_degree_zero_is_the_leaf():
     aut = determinize(grammar_from_rules(parse_rules(RULE1, HOM_SIGNATURE, LEX_MA)))
     g = solve_series(aut, 0)
-    assert g[aut.leaf_state] == BivariateSeries(0, {(0, 0): 1})
-    assert all(not g[b].coeffs for b in aut.states if b != aut.leaf_state)
+    assert g[0] == BivariateSeries(0, {(0, 0): 1})
+    assert all(not g[b].coeffs for b in aut.states if b != 0)
 
 
 @pytest.mark.parametrize("name,k", PREFIXES)
@@ -217,6 +262,6 @@ def test_solve_series_matches_per_pair_solve_on_the_order_twelve_system():
 @pytest.mark.parametrize("name,k", PREFIXES)
 def test_class_series_sum_to_the_state_series(name, k):
     aut, _ = automata(rule_list(name)[:k])
-    zero = BivariateSeries.zero(9)
-    by_class = sum(solve_series(minimize(aut), 9).values(), zero)
-    assert by_class == sum(solve_series(aut, 9).values(), zero)
+    zero = BivariateSeries(9)
+    by_class = sum(solve_series(minimize(aut), 9), zero)
+    assert by_class == sum(solve_series(aut, 9), zero)

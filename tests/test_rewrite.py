@@ -30,7 +30,7 @@ def th(text):
 # whole sum at every step, kept as it stood in ``homoperad.rewrite`` --------
 
 
-def _choose(x: LinComb, redexes, order, log, rng):
+def _choose(x: LinComb, redexes, order, rng):
     """The (monomial, redex) one step rewrites, or None when x is in normal
     form.  Deterministic: the order-greatest reducible monomial and its
     first redex.  With ``rng``: uniform over every redex of every monomial.
@@ -45,7 +45,7 @@ def _choose(x: LinComb, redexes, order, log, rng):
             reducible[mono] = reds[0]
     if not reducible:
         return None
-    target = _pick_greatest(list(reducible), order, log)
+    target = _pick_greatest(list(reducible), order)
     return target, reducible[target]
 
 
@@ -57,11 +57,11 @@ def _rewrite(x: LinComb, mono: Context, red: Redex) -> LinComb:
     return rest + replaced
 
 
-def reduce_once(x, sys_, log=None):
+def reduce_once(x, sys_):
     """Reference: one rewriting step at the order-greatest reducible
     monomial, first redex in Polish position order, as ``normal_form``
     steps.  Returns (result, progressed)."""
-    step = _choose(x, lambda mono: find_redexes(mono, sys_), sys_.order, log, None)
+    step = _choose(x, lambda mono: find_redexes(mono, sys_), sys_.order, None)
     if step is None:
         return x, False
     return _rewrite(x, *step), True

@@ -98,7 +98,7 @@ def ref_word_key(word):
     return tuple((0, t, "") if isinstance(t, int) else (1, 0, t) for t in word)
 
 
-def ref_pick_greatest(monos, order, log):
+def ref_pick_greatest(monos, order):
     maximal = [
         m
         for m in monos
@@ -106,13 +106,10 @@ def ref_pick_greatest(monos, order, log):
     ]
     if len(maximal) == 1:
         return maximal[0]
-    pick = min(maximal, key=lambda m: ref_word_key(m.word))
-    if log is not None:
-        log.append(("tie", tuple(sorted(str(m) for m in maximal)), str(pick)))
-    return pick
+    return min(maximal, key=lambda m: ref_word_key(m.word))
 
 
-def ref_normal_form(x: LinComb, sys: RewritingSystem, log=None, rng=None):
+def ref_normal_form(x: LinComb, sys: RewritingSystem, rng=None):
     """One fresh redex search per monomial per step, as before the memo."""
     while True:
         if rng is None:
@@ -123,7 +120,7 @@ def ref_normal_form(x: LinComb, sys: RewritingSystem, log=None, rng=None):
                     reducible[mono] = reds[0]
             if not reducible:
                 return x
-            mono = ref_pick_greatest(list(reducible), sys.order, log)
+            mono = ref_pick_greatest(list(reducible), sys.order)
             red = reducible[mono]
         else:
             choices = [(m, r) for m in x.support() for r in ref_find_redexes(m, sys)]
@@ -429,15 +426,9 @@ def ground_sums(draw, name: str, max_ops: int, max_terms: int):
 
 
 def check_normal_form(name, x, seed):
-    """Both strategies equal the reference, term order included; the
-    deterministic one also with and without a tie log, which switches the
-    pick between the order's key and the antichain."""
+    """Both strategies equal the reference, term order included."""
     sys_ = SYSTEMS[name]()
-    log, ref_log = [], []
-    want = ref_normal_form(x, sys_, log=ref_log)
-    got = normal_form(x, sys_, log=log)
-    assert got == want and list(got.terms) == list(want.terms)
-    assert log == ref_log
+    want = ref_normal_form(x, sys_)
     got = normal_form(x, sys_)
     assert got == want and list(got.terms) == list(want.terms)
     got = normal_form(x, sys_, rng=random.Random(seed))
@@ -488,7 +479,7 @@ def one_arity_sets(draw):
 @settings(max_examples=300, deadline=None)
 @given(one_arity_sets())
 def test_lex_ma_key_maximum_is_the_antichain_pick(monos):
-    assert max(monos, key=LEX_MA.key) == _pick_greatest(monos, LEX_MA, None)
+    assert max(monos, key=LEX_MA.key) == _pick_greatest(monos, LEX_MA)
 
 
 def random_monomial(rng, k, l):
@@ -513,11 +504,9 @@ def thirty_term_sum(seed):
     return LinComb(8, terms)
 
 
-def test_tie_log_of_a_thirty_term_sum_equals_reference():
+def test_normal_form_of_a_thirty_term_sum_equals_reference():
     x = thirty_term_sum(7)
-    log, ref_log = [], []
-    assert normal_form(x, homass12(), log=log) == ref_normal_form(x, homass12(), log=ref_log)
-    assert log == ref_log
+    assert normal_form(x, homass12()) == ref_normal_form(x, homass12())
 
 
 def test_normal_form_searches_each_distinct_monomial_once(monkeypatch):
