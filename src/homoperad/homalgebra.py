@@ -4,6 +4,11 @@ sl2, and emission of enveloping presentations as ground rewriting rules.
 Vectors are lists of scalars in the basis e_1..e_n.  The structure
 constants satisfy m(e_i, e_j) = mult[i][j] (a vector), and alpha is a
 matrix acting by alpha(e_j) = sum_i alpha[i][j] e_i.
+
+The identity checks evaluate each defect on a tuple of basis indices,
+reading m(e_i, e_j) and the columns alpha(e_j) from the tables as sparse
+(index, coeff) lists, so that a zero structure constant costs nothing; a
+defect becomes a dense vector only when some term of it is non-zero.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from itertools import combinations_with_replacement, product
 from .linear import LinComb
 from .orders import LEX_MA, TermOrder
 from .rewrite import Rule, format_rules, make_rule, orient
-from .scalars import format_scalar, parse_scalar
+from .scalars import ScalarParseError, format_scalar, parse_scalar
 from .terms import Context, Signature
 
 
@@ -40,6 +45,35 @@ def vec_is_zero(x):
     return all(not a for a in x)
 
 
+def _columns(mat):
+    """The nonzero entries (i, mat[i][j]) of each column j of a square
+    matrix: the sparse images of the basis vectors."""
+    n = len(mat)
+    return [[(i, mat[i][j]) for i in range(n) if mat[i][j]] for j in range(n)]
+
+
+def _product(terms, x, y):
+    """m(x, y) for sparse x and y, given the table's nonzero structure
+    constants ``terms``; sparse, with cancelled entries dropped."""
+    out = {}
+    for i, a in x:
+        row = terms[i]
+        for j, b in y:
+            s = a * b
+            for k, c in row[j]:
+                out[k] = out[k] + s * c if k in out else s * c
+    return [(k, c) for k, c in out.items() if c]
+
+
+def _apply(cols, x):
+    """The matrix with sparse columns ``cols`` applied to sparse x."""
+    out = {}
+    for j, a in x:
+        for i, c in cols[j]:
+            out[i] = out[i] + c * a if i in out else c * a
+    return [(i, c) for i, c in out.items() if c]
+
+
 class FiniteHomAlgebra:
     """A triplet (A, m, alpha) given by structure constants over an exact
     scalar field.  ``bracket`` marks tables meant as a bracket product."""
@@ -58,6 +92,8 @@ class FiniteHomAlgebra:
         # the nonzero structure constants (k, c) of m(e_i, e_j)
         self._terms = [[[(k, c) for k, c in enumerate(v) if c] for v in row]
                        for row in self.mult]
+        # the nonzero entries (i, c) of alpha(e_j)
+        self._alpha_cols = _columns(self.alpha)
 
     def basis(self, i):
         v = _zeros(self.dim)
@@ -106,47 +142,64 @@ class FiniteHomAlgebra:
 Violation = tuple  # (basis index tuple, defect vector)
 
 
-def _walk(A: FiniteHomAlgebra, indices, defect) -> list[Violation]:
-    """The nonzero defects over basis index tuples, in the order of
-    ``indices``.  ``defect`` takes the basis vectors at a tuple's indices,
-    one shared vector per index, and returns a vector."""
-    basis = [A.basis(i) for i in range(A.dim)]
+def _violations(n, defects) -> list[Violation]:
+    """The nonzero defects, as dense vectors, in the order of ``defects``:
+    triples (index tuple, plus, minus), where the defect is the sum of the
+    sparse vectors in ``plus`` minus the sum of those in ``minus``."""
     out = []
-    for idx in indices:
-        d = defect(*(basis[i] for i in idx))
+    for idx, plus, minus in defects:
+        if not any(plus) and not any(minus):
+            continue
+        d = _zeros(n)
+        for v in plus:
+            for k, c in v:
+                d[k] = d[k] + c
+        for v in minus:
+            for k, c in v:
+                d[k] = d[k] - c
         if not vec_is_zero(d):
             out.append((idx, d))
     return out
 
 
-def check_hom_associative(A: FiniteHomAlgebra) -> list[Violation]:
-    def defect(x, y, z):
-        return vec_sub(
-            A.multiply(A.map_alpha(x), A.multiply(y, z)),
-            A.multiply(A.multiply(x, y), A.map_alpha(z)),
-        )
+def _twisted_terms(A: FiniteHomAlgebra) -> dict:
+    """m(alpha e_i, m(e_j, e_k)) for every ordered basis triple (i, j, k),
+    in lexicographic order."""
+    terms, cols = A._terms, A._alpha_cols
+    return {
+        (i, j, k): _product(terms, cols[i], terms[j][k])
+        for i, j, k in product(range(A.dim), repeat=3)
+    }
 
-    return _walk(A, product(range(A.dim), repeat=3), defect)
+
+def check_hom_associative(A: FiniteHomAlgebra) -> list[Violation]:
+    """m(alpha e_i, m(e_j, e_k)) - m(m(e_i, e_j), alpha e_k) on every
+    ordered basis triple."""
+    terms, cols = A._terms, A._alpha_cols
+    return _violations(A.dim, (
+        ((i, j, k), [t], [_product(terms, terms[i][j], cols[k])])
+        for (i, j, k), t in _twisted_terms(A).items()
+    ))
 
 
 def check_hom_jacobi(A: FiniteHomAlgebra) -> list[Violation]:
-    def defect(x, y, z):
-        cyclic = ((x, y, z), (y, z, x), (z, x, y))
-        terms = [A.multiply(A.map_alpha(p), A.multiply(q, r)) for p, q, r in cyclic]
-        return [a + b + c for a, b, c in zip(*terms)]
-
-    return _walk(A, product(range(A.dim), repeat=3), defect)
+    """The cyclic sum of m(alpha e_i, m(e_j, e_k)) on every ordered basis
+    triple; each of the n^3 terms is computed once and read three times."""
+    T = _twisted_terms(A)
+    return _violations(A.dim, (
+        ((i, j, k), [T[i, j, k], T[j, k, i], T[k, i, j]], ())
+        for i, j, k in T
+    ))
 
 
 def check_skew(A: FiniteHomAlgebra) -> list[Violation]:
-    """m(x, y) + m(y, x) on pairs i < j, and m(x, x) on the diagonal."""
-
-    def defect(x, y):
-        if x is y:
-            return A.multiply(x, x)
-        return vec_add(A.multiply(x, y), A.multiply(y, x))
-
-    return _walk(A, combinations_with_replacement(range(A.dim), 2), defect)
+    """m(e_i, e_j) + m(e_j, e_i) on pairs i < j, and m(e_i, e_i) on the
+    diagonal, read from the table."""
+    terms = A._terms
+    return _violations(A.dim, (
+        ((i, j), [terms[i][i]] if i == j else [terms[i][j], terms[j][i]], ())
+        for i, j in combinations_with_replacement(range(A.dim), 2)
+    ))
 
 
 def check_multiplicative(A: FiniteHomAlgebra) -> list[Violation]:
@@ -162,15 +215,13 @@ def associator(A: FiniteHomAlgebra, x, y, z):
 
 
 def weak_morphism_violations(A: FiniteHomAlgebra, beta) -> list[Violation]:
-    """Defects of beta(m(x,y)) = m(beta(x), beta(y)) on basis pairs."""
-
-    def defect(x, y):
-        return vec_sub(
-            A.multiply(A.apply_matrix(beta, x), A.apply_matrix(beta, y)),
-            A.apply_matrix(beta, A.multiply(x, y)),
-        )
-
-    return _walk(A, product(range(A.dim), repeat=2), defect)
+    """Defects m(beta e_i, beta e_j) - beta(m(e_i, e_j)) of
+    beta(m(x,y)) = m(beta(x), beta(y)) on ordered basis pairs."""
+    terms, cols = A._terms, _columns(beta)
+    return _violations(A.dim, (
+        ((i, j), [_product(terms, cols[i], cols[j])], [_apply(cols, terms[i][j])])
+        for i, j in product(range(A.dim), repeat=2)
+    ))
 
 
 def yau_twist(A: FiniteHomAlgebra, beta) -> FiniteHomAlgebra:
@@ -203,19 +254,19 @@ def commutator_algebra(A: FiniteHomAlgebra) -> FiniteHomAlgebra:
 
 
 def centroid_violations(A: FiniteHomAlgebra, gamma) -> list[Violation]:
-    """Defects of gamma(m(x,y)) = m(gamma(x), y) = m(x, gamma(y))."""
-    out = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            ei, ej = A.basis(i), A.basis(j)
-            gm = A.apply_matrix(gamma, A.multiply(ei, ej))
-            d1 = vec_sub(gm, A.multiply(A.apply_matrix(gamma, ei), ej))
-            d2 = vec_sub(gm, A.multiply(ei, A.apply_matrix(gamma, ej)))
-            if not vec_is_zero(d1):
-                out.append(((i, j, "left"), d1))
-            if not vec_is_zero(d2):
-                out.append(((i, j, "right"), d2))
-    return out
+    """Defects of gamma(m(x,y)) = m(gamma(x), y) = m(x, gamma(y)) on
+    ordered basis pairs: gamma(m(e_i, e_j)) - m(gamma e_i, e_j) at
+    (i, j, "left") and gamma(m(e_i, e_j)) - m(e_i, gamma e_j) at
+    (i, j, "right")."""
+    terms, cols, one = A._terms, _columns(gamma), Fraction(1)
+
+    def defects():
+        for i, j in product(range(A.dim), repeat=2):
+            gm = [_apply(cols, terms[i][j])]
+            yield (i, j, "left"), gm, [_product(terms, cols[i], [(j, one)])]
+            yield (i, j, "right"), gm, [_product(terms, [(i, one)], cols[j])]
+
+    return _violations(A.dim, defects())
 
 
 def is_unit(A: FiniteHomAlgebra, u) -> bool:
@@ -266,13 +317,29 @@ def example1(a, b) -> FiniteHomAlgebra:
 # --- JSON file interface ----------------------------------------------------
 
 
+def _parse_table(x, field: str, depth: int):
+    """The scalars of ``field``: JSON arrays nested ``depth`` deep around
+    one JSON string per scalar."""
+    if depth == 0:
+        if not isinstance(x, str):
+            raise TypeError(f"{field} is not a string")
+        try:
+            return parse_scalar(x)
+        except ScalarParseError as e:
+            raise ValueError(f"{field}: {e}") from None
+    if not isinstance(x, list):
+        raise TypeError(f"{field} is not an array")
+    return [_parse_table(v, f"{field}[{i}]", depth - 1) for i, v in enumerate(x)]
+
+
 def algebra_from_dict(doc: dict) -> FiniteHomAlgebra:
+    if not isinstance(doc, dict):
+        raise TypeError("the document is not an object")
     n = doc["dim"]
-    mult = [
-        [[parse_scalar(s) for s in doc["mult"][i][j]] for j in range(n)]
-        for i in range(n)
-    ]
-    alpha = [[parse_scalar(s) for s in row] for row in doc["alpha"]]
+    if type(n) is not int:
+        raise TypeError("dim is not an integer")
+    mult = _parse_table(doc["mult"], "mult", 3)
+    alpha = _parse_table(doc["alpha"], "alpha", 2)
     return FiniteHomAlgebra(n, mult, alpha, bracket=bool(doc.get("bracket", False)))
 
 

@@ -12,8 +12,9 @@ When D is a constant, as it is for every polynomial in q, the form costs
 one integer gcd; only a non-constant D and N run the primitive polynomial
 remainder sequence (pseudo-division; Knuth, TAOCP vol. 2, 4.6.1).
 ``Fraction`` appears only at the edges: the ``num``/``den`` views (monic
-denominator), ``const``, coercion, ``subs`` and printing.  Mixed arithmetic
-promotes rationals into constant functions.
+denominator), ``const``, ``subs`` and printing.  Mixed arithmetic reads an
+int or a ``Fraction`` p/r as the canonical tuples (p,) and (r,), and builds
+no constant function for it.
 """
 
 from __future__ import annotations
@@ -202,12 +203,16 @@ class RatFunc:
         return RatFunc((0, 1), _checked=True)
 
     @staticmethod
-    def _coerce(x):
-        """x as a RatFunc, or None; every zero rational is the one shared zero."""
+    def _parts(x):
+        """The canonical numerator and denominator tuples of x, or None when
+        x is not a scalar.  An int or a Fraction p/q is already canonical as
+        ((p,), (q,)), so mixed arithmetic builds no RatFunc for it."""
         if isinstance(x, RatFunc):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return RatFunc.const(x) if x else _ZERO
+            return x._n, x._d
+        if isinstance(x, int):
+            return ((x,) if x else ()), (1,)
+        if isinstance(x, Fraction):
+            return ((x.numerator,) if x else ()), (x.denominator,)
         return None
 
     def _fraction(self):
@@ -220,17 +225,17 @@ class RatFunc:
         return bool(self._n)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        return o is not None and self._n == o._n and self._d == o._d
+        o = self._parts(other)
+        return o is not None and self._n == o[0] and self._d == o[1]
 
     def __hash__(self):
         # a constant hashes as the Fraction it equals
         c = self._fraction()
         return hash((self._n, self._d)) if c is None else hash(c)
 
-    def _plus(self, n2, d2):
-        """self + n2/d2, for trimmed int tuples n2 and d2."""
-        n1, d1 = self._n, self._d
+    @staticmethod
+    def _sum(n1, d1, n2, d2):
+        """n1/d1 + n2/d2, for trimmed int tuples."""
         if d1 == d2:  # a common denominator, 1 for every polynomial
             return RatFunc(_poly_add(n1, n2), d1, _checked=True)
         return RatFunc(
@@ -240,14 +245,14 @@ class RatFunc:
         )
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        if not o._n:
+        if not o[0]:
             return self
-        if not self._n:
-            return o
-        return self._plus(o._n, o._d)
+        if not self._n and isinstance(other, RatFunc):
+            return other
+        return self._sum(self._n, self._d, *o)
 
     __radd__ = __add__
 
@@ -255,46 +260,50 @@ class RatFunc:
         return RatFunc(_poly_neg(self._n), self._d, _checked=True)
 
     def __sub__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        if not o._n:
+        if not o[0]:
             return self
-        return self._plus(_poly_neg(o._n), o._d)
+        return self._sum(self._n, self._d, _poly_neg(o[0]), o[1])
 
     def __rsub__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return self._sum(*o, _poly_neg(self._n), self._d)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        if not self._n or not o._n:
+        if not self._n or not o[0]:
             return _ZERO
         return RatFunc(
-            _poly_mul(self._n, o._n), _poly_mul(self._d, o._d), _checked=True
+            _poly_mul(self._n, o[0]), _poly_mul(self._d, o[1]), _checked=True
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        if not o:
+        if not o[0]:
             raise ZeroDivisionError("division by zero rational function")
         return RatFunc(
-            _poly_mul(self._n, o._d), _poly_mul(self._d, o._n), _checked=True
+            _poly_mul(self._n, o[1]), _poly_mul(self._d, o[0]), _checked=True
         )
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
+        o = self._parts(other)
         if o is None:
             return NotImplemented
-        return o / self
+        if not self._n:
+            raise ZeroDivisionError("division by zero rational function")
+        return RatFunc(
+            _poly_mul(o[0], self._d), _poly_mul(o[1], self._n), _checked=True
+        )
 
     def __pow__(self, n: int):
         num, den = self._n, self._d

@@ -383,6 +383,19 @@ MALFORMED = {
     "box-token": ("m a [x] m 2 3 -> m m [x] 2 a 3\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
     "no-mult": ('{"dim": 1, "alpha": [["1"]]}', ["check-algebra", "FILE", "--identities", "skew"]),
     "not-json": ("dim 1\n", ["check-algebra", "FILE", "--identities", "skew"]),
+    # each vector, row and scalar of an algebra must be a JSON array or string
+    "algebra-string-vector": (
+        '{"dim": 1, "mult": [["0"]], "alpha": [["1"]]}',
+        ["check-algebra", "FILE", "--identities", "skew"],
+    ),
+    "algebra-string-row": (
+        '{"dim": 2, "mult": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]], "alpha": ["10", "01"]}',
+        ["check-algebra", "FILE", "--identities", "skew,hom-jacobi"],
+    ),
+    "algebra-number-scalar": (
+        '{"dim": 1, "mult": [[[0]]], "alpha": [["1"]]}',
+        ["check-algebra", "FILE", "--identities", "skew"],
+    ),
     "negative-degree": (None, ["hilbert", "--free", "--degree", "-1"]),
     "negative-max-order": (None, ["complete", "--rules", HOMASS, "--max-order", "-3"]),
     "envelope-names": (None, ["envelope", QSL2, "--names", "e,f"]),
@@ -423,6 +436,20 @@ def test_malformed_input_is_a_parse_error(capsys, tmp_path, case):
     assert code == 2
     assert out == ""
     assert err.startswith("parse error:")
+
+
+@pytest.mark.parametrize("case, field", [
+    ("algebra-string-vector", "mult[0][0] is not an array"),
+    ("algebra-string-row", "alpha[0] is not an array"),
+    ("algebra-number-scalar", "mult[0][0][0] is not a string"),
+])
+def test_malformed_algebra_names_the_field(capsys, tmp_path, case, field):
+    text, argv = MALFORMED[case]
+    path = tmp_path / "algebra.json"
+    path.write_text(text)
+    code, _, err = run(capsys, [str(path) if a == "FILE" else a for a in argv])
+    assert code == 2
+    assert err == f"parse error: malformed algebra document: {field}\n"
 
 
 def test_check_algebra_pass(capsys):

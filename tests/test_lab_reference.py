@@ -1,12 +1,14 @@
-"""The hom-algebra lab's sparse products, shared basis walk and tabled
-sigma model, checked against the dense products, hand-rolled index loops
-and per-call q-powers they replaced, which are kept here as references."""
+"""The hom-algebra lab's sparse products, table-driven identity checks and
+tabled sigma model, checked against the dense products, hand-rolled index
+loops over basis vectors and per-call q-powers they replaced, which are kept
+here as references."""
 
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homoperad.homalgebra import (
     FiniteHomAlgebra,
@@ -26,7 +28,7 @@ from homoperad.homalgebra import (
     weak_morphism_violations,
     yau_twist,
 )
-from homoperad.scalars import RatFunc
+from homoperad.scalars import RatFunc, format_scalar
 from homoperad.sigma_model import (
     SigmaDerivationModel,
     check_six_term_jacobi,
@@ -152,6 +154,21 @@ def ref_weak_morphism_violations(A, beta):
             )
             if not vec_is_zero(d):
                 out.append(((i, j), d))
+    return out
+
+
+def ref_centroid_violations(A, gamma):
+    out = []
+    for i in range(A.dim):
+        for j in range(A.dim):
+            ei, ej = A.basis(i), A.basis(j)
+            gm = A.apply_matrix(gamma, A.multiply(ei, ej))
+            for side, d in (
+                ("left", vec_sub(gm, A.multiply(A.apply_matrix(gamma, ei), ej))),
+                ("right", vec_sub(gm, A.multiply(ei, A.apply_matrix(gamma, ej)))),
+            ):
+                if not vec_is_zero(d):
+                    out.append(((i, j, side), d))
     return out
 
 
@@ -289,6 +306,58 @@ def test_morphism_and_centroid_checks_match():
         assert got == want
         failing += bool(got)
     assert failing >= 20
+
+
+# zero twice: as a Fraction and as the zero RatFunc, which print alike
+ENTRIES = [Fraction(0), q - q, Fraction(1, 2), Fraction(-1, 2), Fraction(2), q, 1 + q, q * q]
+
+
+def sparse_matrices(n):
+    return st.dictionaries(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        st.sampled_from(ENTRIES),
+        max_size=2 * n,
+    ).map(lambda d: [[d.get((i, j), Fraction(0)) for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def sparse_algebras(draw):
+    """A plain or bracket table from at most 3n drawn structure constants,
+    with a sparse alpha, and a sparse map for the morphism and centroid
+    checks."""
+    n = draw(st.integers(1, 5))
+    index = st.integers(0, n - 1)
+    consts = draw(st.dictionaries(
+        st.tuples(index, index, index), st.sampled_from(ENTRIES), max_size=3 * n
+    ))
+    alpha, beta = draw(sparse_matrices(n)), draw(sparse_matrices(n))
+    vector = lambda i, j: [consts.get((i, j, k), Fraction(0)) for k in range(n)]
+    if draw(st.booleans()):
+        pairs = {(i, j): vector(i, j) for i in range(n) for j in range(i + 1, n)}
+        return FiniteHomAlgebra.bracket_from_pairs(n, pairs, alpha), beta
+    mult = [[vector(i, j) for j in range(n)] for i in range(n)]
+    return FiniteHomAlgebra(n, mult, alpha), beta
+
+
+def printed(violations):
+    return [(idx, [format_scalar(c) for c in d]) for idx, d in violations]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_algebras())
+def test_table_driven_checks_match_the_dense_loops(algebra):
+    A, beta = algebra
+    dense = DenseAlgebra(A)
+    pairs = CHECKS + [
+        (lambda A: weak_morphism_violations(A, beta),
+         lambda D: ref_weak_morphism_violations(D, beta)),
+        (lambda A: centroid_violations(A, beta),
+         lambda D: ref_centroid_violations(D, beta)),
+    ]
+    for check, ref in pairs:
+        got, want = check(A), ref(dense)
+        assert got == want
+        assert printed(got) == printed(want)
 
 
 def test_products_match_dense_products():
