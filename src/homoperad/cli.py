@@ -28,19 +28,19 @@ from .homalgebra import (
     load_algebra,
 )
 from .linear import IncomparableLeading, leading_monomial
-from .orders import get_order
+from .orders import ORDERS, get_order
 from .rewrite import (
     RewritingSystem,
     RuleError,
     format_rules,
     normal_form,
     parse_lincomb,
-    parse_rules,
+    read_rules,
     refuse_growing,
 )
 from .scalars import ScalarParseError, format_scalar
 from .series import format_series, free_series, hilbert_series, unstable_degrees
-from .terms import HOM_SIGNATURE, Signature, TermError
+from .terms import HOM_SIGNATURE, TermError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -50,22 +50,15 @@ EXIT_WRITE = 5
 
 
 def load_rules_path(path: str, order_name: str):
-    """Read a rules file; leading `op` lines override the default hom
-    signature, so enveloping presentations are self-contained."""
+    """Read a rules file with ``read_rules``; leading `op` lines override
+    the default hom signature, so enveloping presentations are
+    self-contained."""
     if path is None:
         raise TermError("--rules is required")
     with open(path) as f:
         text = f.read()
-    op_lines = []
-    rule_lines = []
-    for line in text.splitlines():
-        if line.strip().startswith("op "):
-            op_lines.append(line)
-        else:
-            rule_lines.append(line)
-    sig = Signature.parse("\n".join(op_lines)) if op_lines else HOM_SIGNATURE
     order = get_order(order_name)
-    rules = parse_rules("\n".join(rule_lines), sig, order)
+    sig, rules = read_rules(text, order)
     return sig, order, rules
 
 
@@ -230,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--rules", help="rules file")
-        sp.add_argument("--order", default="lex_ma", choices=["lex_ma", "right_comb"])
+        sp.add_argument("--order", default="lex_ma", choices=sorted(ORDERS))
 
     sp = sub.add_parser("normalize", help="reduce a term to its normal form")
     common(sp)
@@ -273,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("envelope", help="emit an enveloping presentation")
     sp.add_argument("algebra", help="bracket algebra JSON file")
     sp.add_argument("--names", required=True, help="comma-separated constant names")
-    sp.add_argument("--order", default="lex_ma", choices=["lex_ma", "right_comb"])
+    sp.add_argument("--order", default="lex_ma", choices=sorted(ORDERS))
     sp.set_defaults(fn=cmd_envelope)
     return p
 

@@ -21,7 +21,7 @@ from .rewrite import (
     orient,
     trie_leaf,
 )
-from .terms import Context, Signature, TermError, grading, word_key
+from .terms import Context, Signature, TermError, grading, renumber, word_key
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,7 @@ def _merge(a, i, b, ends_a, ends_b):
     ``ends_a``/``ends_b`` the words' subterm-end tables. Returns the merged
     tokens, or None on a symbol clash. Equal symbols have equal arity, so
     both words end together. Box tokens are copied as they are;
-    ``_renumber`` numbers them afterwards."""
+    ``terms.renumber`` numbers them afterwards."""
     out, j, stop = [], 0, ends_a[i]
     while i < stop:
         ta, tb = a[i], b[j]
@@ -64,12 +64,6 @@ def _merge(a, i, b, ends_a, ends_b):
         else:
             return None
     return out
-
-
-def _renumber(tokens, sig) -> Context:
-    k = itertools.count(1)
-    word = tuple(next(k) if isinstance(t, int) else t for t in tokens)
-    return Context(word, sig, _checked=True)
 
 
 def _superpositions(s1: Rule, s2: Rule, sig: Signature, max_order):
@@ -91,7 +85,7 @@ def _superpositions(s1: Rule, s2: Rule, sig: Signature, max_order):
             continue
         if outside + sum(1 for t in merged if not isinstance(t, int)) > max_order:
             continue
-        yield _renumber(w1[:p] + tuple(merged) + w1[ends1[p] :], sig), p
+        yield renumber(w1[:p] + tuple(merged) + w1[ends1[p] :], sig), p
 
 
 def overlaps(s1: Rule, s2: Rule, sig: Signature, max_order=math.inf) -> list[Ambiguity]:

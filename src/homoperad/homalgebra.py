@@ -52,6 +52,17 @@ def _columns(mat):
     return [[(i, mat[i][j]) for i in range(n) if mat[i][j]] for j in range(n)]
 
 
+def _sparse(x):
+    """The nonzero entries (i, x[i]) of a dense vector."""
+    return [(i, c) for i, c in enumerate(x) if c]
+
+
+def _dense(n, x):
+    """The dense vector of length n with the sparse entries x."""
+    x = dict(x)
+    return [x.get(k, Fraction(0)) for k in range(n)]
+
+
 def _product(terms, x, y):
     """m(x, y) for sparse x and y, given the table's nonzero structure
     constants ``terms``; sparse, with cancelled entries dropped."""
@@ -101,30 +112,16 @@ class FiniteHomAlgebra:
         return v
 
     def multiply(self, x, y):
-        out = _zeros(self.dim)
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                s = xi * yj
-                for k, c in self._terms[i][j]:
-                    out[k] = out[k] + s * c
-        return out
+        """m(x, y) of dense vectors, through the sparse ``_product``."""
+        return _dense(self.dim, _product(self._terms, _sparse(x), _sparse(y)))
 
     def map_alpha(self, x):
-        return self.apply_matrix(self.alpha, x)
+        """alpha(x) of a dense vector, through the sparse ``_apply``."""
+        return _dense(self.dim, _apply(self._alpha_cols, _sparse(x)))
 
     def apply_matrix(self, mat, x):
-        out = _zeros(self.dim)
-        for j, xj in enumerate(x):
-            if not xj:
-                continue
-            for i, row in enumerate(mat):
-                if row[j]:
-                    out[i] = out[i] + row[j] * xj
-        return out
+        """mat applied to a dense vector, through the sparse ``_apply``."""
+        return _dense(self.dim, _apply(_columns(mat), _sparse(x)))
 
     @staticmethod
     def bracket_from_pairs(dim: int, pairs: dict, alpha) -> "FiniteHomAlgebra":
@@ -340,7 +337,10 @@ def algebra_from_dict(doc: dict) -> FiniteHomAlgebra:
         raise TypeError("dim is not an integer")
     mult = _parse_table(doc["mult"], "mult", 3)
     alpha = _parse_table(doc["alpha"], "alpha", 2)
-    return FiniteHomAlgebra(n, mult, alpha, bracket=bool(doc.get("bracket", False)))
+    bracket = doc.get("bracket", False)
+    if type(bracket) is not bool:
+        raise TypeError("bracket is not a boolean")
+    return FiniteHomAlgebra(n, mult, alpha, bracket=bracket)
 
 
 class AlgebraFormatError(ValueError):
@@ -354,6 +354,8 @@ def load_algebra(text: str) -> FiniteHomAlgebra:
         raise AlgebraFormatError(f"algebra document has no field {e}") from None
     except (IndexError, TypeError, ValueError) as e:
         raise AlgebraFormatError(f"malformed algebra document: {e}") from None
+    except RecursionError:
+        raise AlgebraFormatError("malformed algebra document: nested too deeply") from None
 
 
 def algebra_to_dict(A: FiniteHomAlgebra) -> dict:

@@ -1,7 +1,8 @@
 """Term orders used to orient rewriting rules.
 
 Both orders are strict partial orders on each arity class; comparisons
-return one of the strings LT, GT, EQ, INC.
+return one of the strings LT, GT, EQ, INC.  ``lex_ma``'s comparison and its
+sort key read one symbol precedence table, ``_key_table``.
 """
 
 from __future__ import annotations
@@ -14,50 +15,34 @@ LT, GT, EQ, INC = "LT", "GT", "EQ", "INC"
 
 
 @lru_cache(maxsize=None)
-def _symbol_ranks(sig: Signature) -> dict:
-    """Precedence for lex comparison: constants lowest (in declaration
-    order), then m below a, then any remaining symbols in declaration order."""
-    ranks = {}
-    for i, (name, arity) in enumerate(sig.symbols):
-        if arity == 0:
-            ranks[name] = (0, i)
-        elif name == "m":
-            ranks[name] = (1, 0)
-        elif name == "a":
-            ranks[name] = (1, 1)
-        else:
-            ranks[name] = (1, 2 + i)
-    return ranks
+def _key_table(sig: Signature, arity: int) -> dict:
+    """The one symbol precedence of both ``lex_ma`` and its key, as token
+    values on one arity class: constants lowest (in declaration order),
+    then m below a, then any remaining symbols in declaration order; then
+    the boxes, Box_1 highest."""
+    consts = [name for name, n in sig.symbols if n == 0]
+    ops = [name for name, n in sig.symbols if n]
+    ranked = consts + sorted(ops, key=lambda name: {"m": 0, "a": 1}.get(name, 2))
+    table = {name: p for p, name in enumerate(ranked)}
+    table.update((i, len(ranked) + arity - i) for i in range(1, arity + 1))
+    return table
 
 
 def lex_ma_compare(x: Context, y: Context) -> str:
     """Word-lexicographic comparison of Polish words with m < a and boxes
-    unrelated to everything else."""
+    unrelated to everything else.  Distinct symbols have distinct ranks,
+    and no complete word is a proper prefix of another, so the first
+    differing token decides."""
     if x.arity != y.arity:
         raise TermError("cannot compare contexts of different arities")
+    table = _key_table(x.sig, x.arity)
     for tx, ty in zip(x.word, y.word):
         if tx == ty:
             continue
         if isinstance(tx, int) or isinstance(ty, int):
             return INC
-        rx, ry = _symbol_ranks(x.sig)[tx], _symbol_ranks(y.sig)[ty]
-        if rx == ry:
-            return INC
-        return GT if rx > ry else LT
-    if len(x.word) == len(y.word):
-        return EQ
-    return GT if len(x.word) > len(y.word) else LT
-
-
-@lru_cache(maxsize=None)
-def _key_table(sig: Signature, arity: int) -> dict:
-    """Token values of ``lex_ma_key`` on one arity class: symbols by
-    ascending ``lex_ma`` precedence, then the boxes, Box_1 highest."""
-    ranks = _symbol_ranks(sig)
-    ranked = sorted(ranks, key=ranks.__getitem__)
-    table = {name: p for p, name in enumerate(ranked)}
-    table.update((i, len(ranked) + arity - i) for i in range(1, arity + 1))
-    return table
+        return GT if table[tx] > table[ty] else LT
+    return EQ
 
 
 def lex_ma_key(c: Context) -> tuple:
@@ -72,22 +57,21 @@ def lex_ma_key(c: Context) -> tuple:
 
 def _h_vector(c: Context) -> tuple[int, ...]:
     """h_i = number of binary vertices entered from the right on the path
-    from Box_i up to the root."""
-    word, sig = c.word, c.sig
+    from Box_i up to the root.  One left-to-right pass gives each token the
+    count of right turns above it: a child inherits its parent's count, the
+    second child of a binary symbol adds 1, and each child after the first
+    starts where ``ends`` says its elder sibling stops."""
+    word, ends, sig = c.word, c.ends, c.sig
     h = [0] * c.arity
-
-    def walk(i: int, depth: int) -> int:
-        t = word[i]
+    turns = [0] * len(word)
+    for i, t in enumerate(word):
         if isinstance(t, int):
-            h[t - 1] = depth
-            return i + 1
-        n = sig.arity(t)
-        i += 1
-        for j in range(n):
-            i = walk(i, depth + (1 if n == 2 and j == 1 else 0))
-        return i
-
-    walk(0, 0)
+            h[t - 1] = turns[i]
+            continue
+        n, j = sig.arity(t), i + 1
+        for k in range(n):
+            turns[j] = turns[i] + (n == 2 and k == 1)
+            j = ends[j]
     return tuple(h)
 
 

@@ -336,13 +336,14 @@ def parse_lincomb(text: str, sig: Signature) -> LinComb:
 def parse_rules(text: str, sig: Signature, order: TermOrder, prefix="r") -> list[Rule]:
     """Read the one-rule-per-line format `<lhs> -> <signed sum>`, where a
     sum that is exactly `0` is the zero combination, as `format_rules`
-    writes it."""
+    writes it.  `op` lines are skipped (``read_rules`` reads them), so a
+    line number counts every line of ``text``."""
     from .terms import parse as parse_term
 
     rules = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
-        if not line or line.startswith("#"):
+        if not line or line.startswith(("#", "op ")):
             continue
         if "->" not in line:
             raise TermError(f"line {lineno}: expected `<lhs> -> <rhs>`")
@@ -354,9 +355,19 @@ def parse_rules(text: str, sig: Signature, order: TermOrder, prefix="r") -> list
     return rules
 
 
+def read_rules(text: str, order: TermOrder) -> tuple[Signature, list[Rule]]:
+    """Read a rules file as ``format_rules`` writes it: its `op` lines, if
+    any, declare the signature (the hom signature otherwise), and
+    ``parse_rules`` reads the rest.  Error line numbers count every line."""
+    ops = [line if line.strip().startswith("op ") else "" for line in text.splitlines()]
+    sig = Signature.parse("\n".join(ops)) if any(ops) else HOM_SIGNATURE
+    return sig, parse_rules(text, sig, order)
+
+
 def format_rules(rules, sig: Signature) -> str:
     """One rule per line, after the `op` lines of ``sig`` unless it is the
-    default hom signature, so a rules file carries its own signature."""
+    default hom signature, so a rules file carries its own signature;
+    ``read_rules`` reads it back."""
     lines = [] if sig == HOM_SIGNATURE else [str(sig)]
     lines.extend(f"{r.lhs} -> {r.rhs}" for r in rules)
     return "\n".join(lines) + "\n"

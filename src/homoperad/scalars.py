@@ -422,6 +422,8 @@ def parse_scalar(text: str):
         v = p.expr()
     except (IndexError, ZeroDivisionError) as e:
         raise ScalarParseError(str(e)) from e
+    except RecursionError:
+        raise ScalarParseError("parentheses or signs nested too deeply") from None
     if p.peek() is not None:
         raise ScalarParseError(f"trailing input at token {p.pos}")
     c = v._fraction() if isinstance(v, RatFunc) else None

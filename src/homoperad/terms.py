@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, count
 from math import factorial
 
 
@@ -250,14 +250,20 @@ def act(sigma: Permutation, c: Context) -> Context:
     return Context(word, c.sig, _checked=True)
 
 
+def renumber(tokens, sig: Signature) -> Context:
+    """The plane context of the complete word ``tokens``: its boxes,
+    whatever their ints, numbered 1, 2, ... in reading order."""
+    k = count(1)
+    word = tuple(next(k) if isinstance(t, int) else t for t in tokens)
+    return Context(word, sig, _checked=True)
+
+
 def planarize(c: Context) -> tuple[Context, Permutation]:
-    """Return the unique plane representative p and sigma with act(sigma, p) = c."""
-    reading = [t for t in c.word if isinstance(t, int)]
-    k = iter(range(1, c.arity + 1))
-    word = tuple(next(k) if isinstance(t, int) else t for t in c.word)
-    plane = Context(word, c.sig, _checked=True)
+    """Return the unique plane representative p = ``renumber(c.word)`` and
+    sigma with act(sigma, p) = c."""
     # act replaces Box_k by Box_{sigma^-1(k)}, so sigma^-1 is the box reading.
-    return plane, Permutation(tuple(reading)).inverse()
+    reading = tuple(t for t in c.word if isinstance(t, int))
+    return renumber(c.word, c.sig), Permutation(reading).inverse()
 
 
 def grading(c: Context) -> tuple[int, int]:

@@ -252,6 +252,39 @@ def test_normal_forms_of_thirty_term_sums_are_byte_identical_to_pinned_digest(ca
     assert sha256("".join(outs)) == NORMALIZE_O12
 
 
+def leibniz_sum(seed, count=14):
+    """A signed sum of ``count`` distinct m-monomials on six boxes, each
+    tree grown from ``seed`` and its boxes read in a shuffled order."""
+    rng = random.Random(seed)
+
+    def grow(n):
+        if n == 1:
+            return [0]
+        i = rng.randint(1, n - 1)
+        return ["m"] + grow(i) + grow(n - i)
+
+    terms = {}
+    while len(terms) < count:
+        boxes = iter(rng.sample(range(1, 7), 6))
+        word = " ".join(str(next(boxes)) if t == 0 else t for t in grow(6))
+        terms[word] = rng.choice((-1, 1)) * rng.randint(1, 5)
+    return " ".join(f"{'-' if c < 0 else '+'} {abs(c)} * {w}" for w, c in terms.items())
+
+
+# sha256 of a Leibniz normal form under right_comb, pinned while the
+# h-vectors were still computed by a recursive walk
+NORMALIZE_LEIBNIZ = "354a0ca8ed720fb2c385b6e51bfcbe97e0acc64afe09dbbd21e6282e33e6c73a"
+
+
+def test_leibniz_normal_form_under_right_comb_is_byte_identical_to_pinned_digest(capsys):
+    argv = ["normalize", "--rules", data_path("leibniz.rules"), "--order", "right_comb",
+            "--term", leibniz_sum(18)]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert len(out) == 2415
+    assert sha256(out) == NORMALIZE_LEIBNIZ
+
+
 # the q-coefficient outputs of the lab, pinned while rational functions
 # still had Fraction coefficients
 QTWIST = str(Path(__file__).resolve().parents[1] / "bench" / "data" / "qtwist-ut4.json")
@@ -422,6 +455,16 @@ MALFORMED = {
     # `a e` rewrites to a term that contains `a e`, so reduction never ends
     "normalize-growing-rule": (GROWING, ["normalize", "--rules", "FILE", "--term", "a e"]),
     "ambiguities-growing-rule": (GROWING, ["ambiguities", "--rules", "FILE"]),
+    # only a JSON boolean marks a bracket table; the string "false" does not
+    "algebra-bracket-string": (
+        '{"dim": 1, "mult": [[["1"]]], "alpha": [["1"]], "bracket": "false"}',
+        ["envelope", "FILE", "--names", "x"],
+    ),
+    "algebra-deep-arrays": ("[" * 100_000 + "]" * 100_000, ["check-algebra", "FILE", "--identities", "skew"]),
+    "scalar-deep-parentheses": (
+        None,
+        ["normalize", "--rules", HOMASS, "--term", "(" * 1200 + "2" + ")" * 1200 + " * m 1 2"],
+    ),
 }
 
 
@@ -442,6 +485,8 @@ def test_malformed_input_is_a_parse_error(capsys, tmp_path, case):
     ("algebra-string-vector", "mult[0][0] is not an array"),
     ("algebra-string-row", "alpha[0] is not an array"),
     ("algebra-number-scalar", "mult[0][0][0] is not a string"),
+    ("algebra-bracket-string", "bracket is not a boolean"),
+    ("algebra-deep-arrays", "nested too deeply"),
 ])
 def test_malformed_algebra_names_the_field(capsys, tmp_path, case, field):
     text, argv = MALFORMED[case]
@@ -450,6 +495,58 @@ def test_malformed_algebra_names_the_field(capsys, tmp_path, case, field):
     code, _, err = run(capsys, [str(path) if a == "FILE" else a for a in argv])
     assert code == 2
     assert err == f"parse error: malformed algebra document: {field}\n"
+
+
+def test_deep_scalar_is_a_parse_error_that_names_the_nesting(capsys):
+    code, out, err = run(capsys, MALFORMED["scalar-deep-parentheses"][1])
+    assert (code, out) == (2, "")
+    assert err == "parse error: parentheses or signs nested too deeply\n"
+
+
+def test_rules_file_errors_count_every_line(capsys, tmp_path):
+    path = tmp_path / "line5.rules"
+    path.write_text("op m 2\nop a 1\n# a comment\nm a 1 m 2 3 -> m m 1 2 a 3\nm a 1 m 2 3\n")
+    code, out, err = run(capsys, ["normalize", "--rules", str(path), "--term", "m 1 2"])
+    assert (code, out) == (2, "")
+    assert err == "parse error: line 5: expected `<lhs> -> <rhs>`\n"
+
+
+# exit 4: a rule or candidate the active term order cannot orient
+
+
+def test_normalize_with_a_rule_the_order_cannot_orient(capsys):
+    code, out, err = run(capsys, ["normalize", "--rules", ASSOC, "--term", "m 1 m 2 3"])
+    assert (code, out) == (4, "")
+    assert err == (
+        "order failure: rule r1: replacement monomial m m 1 2 3 is not strictly "
+        "below the pattern m 1 m 2 3 under lex_ma\n"
+    )
+
+
+def test_envelope_under_right_comb_orients_no_ground_rule(capsys):
+    code, out, err = run(capsys, ["envelope", QSL2, "--names", "e,f,h", "--order", "right_comb"])
+    assert (code, out) == (4, "")
+    assert err == (
+        "order failure: rule alpha_e: replacement monomial e is not strictly "
+        "below the pattern a e under right_comb\n"
+    )
+
+
+def test_ambiguities_reports_an_order_failure_verdict(capsys):
+    code, out, err = run(capsys, ["ambiguities", "--rules", HOMASS, "--order", "right_comb"])
+    assert (code, out, err) == (0, "m a 1 m a 2 m 3 4\tr1,r1\torder_failure\n", "")
+
+
+def test_deep_rule_under_right_comb_is_an_order_failure(capsys, tmp_path):
+    path = tmp_path / "deep.rules"
+    path.write_text("a " * 1200 + "m 1 2 -> " + "a " * 1199 + "m 1 2\n")
+    argv = ["normalize", "--rules", str(path), "--order", "right_comb", "--term", "m 1 2"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err == (
+        f"order failure: rule r1: replacement monomial {'a ' * 1199}m 1 2 is not "
+        f"strictly below the pattern {'a ' * 1200}m 1 2 under right_comb\n"
+    )
 
 
 def test_check_algebra_pass(capsys):

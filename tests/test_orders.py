@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from homoperad.orders import (
@@ -5,11 +7,12 @@ from homoperad.orders import (
     GT,
     INC,
     LT,
+    _h_vector,
     get_order,
     lex_ma_compare,
     right_comb_compare,
 )
-from homoperad.terms import ASS_SIGNATURE, HOM_SIGNATURE, Signature, TermError, parse
+from homoperad.terms import ASS_SIGNATURE, HOM_SIGNATURE, Context, Signature, TermError, parse
 
 
 def th(text):
@@ -155,13 +158,19 @@ def _words(sig, ops, arity):
 
 @pytest.mark.parametrize("name", ["hom", "ass", "leibniz", "envelope"])
 def test_rank_table_matches_per_call_ranks(name):
-    from homoperad.orders import _symbol_ranks
+    from homoperad.orders import _key_table
     from homoperad.terms import Context
 
     sig = _rank_signatures()[name]
     names = [n for n, _ in sig.symbols]
-    ranks = _symbol_ranks(sig)
-    assert ranks == {n: _ref_symbol_rank(sig, n) for n in names}
+    for arity in range(3):
+        table = _key_table(sig, arity)
+        # one value per symbol, ordered as the reference ranks, boxes above
+        assert sorted(names, key=table.__getitem__) == sorted(
+            names, key=lambda n: _ref_symbol_rank(sig, n)
+        )
+        assert len(set(table.values())) == len(table) == len(names) + arity
+        assert all(table[i] > max(table[n] for n in names) for i in range(1, arity + 1))
 
     def ref_compare(x, y):
         for tx, ty in zip(x.word, y.word):
@@ -191,3 +200,62 @@ def test_rank_table_matches_per_call_ranks(name):
                         break
     # every ordered pair of distinct symbols decided a comparison above
     assert {(x, y) for x in names for y in names if x != y} <= pairs
+
+
+def _ref_h_vector(c):
+    """h_i by a recursive walk down the tree: the reference for the
+    end-table pass of ``_h_vector``."""
+    h = [0] * c.arity
+
+    def walk(i, depth):
+        t = c.word[i]
+        if isinstance(t, int):
+            h[t - 1] = depth
+            return i + 1
+        n = c.sig.arity(t)
+        i += 1
+        for j in range(n):
+            i = walk(i, depth + (1 if n == 2 and j == 1 else 0))
+        return i
+
+    walk(0, 0)
+    return tuple(h)
+
+
+def _random_context(rng, sig, ops):
+    """A random context over ``sig`` with ``ops`` operation vertices, whose
+    leaves are constants (one in four, when ``sig`` has any) or boxes, the
+    boxes numbered in a shuffled order."""
+    operations = [(n, a) for n, a in sig.symbols if a > 0]
+    consts = [n for n, a in sig.symbols if a == 0]
+
+    def grow(ops):
+        if ops == 0:
+            return [rng.choice(consts)] if consts and rng.random() < 0.25 else [0]
+        name, n = rng.choice(operations)
+        cuts = sorted(rng.randint(0, ops - 1) for _ in range(n - 1))
+        sizes = [b - a for a, b in zip([0, *cuts], [*cuts, ops - 1])]
+        return [name] + [t for size in sizes for t in grow(size)]
+
+    word = grow(ops)
+    boxes = list(range(1, word.count(0) + 1))
+    rng.shuffle(boxes)
+    k = iter(boxes)
+    return Context(tuple(next(k) if t == 0 else t for t in word), sig)
+
+
+@pytest.mark.parametrize("sig", [
+    HOM_SIGNATURE,
+    Signature((("t", 3), ("m", 2), ("a", 1), ("e", 0))),
+], ids=["hom", "ternary-and-constant"])
+def test_h_vector_matches_the_recursive_walk(sig):
+    rng = random.Random(18)
+    for _ in range(3000):
+        c = _random_context(rng, sig, rng.randint(0, 8))
+        assert _h_vector(c) == _ref_h_vector(c)
+
+
+def test_h_vector_of_a_deep_context_does_not_recurse():
+    c = th("a " * 5000 + "m 1 m 2 3")
+    assert _h_vector(c) == (0, 1, 2)
+    assert right_comb_compare(c, th("a " * 5000 + "m m 1 2 3")) == GT

@@ -18,6 +18,7 @@ from homoperad.rewrite import (
     normal_form,
     parse_lincomb,
     parse_rules,
+    read_rules,
 )
 from homoperad.terms import ASS_SIGNATURE, HOM_SIGNATURE, Context, Permutation, act, parse
 
@@ -172,6 +173,20 @@ def test_rule_file_round_trip():
     assert format_rules(rules, HOM_SIGNATURE) == text
     again = parse_rules(format_rules(rules, HOM_SIGNATURE), HOM_SIGNATURE, LEX_MA)
     assert [(r.lhs, r.rhs) for r in again] == [(r.lhs, r.rhs) for r in rules]
+
+
+def test_read_rules_reads_back_a_signature_and_its_rules():
+    from homoperad.homalgebra import envelope_presentation, q_sl2
+    from homoperad.scalars import RatFunc
+
+    pres = envelope_presentation(q_sl2(RatFunc.q()), ["e", "f", "h"])
+    text = pres.to_text()
+    assert text.startswith("op m 2\nop a 1\nop e 0\n")
+    sig, rules = read_rules(text, LEX_MA)
+    assert sig == pres.signature
+    assert format_rules(rules, sig) == text
+    sig, rules = read_rules("# hom-associativity\nm a 1 m 2 3 -> m m 1 2 a 3\n", LEX_MA)
+    assert sig == HOM_SIGNATURE and [str(r) for r in rules] == ["m a 1 m 2 3 -> m m 1 2 a 3"]
 
 
 def test_parse_lincomb_signs_and_coefficients():
