@@ -21,10 +21,9 @@ all the Hilbert count needs.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
-from .rewrite import Rule
 from .terms import TermError
 
 LEAF = ("leaf",)
@@ -37,17 +36,14 @@ class TreeGrammar:
     productions: dict  # state -> frozenset of ("leaf",) | ("a", c) | ("m", c, d)
 
 
-def _check_signature(rule: Rule):
-    for tok in rule.lhs.word:
-        if isinstance(tok, int):
-            continue
-        if tok not in ("a", "m"):
-            raise TermError(f"unsupported symbol {tok!r} in grammar construction")
-
-
 def grammar_from_rules(rules) -> TreeGrammar:
     """Grammar whose language is the set of plane monomials over {m/2, a/1}
-    reducible by at least one of the rules."""
+    reducible by at least one of the rules; a pattern symbol other than
+    ``a`` or ``m`` raises a TermError.
+
+    State 1 has the one m-production m(1, 1), and each state b >= 2 is
+    made for one pattern edge and has one production, so every state but
+    0 has at most one m-production; ``determinize`` relies on it."""
     prods = {
         0: {("a", 0), ("m", 0, 1), ("m", 1, 0)},
         1: {LEAF, ("a", 1), ("m", 1, 1)},
@@ -55,7 +51,6 @@ def grammar_from_rules(rules) -> TreeGrammar:
     next_state = 2
 
     for rule in rules:
-        _check_signature(rule)
         word, ends = rule.lhs.word, rule.lhs.ends
 
         # Assign states to internal edges breadth-first from the root, so
@@ -64,6 +59,8 @@ def grammar_from_rules(rules) -> TreeGrammar:
         while queue:
             s, pos = queue.popleft()
             sym = word[pos]
+            if sym not in ("a", "m"):
+                raise TermError(f"unsupported symbol {sym!r} in grammar construction")
             kids = [pos + 1]
             if sym == "m":
                 kids.append(ends[pos + 1])
@@ -124,17 +121,17 @@ def determinize(g: TreeGrammar) -> BottomUpAutomaton:
     state 0 is SINK; it is never numbered or paired.
 
     A subset is an int with bit b set for grammar state b, so the sink test
-    is bit 0.  Each m-production has a bit of its own: bit b when it is the
-    only m-production of b, a bit past the grammar states otherwise.  A
-    state keeps the mask of the productions with their left child in its
-    subset and the mask of those with their right child in it; the
-    productions that fire in m(c, d) are the AND of the first mask of c and
-    the second of d."""
+    is bit 0.  Each m-production has a bit of its own: every grammar state
+    b > 0 has at most one, which takes bit b, and each of state 0's takes a
+    bit past the grammar states, so a mask p of fired productions holds
+    the grammar states ``p & own``, and state 0 when ``p > own``.  A state
+    keeps the mask of the productions with their left child in its subset
+    and the mask of those with their right child in it; the productions
+    that fire in m(c, d) are the AND of the first mask of c and the second
+    of d."""
     n = len(g.states)
     a_image = [0] * n  # c -> mask of b with b -> a(c)
     left, right = [0] * n, [0] * n  # c -> mask of the m-productions with child c
-    shared = {}  # bit of b -> mask of b's m-productions, when it has several
-    m_count = Counter(b for b, ps in g.productions.items() for p in ps if p[0] == "m")
     leaf, extra = 0, n
     for b, ps in g.productions.items():
         for p in ps:
@@ -143,11 +140,10 @@ def determinize(g: TreeGrammar) -> BottomUpAutomaton:
             elif p[0] == "a":
                 a_image[p[1]] |= 1 << b
             else:
-                if m_count[b] == 1:
+                if b:
                     bit = 1 << b
                 else:
                     bit, extra = 1 << extra, extra + 1
-                    shared[1 << b] = shared.get(1 << b, 0) | bit
                 left[p[1]] |= bit
                 right[p[2]] |= bit
     own = (1 << n) - 1
@@ -166,13 +162,9 @@ def determinize(g: TreeGrammar) -> BottomUpAutomaton:
             subsets.append(u)
         return k
 
-    def fire(productions):
+    def fire(p):
         """The set of grammar states of a mask of fired m-productions."""
-        u = productions & own
-        for b, bits in shared.items():
-            if productions & bits:
-                u |= b
-        return u
+        return p & own | (p > own)
 
     for k, s in enumerate(subsets):
         a = l = r = 0

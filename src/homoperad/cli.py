@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 1 a failed check (`check-algebra` FAIL, or
 `hilbert --strict` with coefficients not guaranteed stable), 2 parse error
-or refused input (a negative `hilbert --degree`; for `complete`, a negative
-`--max-order` or an inhomogeneous rule, both refused before any `--out`
+or refused input (input that is not UTF-8; a malformed rule, such as one
+whose sides differ in arity or whose pattern has no operation; a negative
+`hilbert --degree`; for `complete`, a negative `--max-order`, a `--budget`
+that is not >= 0 or an inhomogeneous rule, all refused before any `--out`
 file is created, or an unwritable `--out`; for `normalize` and
 `ambiguities`, a rule with a replacement monomial of more vertices than
 its pattern), 3 budget exhausted, 4 order failure (a rule or candidate
@@ -75,6 +77,8 @@ def cmd_normalize(args) -> int:
 def cmd_complete(args) -> int:
     if args.max_order < 0:
         raise TermError(f"--max-order expects N >= 0, got {args.max_order}")
+    if args.budget is not None and not args.budget >= 0:  # NaN too
+        raise TermError(f"--budget expects seconds >= 0, got {args.budget}")
     sig, order, rules = load_rules_path(args.rules, args.order)
     refuse_inhomogeneous(rules)  # before any --out file is created
     exts = (".rules", ".census.tsv", ".log") if args.out else ()
@@ -82,20 +86,17 @@ def cmd_complete(args) -> int:
         # opened before completion, so an unwritable --out prefix fails first
         outs = [stack.enter_context(open(args.out + ext, "w")) for ext in exts]
         state = complete(
-            RewritingSystem(sig, order, rules),
-            args.max_order,
-            budget_seconds=args.budget,
-            inter_reduce=not args.no_inter_reduce,
+            RewritingSystem(sig, order, rules), args.max_order, budget_seconds=args.budget
         )
-        for o, n in state.census().items():
-            print(f"{o}\t{n}")
+        census = "".join(f"{o}\t{n}\n" for o, n in state.census().items())
+        sys.stdout.write(census)
         if outs:
             rules_f, census_f, log_f = outs
             ordered = sorted(state.system, key=lambda r: (r.order, str(r.lhs)))
             try:
                 with stack.pop_all():  # closing flushes, so a write may fail there
                     rules_f.write(format_rules(ordered, sig))
-                    census_f.writelines(f"{o}\t{n}\n" for o, n in state.census().items())
+                    census_f.write(census)
                     log_f.writelines(
                         f"{amb.site}\t{amb.rule1},{amb.rule2}\t{outcome}\n"
                         for amb, outcome in state.log
@@ -234,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--max-order", type=int, required=True)
     sp.add_argument("--budget", type=float, default=None, help="seconds")
-    sp.add_argument("--no-inter-reduce", action="store_true")
     sp.add_argument("--out", help="prefix for .rules/.census.tsv/.log outputs")
     sp.set_defaults(fn=cmd_complete)
 
@@ -279,7 +279,9 @@ def main(argv=None) -> int:
     except (RuleError, IncomparableLeading) as e:  # RuleError is a TermError
         print(f"order failure: {e}", file=sys.stderr)
         return EXIT_ORDER
-    except (ScalarParseError, AlgebraFormatError, TermError, OSError) as e:
+    except (
+        ScalarParseError, AlgebraFormatError, TermError, OSError, UnicodeDecodeError
+    ) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -22,7 +22,7 @@ from .linear import LinComb
 from .orders import LEX_MA, TermOrder
 from .rewrite import Rule, format_rules, make_rule, orient
 from .scalars import ScalarParseError, format_scalar, parse_scalar
-from .terms import Context, Signature
+from .terms import Context, Signature, parse
 
 
 def _zeros(n):
@@ -222,20 +222,16 @@ def weak_morphism_violations(A: FiniteHomAlgebra, beta) -> list[Violation]:
 
 
 def yau_twist(A: FiniteHomAlgebra, beta) -> FiniteHomAlgebra:
-    """The twisted algebra (A, beta.m, beta.alpha).  The weak-morphism
-    precondition is reported by weak_morphism_violations, not enforced."""
+    """The twisted algebra (A, beta.m, beta.alpha), both products through
+    ``apply_matrix``: column j of beta.alpha is beta applied to column j of
+    alpha.  The weak-morphism precondition is reported by
+    weak_morphism_violations, not enforced."""
     n = A.dim
     mult = [
         [A.apply_matrix(beta, A.mult[i][j]) for j in range(n)] for i in range(n)
     ]
-    alpha = [
-        [
-            sum((beta[i][k] * A.alpha[k][j] for k in range(n)), Fraction(0))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    return FiniteHomAlgebra(n, mult, alpha, bracket=A.bracket)
+    cols = [A.apply_matrix(beta, [row[j] for row in A.alpha]) for j in range(n)]
+    return FiniteHomAlgebra(n, mult, list(zip(*cols)), bracket=A.bracket)
 
 
 def commutator_algebra(A: FiniteHomAlgebra) -> FiniteHomAlgebra:
@@ -410,11 +406,7 @@ def envelope_presentation(
     rules = []
     for i in range(L.dim):
         lhs = Context(("a", names[i]), sig)
-        rhs = LinComb(0)
-        for j in range(L.dim):
-            c = L.alpha[j][i]
-            if c:
-                rhs = rhs + LinComb.monomial(const(j), c)
+        rhs = LinComb(0, {const(j): L.alpha[j][i] for j in range(L.dim)})
         rules.append(make_rule(f"alpha_{names[i]}", lhs, rhs, order))
 
     for i in range(L.dim):
@@ -423,17 +415,13 @@ def envelope_presentation(
                 LinComb.monomial(Context(("m", names[j], names[i]), sig))
             )
             for k in range(L.dim):
-                c = L.mult[i][j][k]
-                if c:
-                    d = d - LinComb.monomial(const(k), c)
+                d.add_term(const(k), -L.mult[i][j][k])
             rules.append(orient(f"comm_{names[i]}_{names[j]}", d, order))
-
-    from .terms import parse as parse_term
 
     homass = make_rule(
         "hom_assoc",
-        parse_term("m a 1 m 2 3", sig),
-        LinComb.monomial(parse_term("m m 1 2 a 3", sig)),
+        parse("m a 1 m 2 3", sig),
+        LinComb.monomial(parse("m m 1 2 a 3", sig)),
         order,
     )
     rules.append(homass)

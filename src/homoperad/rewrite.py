@@ -8,11 +8,15 @@ from fractions import Fraction
 from .linear import LinComb, leading_monomial, maximal
 from .orders import GT, TermOrder
 from .scalars import parse_scalar
-from .terms import HOM_SIGNATURE, Context, Signature, TermError, planarize, word_key
+from .terms import (
+    HOM_SIGNATURE, Context, Signature, TermError, parse, planarize, word_key
+)
 
 
 class RuleError(TermError):
-    """A rule violates the structural or order-compatibility requirements."""
+    """A rule the term order refuses (a replacement monomial not strictly
+    below its pattern, or the pattern inside its own replacement), or a
+    duplicate rule id.  A malformed rule is a plain TermError."""
 
 
 @dataclass(frozen=True)
@@ -33,11 +37,13 @@ class Rule:
 
 def make_rule(rule_id: str, lhs: Context, rhs: LinComb, order: TermOrder) -> Rule:
     """Normalize the lhs to its plane representative (permuting the rhs to
-    match) and check the descending-monomial condition."""
+    match) and check the descending-monomial condition.  An arity mismatch
+    or a pattern without an operation is malformed, a TermError; what the
+    order refuses is a RuleError."""
     if lhs.arity != rhs.arity:
-        raise RuleError(f"rule {rule_id}: lhs arity {lhs.arity} != rhs arity {rhs.arity}")
+        raise TermError(f"rule {rule_id}: lhs arity {lhs.arity} != rhs arity {rhs.arity}")
     if lhs.order == 0:
-        raise RuleError(f"rule {rule_id}: lhs must contain at least one operation")
+        raise TermError(f"rule {rule_id}: lhs must contain at least one operation")
     if not lhs.is_plane():
         plane, sigma = planarize(lhs)
         # lhs = act(sigma, plane), so the rule says act(sigma, plane) -> rhs,
@@ -309,8 +315,6 @@ def _split_summands(tokens):
 def parse_lincomb(text: str, sig: Signature) -> LinComb:
     """Parse `[c *] <polish> { (+|-) [c *] <polish> }`, adding each summand
     into one sum in place."""
-    from .terms import parse as parse_term
-
     tokens = text.split()
     if not tokens:
         raise TermError("empty linear combination")
@@ -321,7 +325,7 @@ def parse_lincomb(text: str, sig: Signature) -> LinComb:
             cut = toks.index("*")
             coeff = coeff * parse_scalar(" ".join(toks[:cut]))
             toks = toks[cut + 1 :]
-        ctx = parse_term(" ".join(toks), sig)
+        ctx = parse(" ".join(toks), sig)
         if result is None:
             result = LinComb.monomial(ctx, coeff)
         elif ctx.arity != result.arity:
@@ -338,8 +342,6 @@ def parse_rules(text: str, sig: Signature, order: TermOrder, prefix="r") -> list
     sum that is exactly `0` is the zero combination, as `format_rules`
     writes it.  `op` lines are skipped (``read_rules`` reads them), so a
     line number counts every line of ``text``."""
-    from .terms import parse as parse_term
-
     rules = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -348,7 +350,7 @@ def parse_rules(text: str, sig: Signature, order: TermOrder, prefix="r") -> list
         if "->" not in line:
             raise TermError(f"line {lineno}: expected `<lhs> -> <rhs>`")
         left, right = line.split("->", 1)
-        lhs = parse_term(left.strip(), sig)
+        lhs = parse(left.strip(), sig)
         right = right.strip()
         rhs = LinComb(lhs.arity) if right == "0" else parse_lincomb(right, sig)
         rules.append(make_rule(f"{prefix}{len(rules) + 1}", lhs, rhs, order))
@@ -369,5 +371,5 @@ def format_rules(rules, sig: Signature) -> str:
     default hom signature, so a rules file carries its own signature;
     ``read_rules`` reads it back."""
     lines = [] if sig == HOM_SIGNATURE else [str(sig)]
-    lines.extend(f"{r.lhs} -> {r.rhs}" for r in rules)
+    lines.extend(map(str, rules))
     return "\n".join(lines) + "\n"

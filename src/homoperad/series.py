@@ -61,9 +61,6 @@ class BivariateSeries:
                     out.coeffs.pop(key, None)
         return out
 
-    def __str__(self):
-        return format_series(self)
-
 
 def format_series(x: BivariateSeries) -> str:
     """One line `a^i m^j<TAB>n` per coefficient with i+j <= D, in graded
@@ -131,7 +128,10 @@ def hilbert_series(rules, D: int) -> BivariateSeries:
     """Count of irreducible plane monomials by grading: the sum of G_B over
     the classes B of the minimized automaton.  Every live state is in one
     class, and the series of a class is the sum of its states' series,
-    because the transitions respect the classes."""
+    because the transitions respect the classes.  A pattern of more than D
+    vertices fits no monomial counted, so only the rules of order <= D
+    build the automaton."""
+    rules = [r for r in rules if r.order <= D]
     g = solve_series(minimize(determinize(grammar_from_rules(rules))), D)
     return sum(g, BivariateSeries(D))
 

@@ -3,13 +3,17 @@ from pathlib import Path
 import pytest
 
 from homoperad.automata import LEAF, SINK, determinize, grammar_from_rules, minimize
-from homoperad.orders import LEX_MA
-from homoperad.rewrite import RewritingSystem, is_irreducible, parse_rules
-from homoperad.terms import HOM_SIGNATURE, enumerate_plane
+from homoperad.linear import LinComb
+from homoperad.orders import LEX_MA, get_order
+from homoperad.rewrite import (
+    RewritingSystem, is_irreducible, make_rule, parse_rules, read_rules
+)
+from homoperad.terms import HOM_SIGNATURE, Signature, TermError, enumerate_plane, parse
 
 RULE1 = "m a 1 m 2 3 -> m m 1 2 a 3"
 RULE2 = "m m 1 a 2 a m 3 4 -> m m 1 m 2 3 a a 4"
-ORDER_TEN = Path(__file__).resolve().parents[1] / "bench" / "data" / "homass-o10.rules"
+ROOT = Path(__file__).resolve().parents[1]
+ORDER_TEN = ROOT / "bench" / "data" / "homass-o10.rules"
 SYSTEMS = [RULE1, RULE1 + "\n" + RULE2, ORDER_TEN.read_text()]
 
 
@@ -36,6 +40,39 @@ def test_grammar_two_rules_states():
     assert g.productions[6] == frozenset({("a", 1)})
     assert g.productions[7] == frozenset({("m", 1, 1)})
     assert ("m", 4, 5) in g.productions[0]
+
+
+# every rules file in the package and in bench/data, with the order it is read under
+RULES_FILES = [
+    ("src/homoperad/data/homass.rules", "lex_ma"),
+    ("src/homoperad/data/assoc.rules", "right_comb"),
+    ("src/homoperad/data/leibniz.rules", "right_comb"),
+    ("bench/data/homass-o10.rules", "lex_ma"),
+    ("bench/data/homass-o12.rules", "lex_ma"),
+]
+
+
+def assert_one_m_production_per_state(g):
+    """``determinize`` gives the m-production of each grammar state b > 0
+    bit b, which needs b to have at most one."""
+    for b, ps in g.productions.items():
+        if b:
+            assert sum(p[0] == "m" for p in ps) <= 1, (b, ps)
+
+
+@pytest.mark.parametrize("path, order", RULES_FILES, ids=[p for p, _ in RULES_FILES])
+def test_every_state_but_zero_has_at_most_one_m_production(path, order):
+    _, rs = read_rules((ROOT / path).read_text(), get_order(order))
+    assert_one_m_production_per_state(grammar_from_rules(rs))
+
+
+def test_grammar_refuses_a_symbol_other_than_a_and_m():
+    sig = Signature((("m", 2), ("b", 1)))
+    rule = make_rule(
+        "r1", parse("m b 1 m 2 3", sig), LinComb.monomial(parse("m m 1 2 b 3", sig)), LEX_MA
+    )
+    with pytest.raises(TermError, match="'b'"):
+        grammar_from_rules([rule])
 
 
 def test_grammar_no_rules():

@@ -31,5 +31,6 @@ def test_tracer_attaches_to_every_wrapped_name():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert result["code"] == 0
-    assert result["counts"]["automata.grammar_states"] == 72
-    assert result["counts"]["automata.dfa_states"] == 34
+    # at degree 4 only the order-3 pattern fits a counted monomial
+    assert result["counts"]["automata.grammar_states"] == 4
+    assert result["counts"]["automata.dfa_states"] == 3

@@ -131,6 +131,20 @@ def test_complete_refuses_inhomogeneous_rules(capsys, tmp_path):
         main(argv + ["--allow-inhomogeneous"])
 
 
+def test_complete_has_no_inter_reduce_flag():
+    with pytest.raises(SystemExit):
+        main(["complete", "--rules", HOMASS, "--max-order", "4", "--no-inter-reduce"])
+
+
+@pytest.mark.parametrize("budget", ["-1", "nan"])
+def test_complete_refuses_a_bad_budget_before_any_out_file(capsys, tmp_path, budget):
+    argv = ["complete", "--rules", HOMASS, "--max-order", "4", "--budget", budget]
+    code, out, err = run(capsys, argv + ["--out", str(tmp_path / "run")])
+    assert (code, out) == (2, "")
+    assert err == f"parse error: --budget expects seconds >= 0, got {float(budget)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_complete_refuses_unwritable_out_before_completing(capsys, tmp_path):
     prefix = str(tmp_path / "missing" / "run")
     code, out, err = run(
@@ -397,6 +411,16 @@ def test_hilbert_strict_without_stable_warns_and_fails(capsys):
     assert "warning" in err
 
 
+def test_hilbert_reads_no_pattern_longer_than_the_degree(capsys, tmp_path):
+    # a pattern of 2,400 vertices fits no monomial of at most 3
+    n = 1200
+    path = tmp_path / "deep.rules"
+    path.write_text("a " * n + "m 1 2 -> " + "a " * (n - 1) + "m 1 2\n")
+    code, out, _ = run(capsys, ["hilbert", "--rules", str(path), "--degree", "3"])
+    assert code == 0
+    assert out == run(capsys, ["hilbert", "--free", "--degree", "3"])[1]
+
+
 @pytest.mark.parametrize("value", ["5", "a,b", "1,2,3"])
 def test_hilbert_malformed_stable_is_a_parse_error(capsys, value):
     code, out, err = run(
@@ -431,6 +455,11 @@ MALFORMED = {
     ),
     "negative-degree": (None, ["hilbert", "--free", "--degree", "-1"]),
     "negative-max-order": (None, ["complete", "--rules", HOMASS, "--max-order", "-3"]),
+    "negative-budget": (None, ["complete", "--rules", HOMASS, "--max-order", "3", "--budget", "-1"]),
+    "nan-budget": (None, ["complete", "--rules", HOMASS, "--max-order", "3", "--budget", "nan"]),
+    # a malformed rule is a parse error, not an order failure
+    "rule-arity-mismatch": ("m 1 2 -> a 1\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
+    "rule-without-operation": ("1 -> 1\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
     "envelope-names": (None, ["envelope", QSL2, "--names", "e,f"]),
     "envelope-not-bracket": (
         '{"dim": 1, "mult": [[["0"]]], "alpha": [["1"]]}',
@@ -501,6 +530,18 @@ def test_deep_scalar_is_a_parse_error_that_names_the_nesting(capsys):
     code, out, err = run(capsys, MALFORMED["scalar-deep-parentheses"][1])
     assert (code, out) == (2, "")
     assert err == "parse error: parentheses or signs nested too deeply\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["normalize", "--rules", "FILE", "--term", "m 1 2"],
+    ["check-algebra", "FILE", "--identities", "skew"],
+], ids=["rules", "algebra"])
+def test_input_that_is_not_utf8_is_a_parse_error(capsys, tmp_path, argv):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff")
+    code, out, err = run(capsys, [str(path) if a == "FILE" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:") and err.count("\n") == 1
 
 
 def test_rules_file_errors_count_every_line(capsys, tmp_path):

@@ -26,6 +26,7 @@ from homoperad.orders import LEX_MA
 from homoperad.rewrite import RewritingSystem, parse_rules
 from homoperad.series import BivariateSeries, solve_series
 from homoperad.terms import HOM_SIGNATURE
+from test_automata import assert_one_m_production_per_state
 
 RULE1 = "m a 1 m 2 3 -> m m 1 2 a 3"
 RULE2 = "m m 1 a 2 a m 3 4 -> m m 1 m 2 3 a a 4"
@@ -182,6 +183,11 @@ def automata(rules):
 
 def test_order_ten_list_has_ten_rules():
     assert len(order_ten_rules()) == 10
+
+
+@pytest.mark.parametrize("name,k", PREFIXES)
+def test_every_state_but_zero_has_at_most_one_m_production(name, k):
+    assert_one_m_production_per_state(grammar_from_rules(rule_list(name)[:k]))
 
 
 def live(aut: TupleAutomaton) -> TupleAutomaton:

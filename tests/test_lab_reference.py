@@ -360,6 +360,22 @@ def test_table_driven_checks_match_the_dense_loops(algebra):
         assert printed(got) == printed(want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(sparse_algebras())
+def test_twist_alpha_matches_the_dense_triple_loop(algebra):
+    A, beta = algebra
+    n = A.dim
+    want = [
+        [sum((beta[i][k] * A.alpha[k][j] for k in range(n)), Fraction(0)) for j in range(n)]
+        for i in range(n)
+    ]
+    got = yau_twist(A, beta).alpha
+    assert got == want
+    assert [list(map(format_scalar, row)) for row in got] == [
+        list(map(format_scalar, row)) for row in want
+    ]
+
+
 def test_products_match_dense_products():
     rng = random.Random(11)
     for A in algebras():
