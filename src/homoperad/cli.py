@@ -3,13 +3,15 @@
 Exit codes: 0 success, 1 a failed check (`check-algebra` FAIL, or
 `hilbert --strict` with coefficients not guaranteed stable), 2 parse error
 or refused input (input that is not UTF-8; a malformed rule, such as one
-whose sides differ in arity or whose pattern has no operation; a negative
+whose sides differ in arity or whose pattern has no operation; a symbol
+name the rules format could not read back, such as `+`; a negative
 `hilbert --degree`; for `complete`, a negative `--max-order`, a `--budget`
 that is not >= 0 or an inhomogeneous rule, all refused before any `--out`
 file is created, or an unwritable `--out`; for `normalize` and
 `ambiguities`, a rule with a replacement monomial of more vertices than
-its pattern), 3 budget exhausted, 4 order failure (a rule or candidate
-could not be oriented by the active term order), 5 write error (writing
+its pattern), 3 budget exhausted, 4 order failure (a rule, a candidate,
+or a `complete` input rule as the rules before it reduce it, could not be
+oriented by the active term order), 5 write error (writing
 or closing a `complete --out` file failed).
 """
 

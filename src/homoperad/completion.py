@@ -272,17 +272,17 @@ def complete(
     require_homogeneous: bool = True,
 ) -> CompletionState:
     """Run the critical-pairs/completion procedure up to sites of the given
-    order.  Ambiguities are processed in increasing (site order, site word,
-    rule pair) priority; candidate differences are normalized, oriented and
-    adjoined; with ``inter_reduce`` the system is kept fully reduced.  A
-    subterm index finds the rules each new rule is superposed with and the
-    rules it reduces, so no other pair is searched.  With
-    ``require_homogeneous`` an input rule that is not grading-homogeneous is
-    refused with a TermError before any work."""
+    order.  The system starts empty and each input rule, in turn, is adjoined
+    as a derived one is: it may be reduced or dropped, every rule gets an id
+    ``r1``, ``r2``, ... (an envelope's named rules too), and an input rule the
+    order cannot orient is an ``order_failure``.  Ambiguities are taken in
+    increasing (site order, site word, rule pair) priority; a subterm index
+    finds each new rule's partners and the rules it reduces.  With
+    ``require_homogeneous`` an inhomogeneous input rule is a TermError first."""
     sig, order = initial.sig, initial.order
     if require_homogeneous:
         refuse_inhomogeneous(initial)
-    system = RewritingSystem(sig, order, initial)
+    system = RewritingSystem(sig, order, [])
     index = _SubtermIndex(system)
 
     def put(rule: Rule):
@@ -293,7 +293,7 @@ def complete(
         system.remove(rule.id)
         index.remove(rule)
 
-    counter = len(system)
+    counter = 0
     heap = []
     log = []
     seq = itertools.count()
@@ -307,16 +307,12 @@ def complete(
             )
             heapq.heappush(heap, (key, next(seq), amb))
 
-    for x, y in itertools.combinations_with_replacement(system.rules, 2):
-        push_overlaps(x, y)
-
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
 
     def adjoin(diff: LinComb) -> list[Rule]:
-        """Orient a normalized nonzero difference, add it, and inter-reduce.
-        Returns the rules added (the oriented one plus any re-derived).
-        A rule whose rhs is re-normalized is removed and added again: it
-        moves to the end of the system, whose order breaks heap ties."""
+        """Normalize, orient and add a difference, inter-reduce, and push each
+        added rule's overlaps with its partners; returns the rules added.  A
+        re-normalized rule moves to the system's end, whose order breaks heap ties."""
         nonlocal counter
         added = []
         work = [diff]
@@ -340,7 +336,20 @@ def complete(
                     rhs = normal_form(old.rhs, system)
                     drop(old)
                     put(make_rule(old.id, old.lhs, rhs, order))
+        for new in added:
+            partners = index.partners(new, max_order - new.order)
+            for other in system:
+                if other.id in partners:
+                    push_overlaps(new, other)
         return added
+
+    for rule in initial:
+        diff = LinComb.monomial(rule.lhs) - rule.rhs
+        try:
+            adjoin(diff)
+        except IncomparableLeading as e:
+            diff = normal_form(diff, system)
+            return CompletionState(system, "order_failure", log, Failure(diff, str(e)))
 
     while heap:
         if deadline is not None and time.monotonic() > deadline:
@@ -358,9 +367,4 @@ def complete(
             log.append((amb, "order_failure"))
             return CompletionState(system, "order_failure", log, Failure(diff, str(e)))
         log.append((amb, "new_rule " + ",".join(r.id for r in added)))
-        for new in added:
-            partners = index.partners(new, max_order - new.order)
-            for other in system:
-                if other.id in partners:
-                    push_overlaps(new, other)
     return CompletionState(system, "complete", log)

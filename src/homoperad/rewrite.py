@@ -337,7 +337,7 @@ def parse_lincomb(text: str, sig: Signature) -> LinComb:
     return result
 
 
-def parse_rules(text: str, sig: Signature, order: TermOrder, prefix="r") -> list[Rule]:
+def parse_rules(text: str, sig: Signature, order: TermOrder) -> list[Rule]:
     """Read the one-rule-per-line format `<lhs> -> <signed sum>`, where a
     sum that is exactly `0` is the zero combination, as `format_rules`
     writes it.  `op` lines are skipped (``read_rules`` reads them), so a
@@ -353,7 +353,7 @@ def parse_rules(text: str, sig: Signature, order: TermOrder, prefix="r") -> list
         lhs = parse(left.strip(), sig)
         right = right.strip()
         rhs = LinComb(lhs.arity) if right == "0" else parse_lincomb(right, sig)
-        rules.append(make_rule(f"{prefix}{len(rules) + 1}", lhs, rhs, order))
+        rules.append(make_rule(f"r{len(rules) + 1}", lhs, rhs, order))
     return rules
 
 

@@ -19,14 +19,23 @@ class TermError(ValueError):
 
 @dataclass(frozen=True)
 class Signature:
-    """Operation symbols with arities.  Constants (arity 0) are allowed."""
+    """Operation symbols with arities.  Constants (arity 0) are allowed.  A
+    name is refused if the rules-file format could not read it back: one
+    with whitespace or a digit, a sum's `+`, `-` or `*`, `op`, one holding
+    `->` or a parenthesis, or one starting as a box token or a comment."""
 
     symbols: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
         seen = {}
         for name, arity in self.symbols:
-            if not name or any(ch.isspace() or ch.isdigit() for ch in name):
+            if (
+                not name
+                or name in ("+", "-", "*", "op")
+                or name.startswith(("[", "#"))
+                or any(bad in name for bad in ("->", "(", ")"))
+                or any(ch.isspace() or ch.isdigit() for ch in name)
+            ):
                 raise TermError(f"bad symbol name {name!r}")
             if name in seen:
                 raise TermError(f"duplicate symbol {name!r}")

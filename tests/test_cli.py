@@ -113,6 +113,39 @@ def test_complete_order_failure_exit(capsys, tmp_path):
     assert log.endswith("m a 1 m a 2 m 3 4\tr1,r1\torder_failure\n")
 
 
+# each input rule is adjoined as a derived one is, so the second rule of
+# each file, a copy of the first or one whose lhs holds the first at its
+# root, is not kept as given
+DUPLICATE_INPUT = "m a 1 m 2 3 -> m m 1 2 a 3\nm a 1 m 2 3 -> m m 1 2 a 3\n"
+REDUCIBLE_INPUT = "m a 1 m 2 3 -> m m 1 2 a 3\nm a 1 m a 2 m 3 4 -> m m 1 m 2 3 a a 4\n"
+
+
+@pytest.mark.parametrize(
+    "text", [DUPLICATE_INPUT, REDUCIBLE_INPUT], ids=["duplicate", "reducible"]
+)
+def test_complete_keeps_no_input_rule_the_others_reduce(capsys, tmp_path, text):
+    path = tmp_path / "input.rules"
+    path.write_text(text)
+    prefix = str(tmp_path / "run")
+    argv = ["complete", "--rules", str(path), "--max-order", "6", "--out", prefix]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (0, "3\t1\n5\t1\n", "")
+    assert (tmp_path / "run.rules").read_text() == (
+        "m a 1 m 2 3 -> m m 1 2 a 3\nm m 1 a 2 a m 3 4 -> m m 1 m 2 3 a a 4\n"
+    )
+
+
+def test_an_input_rule_the_order_cannot_orient_is_an_order_failure(capsys, tmp_path):
+    """Under right_comb the first rule reduces the second to a difference
+    the order cannot orient, so the second is never adjoined."""
+    path = tmp_path / "input.rules"
+    path.write_text(REDUCIBLE_INPUT)
+    argv = ["complete", "--rules", str(path), "--order", "right_comb", "--max-order", "6"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (4, "3\t1\n")
+    assert err == "order failure: cannot orient m m 1 a 2 a m 3 4 - m m 1 m 2 3 a a 4\n"
+
+
 INHOMOGENEOUS = "op m 2\nop a 1\nop e 0\na e -> m e a e\na a e -> e\n"
 
 
@@ -190,6 +223,21 @@ def test_outputs_are_byte_identical_to_pinned_digests(capsys, tmp_path):
     code, out, err = run(capsys, ["ambiguities", "--rules", HOMASS_O12])
     assert (code, err) == (0, "")
     assert sha256(out) == AMBIGUITIES_O12
+
+
+def test_order_12_rules_reversed_and_doubled_complete_to_the_pinned_digests(capsys, tmp_path):
+    """The order-12 system in reverse order and then again completes to the
+    order-15 census and rules of homass.rules: each input rule is reduced
+    by the ones before it, and a copy collapses."""
+    lines = Path(HOMASS_O12).read_text().splitlines(keepends=True)
+    path = tmp_path / "o12.rules"
+    path.write_text("".join(lines[::-1] + lines))
+    prefix = tmp_path / "P"
+    argv = ["complete", "--rules", str(path), "--max-order", "15", "--out", str(prefix)]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert sha256(out) == CENSUS_15
+    assert sha256((tmp_path / "P.rules").read_text()) == RULES_15
 
 
 # the same at order 16, pinned before completion found its superposition
@@ -490,6 +538,16 @@ MALFORMED = {
         ["envelope", "FILE", "--names", "x"],
     ),
     "algebra-deep-arrays": ("[" * 100_000 + "]" * 100_000, ["check-algebra", "FILE", "--identities", "skew"]),
+    # a symbol name the rules-file format could not read back
+    "envelope-name-plus": (None, ["envelope", QSL2, "--names", "+,f,h"]),
+    "envelope-name-star": (None, ["envelope", QSL2, "--names", "*,f,h"]),
+    "envelope-name-box": (None, ["envelope", QSL2, "--names", "[x],f,h"]),
+    "envelope-name-parenthesis": (None, ["envelope", QSL2, "--names", "(,f,h"]),
+    "op-name-minus": ("op m 2\nop - 0\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
+    "op-name-op": ("op m 2\nop op 0\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
+    "op-name-arrow": ("op m 2\nop x->y 0\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
+    "op-name-parenthesis": ("op m 2\nop x) 0\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
+    "op-name-comment": ("op m 2\nop #x 0\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
     "scalar-deep-parentheses": (
         None,
         ["normalize", "--rules", HOMASS, "--term", "(" * 1200 + "2" + ")" * 1200 + " * m 1 2"],

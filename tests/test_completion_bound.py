@@ -16,9 +16,11 @@ from homoperad.cli import load_rules_path
 from homoperad.completion import Ambiguity, complete, overlaps
 from homoperad.homalgebra import envelope_presentation, q_sl2
 from homoperad.orders import LEX_MA
-from homoperad.rewrite import RewritingSystem, find_redexes, is_irreducible, parse_rules
+from homoperad.rewrite import (
+    RewritingSystem, Rule, find_redexes, format_rules, is_irreducible, parse_rules
+)
 from homoperad.scalars import RatFunc
-from homoperad.terms import Context, Signature, subterm_ends
+from homoperad.terms import HOM_SIGNATURE, Context, Signature, subterm_ends
 
 ROOT = Path(__file__).resolve().parents[1]
 RULE_FILES = {
@@ -108,6 +110,20 @@ def homass():
 def envelope():
     p = envelope_presentation(q_sl2(RatFunc.q()), ["e", "f", "h"])
     return RewritingSystem(p.signature, p.order, p.rules)
+
+
+def from_text(text):
+    return RewritingSystem(HOM_SIGNATURE, LEX_MA, parse_rules(text, HOM_SIGNATURE, LEX_MA))
+
+
+def duplicate_input():
+    """The hom-associativity rule, given twice."""
+    return from_text("m a 1 m 2 3 -> m m 1 2 a 3\nm a 1 m 2 3 -> m m 1 2 a 3")
+
+
+def reducible_input():
+    """The hom-associativity rule, then a rule whose lhs holds its pattern."""
+    return from_text("m a 1 m 2 3 -> m m 1 2 a 3\nm a 1 m a 2 m 3 4 -> m m 1 m 2 3 a a 4")
 
 
 def subterm_order(word, sig, p):
@@ -208,8 +224,13 @@ def test_complete_equals_the_reference_search(monkeypatch, make, max_order, homo
 
 @pytest.mark.parametrize(
     "make, max_order, homogeneous",
-    [(homass, 13, True), (envelope, 6, False)],
-    ids=["homass-13", "envelope-6"],
+    [
+        (homass, 13, True),
+        (envelope, 6, False),
+        (duplicate_input, 6, True),
+        (reducible_input, 6, True),
+    ],
+    ids=["homass-13", "envelope-6", "duplicate-input-6", "reducible-input-6"],
 )
 def test_completed_system_is_inter_reduced(make, max_order, homogeneous):
     """Every lhs is irreducible modulo the other rules and every rhs modulo
@@ -221,6 +242,42 @@ def test_completed_system_is_inter_reduced(make, max_order, homogeneous):
                                  [s for s in rules if s.id != r.id])
         assert not find_redexes(r.lhs, others), r.id
         assert is_irreducible(r.rhs, state.system), r.id
+
+
+def completed_text(system, max_order):
+    """The completed rules as ``complete --out`` writes them."""
+    rules = complete(system, max_order).system
+    return format_rules(sorted(rules, key=lambda r: (r.order, str(r.lhs))), system.sig)
+
+
+@st.composite
+def shuffled_order_12_rules(draw):
+    """The order-12 homass rules with up to five of them given twice, in
+    any order."""
+    lines = RULE_FILES["homass-o12"][0].read_text().splitlines()
+    copies = draw(st.lists(st.sampled_from(lines), max_size=5))
+    return "\n".join(draw(st.permutations(lines + copies)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(shuffled_order_12_rules())
+def test_shuffled_and_repeated_input_completes_as_homass(text):
+    """Each input rule is adjoined as a derived one is, so neither the
+    order of the input rules nor a repeated one changes what completes."""
+    assert completed_text(from_text(text), 12) == completed_text(homass(), 12)
+
+
+def test_complete_mints_every_rule_id():
+    """An input rule keeps no id of its own: one named ``r2``, the first id
+    minted for a derived rule, no longer clashes, and an envelope's named
+    rules are numbered too."""
+    (rule,) = homass().rules
+    named_r2 = RewritingSystem(HOM_SIGNATURE, LEX_MA, [Rule("r2", rule.lhs, rule.rhs)])
+    state = complete(named_r2, 9)
+    assert state.status == "complete"
+    assert rule_list(state) == rule_list(complete(homass(), 9))
+    state = complete(envelope(), 3, require_homogeneous=False)
+    assert [r.id for r in state.system] == [f"r{k}" for k in range(1, 8)]
 
 
 def test_inter_reduction_renormalizes_an_rhs_of_equal_order():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homoperad.homalgebra import (
     FiniteHomAlgebra,
@@ -22,7 +23,9 @@ from homoperad.homalgebra import (
     weak_morphism_violations,
     yau_twist,
 )
+from homoperad.rewrite import read_rules
 from homoperad.scalars import RatFunc
+from homoperad.terms import Signature, TermError
 
 q = RatFunc.q()
 
@@ -181,6 +184,33 @@ def test_envelope_presentation_text():
         "m h f -> (-2*q) * f + m f h\n"
         "m a 1 m 2 3 -> m m 1 2 a 3\n"
     )
+
+
+def accepted(name):
+    try:
+        Signature(((name, 0),))
+    except TermError:
+        return False
+    return True
+
+
+# names of the characters of the rules-file format, and of any other
+NAMES = st.text(
+    st.sampled_from("+-*/^[]#>opq,.") | st.characters(exclude_categories=["Cs"]),
+    min_size=1,
+    max_size=4,
+).filter(lambda name: accepted(name) and name not in ("m", "a"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(NAMES, min_size=3, max_size=3, unique=True))
+def test_envelope_rules_read_back_under_every_accepted_name(names):
+    """A name ``Signature`` accepts survives ``format_rules`` and
+    ``read_rules``: the same signature and the same rules come back."""
+    p = envelope_presentation(q_sl2(q), names)
+    sig, rules = read_rules(p.to_text(), p.order)
+    assert sig == p.signature
+    assert [(r.lhs, r.rhs) for r in rules] == [(r.lhs, r.rhs) for r in p.rules]
 
 
 def test_envelope_presentation_rejects_plain_tables():
