@@ -164,12 +164,15 @@ class _SubtermIndex:
     rule that holds the subterm to the fewest lhs vertices outside it, or to
     infinity when only an rhs monomial holds it.  A whole lhs is left out:
     the system's own lhs trie holds it.  ``complete`` adds and removes each
-    rule here as it does in the system."""
+    rule here as it does in the system.  ``largest`` is the most vertices
+    of any lhs or rhs monomial ever added; removal leaves it, since it only
+    bounds the walks."""
 
     def __init__(self, system: RewritingSystem):
         self.system = system
         self.arity = dict(system.sig.symbols)
         self.trie = {}
+        self.largest = 0
         for rule in system:
             self.add(rule)
 
@@ -185,6 +188,7 @@ class _SubtermIndex:
                     yield trie_leaf(self.trie, word[p : ends[p]]), outside
 
     def add(self, rule: Rule):
+        self.largest = max(self.largest, rule.order, *(m.order for m in rule.rhs.support()))
         for leaf, outside in self._leaves(rule):
             leaf[rule.id] = min(outside, leaf.get(rule.id, outside))
 
@@ -213,12 +217,16 @@ class _SubtermIndex:
 
     def instances(self, lhs: Context) -> dict:
         """Maps the id of each rule that holds an instance of ``lhs`` to
-        whether its lhs holds one; otherwise an rhs monomial does."""
+        whether its lhs holds one; otherwise an rhs monomial does.  An
+        instance inside a monomial of n vertices binds at most n -
+        ``lhs.order`` vertices to the boxes of ``lhs``, so the walks are cut
+        at ``largest - lhs.order``."""
         word, ends, arity = lhs.word, lhs.ends, self.arity
+        room = self.largest - lhs.order
         out = {}
-        for leaf, _ in _walk(self.system._trie, word, ends, 0, math.inf, arity, both=False):
+        for leaf, _ in _walk(self.system._trie, word, ends, 0, room, arity, both=False):
             out.update((r.id, True) for r in leaf[_RULES])
-        for leaf, _ in _walk(self.trie, word, ends, 0, math.inf, arity, both=False):
+        for leaf, _ in _walk(self.trie, word, ends, 0, room, arity, both=False):
             for rid, outside in leaf.items():
                 out[rid] = out.get(rid, False) or outside < math.inf
         return out
@@ -230,11 +238,15 @@ class Failure:
     reason: str
 
 
-def resolve(amb: Ambiguity, sys: RewritingSystem) -> LinComb:
+def resolve(amb: Ambiguity, sys: RewritingSystem, memo=None) -> LinComb:
     """Reduce the site along both redexes and return the difference of the
-    two normal forms, which is zero when the ambiguity resolves."""
-    left = normal_form(apply_redex(amb.site, Redex(sys[amb.rule1], 0)), sys)
-    right = normal_form(apply_redex(amb.site, Redex(sys[amb.rule2], amb.pos2)), sys)
+    two normal forms, which is zero when the ambiguity resolves.  Both
+    sides share one redex memo: ``memo`` as ``normal_form`` takes it, or a
+    fresh one."""
+    if memo is None:
+        memo = {}
+    left = normal_form(apply_redex(amb.site, Redex(sys[amb.rule1], 0)), sys, memo=memo)
+    right = normal_form(apply_redex(amb.site, Redex(sys[amb.rule2], amb.pos2)), sys, memo=memo)
     return left - right
 
 
@@ -278,20 +290,35 @@ def complete(
     order cannot orient is an ``order_failure``.  Ambiguities are taken in
     increasing (site order, site word, rule pair) priority; a subterm index
     finds each new rule's partners and the rules it reduces.  With
-    ``require_homogeneous`` an inhomogeneous input rule is a TermError first."""
+    ``require_homogeneous`` an inhomogeneous input rule is a TermError first.
+
+    Every normal form reads one redex memo, which maps each monomial
+    searched to its first redexes and is cleared whenever a rule is added
+    or removed: the two sides of an ambiguity, and the ambiguities resolved
+    between two rule changes, search each monomial once.  It lives for this
+    call only."""
     sig, order = initial.sig, initial.order
     if require_homogeneous:
         refuse_inhomogeneous(initial)
     system = RewritingSystem(sig, order, [])
     index = _SubtermIndex(system)
+    memo = {}
+    rank, tick = {}, itertools.count()  # rank[id]: when the rule was last put
 
     def put(rule: Rule):
         system.add(rule)
         index.add(rule)
+        memo.clear()
+        rank[rule.id] = next(tick)
+
+    def in_system_order(ids) -> list[Rule]:
+        """The rules of ``ids`` still in the system, in its order."""
+        return [system[rid] for rid in sorted((rid for rid in ids if rid in system), key=rank.get)]
 
     def drop(rule: Rule):
         system.remove(rule.id)
         index.remove(rule)
+        memo.clear()
 
     counter = 0
     heap = []
@@ -317,7 +344,7 @@ def complete(
         added = []
         work = [diff]
         while work:
-            d = normal_form(work.pop(), system)
+            d = normal_form(work.pop(), system, memo=memo)
             if not d:
                 continue
             counter += 1
@@ -327,20 +354,18 @@ def complete(
             if not inter_reduce:
                 continue
             hits = index.instances(new.lhs)
-            for old in system.rules[:-1]:  # all but new, added last
-                in_lhs = hits.get(old.id)
-                if in_lhs:
+            del hits[new.id]  # new.lhs is an instance of itself
+            for old in in_system_order(hits):
+                if hits[old.id]:
                     drop(old)
                     work.append(LinComb.monomial(old.lhs) - old.rhs)
-                elif in_lhs is not None:  # an rhs monomial holds new.lhs
-                    rhs = normal_form(old.rhs, system)
+                else:  # an rhs monomial holds new.lhs
+                    rhs = normal_form(old.rhs, system, memo=memo)
                     drop(old)
                     put(make_rule(old.id, old.lhs, rhs, order))
         for new in added:
-            partners = index.partners(new, max_order - new.order)
-            for other in system:
-                if other.id in partners:
-                    push_overlaps(new, other)
+            for other in in_system_order(index.partners(new, max_order - new.order)):
+                push_overlaps(new, other)
         return added
 
     for rule in initial:
@@ -348,7 +373,7 @@ def complete(
         try:
             adjoin(diff)
         except IncomparableLeading as e:
-            diff = normal_form(diff, system)
+            diff = normal_form(diff, system, memo=memo)
             return CompletionState(system, "order_failure", log, Failure(diff, str(e)))
 
     while heap:
@@ -357,7 +382,7 @@ def complete(
         (key, _, amb) = heapq.heappop(heap)
         if amb.rule1 not in system or amb.rule2 not in system:
             continue
-        diff = resolve(amb, system)
+        diff = resolve(amb, system, memo)
         if not diff:
             log.append((amb, "resolved"))
             continue

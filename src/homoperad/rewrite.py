@@ -135,11 +135,15 @@ class Redex:
     position: int
 
 
-def find_redexes(t: Context, sys: RewritingSystem) -> list[Redex]:
-    """All rule matches in t, ordered by Polish position then rule id.
+def find_redexes(t: Context, sys: RewritingSystem, first=False) -> list[Redex]:
+    """All rule matches in t, ordered by Polish position then rule id; with
+    ``first``, only those at the least position that has one, so the head
+    of the list is the same and the search stops there.
 
     The trie is walked from every symbol of t; a symbol edge consumes one
-    token, a wildcard edge a whole subterm, found in t's end table."""
+    token, a wildcard edge a whole subterm, found in t's end table.  The
+    walk follows one path until it ends, leaving the wildcard edge of a node
+    that has both for later."""
     word, ends = t.word, t.ends
     root = sys._trie
     out = []
@@ -147,20 +151,27 @@ def find_redexes(t: Context, sys: RewritingSystem) -> list[Redex]:
         node = root.get(tok)  # None at a box: no trie key is >= 1
         if node is None:
             continue
-        stack = [(node, pos + 1)]
-        while stack:
-            node, j = stack.pop()
+        j, forks = pos + 1, []
+        while True:
             rules = node.get(_RULES)
             if rules is not None:
                 # a complete term is no prefix of another, so this is a leaf
                 out.extend(Redex(r, pos) for r in rules)
-                continue
-            child = node.get(word[j])
-            if child is not None:
-                stack.append((child, j + 1))
-            child = node.get(_WILD)
-            if child is not None:
-                stack.append((child, ends[j]))
+            else:
+                child, wild = node.get(word[j]), node.get(_WILD)
+                if child is not None:
+                    if wild is not None:
+                        forks.append((wild, ends[j]))
+                    node, j = child, j + 1
+                    continue
+                if wild is not None:
+                    node, j = wild, ends[j]
+                    continue
+            if not forks:
+                break
+            node, j = forks.pop()
+        if first and out:
+            break
     out.sort(key=lambda rd: (rd.position, rd.rule.id))
     return out
 
@@ -190,7 +201,7 @@ def apply_redex(t: Context, redex: Redex) -> LinComb:
                 mid.extend(bindings[tok - 1])
             else:
                 mid.append(tok)
-        out.add_term(Context(head + tuple(mid) + tail, t.sig, _checked=True), coeff)
+        out.add_term(Context(head + tuple(mid) + tail, t.sig, _checked=True, _arity=t.arity), coeff)
     return out
 
 
@@ -220,7 +231,7 @@ def _pick_greatest(monos, order):
     return min(maximal(monos, order), key=lambda m: word_key(m.word))
 
 
-def normal_form(x: LinComb, sys: RewritingSystem, rng=None) -> LinComb:
+def normal_form(x: LinComb, sys: RewritingSystem, rng=None, memo=None) -> LinComb:
     """Iterate reduction to a fixed point.  Each step rewrites the
     order-greatest reducible monomial at its first redex; with ``rng``
     supplied, the monomial and redex are instead uniform over every redex
@@ -233,15 +244,23 @@ def normal_form(x: LinComb, sys: RewritingSystem, rng=None) -> LinComb:
     maximum of the order's key when it has one; otherwise it is the
     ``_pick_greatest`` antichain's pick.
 
-    Monomials are immutable and ``sys`` must not change during the call,
-    so each distinct monomial is searched for redexes once, when it first
-    enters the sum, and keyed at most once."""
-    memo, ranks = {}, {}
+    Monomials are immutable and ``sys`` must not change while ``memo``
+    lives, so each distinct monomial is searched for redexes once, when it
+    first enters the sum, and keyed at most once.  Without ``rng`` only the
+    first redex is read, so the search stops at the first position with a
+    match.  ``memo`` maps each monomial searched to that result; a caller
+    that passes one shares it between calls without ``rng`` against one
+    state of ``sys``, and must clear it when ``sys`` changes.  Without it,
+    the memo lives for this call."""
+    first = rng is None
+    if memo is None:
+        memo = {}
+    ranks = {}
 
     def redexes(mono):
         reds = memo.get(mono)
         if reds is None:
-            reds = memo[mono] = find_redexes(mono, sys)
+            reds = memo[mono] = find_redexes(mono, sys, first=first)
         return reds
 
     def rank(mono):
@@ -314,7 +333,9 @@ def _split_summands(tokens):
 
 def parse_lincomb(text: str, sig: Signature) -> LinComb:
     """Parse `[c *] <polish> { (+|-) [c *] <polish> }`, adding each summand
-    into one sum in place."""
+    into one sum in place.  In a summand without `*`, a `-` glued to its
+    first token is its sign, as ``LinComb.__str__`` writes a leading -1
+    (`-m 1 2`); no symbol name starts with `-`."""
     tokens = text.split()
     if not tokens:
         raise TermError("empty linear combination")
@@ -325,6 +346,9 @@ def parse_lincomb(text: str, sig: Signature) -> LinComb:
             cut = toks.index("*")
             coeff = coeff * parse_scalar(" ".join(toks[:cut]))
             toks = toks[cut + 1 :]
+        elif toks[0].startswith("-") and toks[0] != "-":
+            coeff = -coeff
+            toks = [toks[0][1:], *toks[1:]]
         ctx = parse(" ".join(toks), sig)
         if result is None:
             result = LinComb.monomial(ctx, coeff)

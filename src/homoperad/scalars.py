@@ -348,9 +348,9 @@ class _Parser:
             elif ch in "+-*/^()q":
                 toks.append(ch)
                 i += 1
-            elif ch.isdigit():
+            elif "0" <= ch <= "9":
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and "0" <= text[j] <= "9":
                     j += 1
                 toks.append(int(text[i:j]))
                 i = j

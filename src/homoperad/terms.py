@@ -21,8 +21,9 @@ class TermError(ValueError):
 class Signature:
     """Operation symbols with arities.  Constants (arity 0) are allowed.  A
     name is refused if the rules-file format could not read it back: one
-    with whitespace or a digit, a sum's `+`, `-` or `*`, `op`, one holding
-    `->` or a parenthesis, or one starting as a box token or a comment."""
+    with whitespace or a digit, a sum's `+` or `*`, `op`, one holding `->`
+    or a parenthesis, or one starting as a box token, a comment or a `-`,
+    which a sum reads as the sign of its summand."""
 
     symbols: tuple[tuple[str, int], ...]
 
@@ -31,8 +32,8 @@ class Signature:
         for name, arity in self.symbols:
             if (
                 not name
-                or name in ("+", "-", "*", "op")
-                or name.startswith(("[", "#"))
+                or name in ("+", "*", "op")
+                or name.startswith(("[", "#", "-"))
                 or any(bad in name for bad in ("->", "(", ")"))
                 or any(ch.isspace() or ch.isdigit() for ch in name)
             ):
@@ -62,7 +63,7 @@ class Signature:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            if len(parts) != 3 or parts[0] != "op" or not parts[2].isdecimal():
+            if len(parts) != 3 or parts[0] != "op" or not _is_ascii_decimal(parts[2]):
                 raise TermError(f"line {lineno}: expected `op <name> <arity>`")
             syms.append((parts[1], int(parts[2])))
         return Signature(tuple(syms))
@@ -83,12 +84,16 @@ class Context:
 
     __slots__ = ("word", "sig", "arity", "_hash", "_ends", "_sizes")
 
-    def __init__(self, word: tuple[Token, ...], sig: Signature, _checked=False):
+    def __init__(self, word: tuple[Token, ...], sig: Signature, _checked=False, _arity=None):
+        """``_checked`` trusts ``word`` to be a context, unvalidated; its box
+        count is then ``_arity`` when the caller knows it."""
         self.word = word
         self.sig = sig
         self._ends = self._sizes = None
         if _checked:
-            self.arity = sum(1 for t in word if isinstance(t, int))
+            if _arity is None:
+                _arity = sum(1 for t in word if isinstance(t, int))
+            self.arity = _arity
         else:
             boxes = [t for t in word if isinstance(t, int)]
             n = len(boxes)
@@ -150,10 +155,11 @@ def subterm_ends(word: tuple[Token, ...], sig: Signature) -> list[int]:
     """``ends[i]`` is one past the subterm rooted at ``word[i]``, for every
     position of a sequence of complete terms, in one right-to-left pass."""
     ends = [0] * len(word)
+    arity = sig._arity  # the word is a complete term, so every symbol is known
     stack = []  # ends of the complete subterms to the right, nearest last
     for i in range(len(word) - 1, -1, -1):
         t = word[i]
-        n = 0 if isinstance(t, int) else sig.arity(t)
+        n = 0 if isinstance(t, int) else arity[t]
         if n:
             end = stack[-n]
             del stack[-n:]
@@ -164,22 +170,28 @@ def subterm_ends(word: tuple[Token, ...], sig: Signature) -> list[int]:
     return ends
 
 
+def _is_ascii_decimal(text: str) -> bool:
+    """Whether ``text`` is ASCII digits only: ``str.isdecimal`` also takes
+    other scripts' digits, which the formats do not write."""
+    return text.isascii() and text.isdecimal()
+
+
 def word_key(word: tuple[Token, ...]) -> tuple:
     """Polish-lex sort key: boxes (by index) before symbols (by name)."""
     return tuple((0, t, "") if isinstance(t, int) else (1, 0, t) for t in word)
 
 
 def parse(text: str, sig: Signature) -> Context:
-    """Parse whitespace-separated Polish tokens; digits 1-9 are boxes and
-    bracketed decimals like [12] are boxes with larger indices."""
+    """Parse whitespace-separated Polish tokens; ASCII digits 1-9 are boxes
+    and bracketed ASCII decimals like [12] are boxes with larger indices."""
     word = []
     for tok in text.split():
-        if len(tok) == 1 and tok.isdigit():
+        if len(tok) == 1 and _is_ascii_decimal(tok):
             if tok == "0":
                 raise TermError("box indices start at 1")
             word.append(int(tok))
         elif tok.startswith("[") and tok.endswith("]"):
-            if not tok[1:-1].isdecimal():
+            if not _is_ascii_decimal(tok[1:-1]):
                 raise TermError(f"bad box token {tok!r}")
             idx = int(tok[1:-1])
             if idx < 1:

@@ -548,6 +548,12 @@ MALFORMED = {
     "op-name-arrow": ("op m 2\nop x->y 0\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
     "op-name-parenthesis": ("op m 2\nop x) 0\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
     "op-name-comment": ("op m 2\nop #x 0\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
+    "op-name-leading-minus": ("op m 2\nop -x 0\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
+    # boxes, scalar digits and arities are ASCII decimals only
+    "term-superscript-box": (None, ["normalize", "--rules", HOMASS, "--term", "m \u00b2 1"]),
+    "scalar-superscript-digit": (None, ["normalize", "--rules", HOMASS, "--term", "\u00b2 * m 1 2"]),
+    "term-fullwidth-box": (None, ["normalize", "--rules", HOMASS, "--term", "m 1 [\uff12]"]),
+    "op-arity-fullwidth": ("op m \uff12\nm 1 2 -> m 2 1\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
     "scalar-deep-parentheses": (
         None,
         ["normalize", "--rules", HOMASS, "--term", "(" * 1200 + "2" + ")" * 1200 + " * m 1 2"],
@@ -724,6 +730,27 @@ def test_envelope_zero_rule_reads_back(capsys, tmp_path):
     assert (tmp_path / "done.rules").read_text().startswith("op m 2\nop a 1\nop x 0\n")
     code, out, err = run(capsys, ["normalize", "--rules", prefix + ".rules", "--term", "a x"])
     assert (code, out, err) == (0, "0\n", "")
+
+
+def test_envelope_leading_minus_rule_reads_back(capsys, tmp_path):
+    table = tmp_path / "minus.json"
+    table.write_text('{"dim": 1, "mult": [[["0"]]], "alpha": [["-1"]], "bracket": true}')
+    code, out, _ = run(capsys, ["envelope", str(table), "--names", "x"])
+    assert code == 0
+    assert "a x -> -x" in out.splitlines()
+    rules = tmp_path / "minus.rules"
+    rules.write_text(out)
+    code, out, err = run(capsys, ["normalize", "--rules", str(rules), "--term", "m a x 1"])
+    assert (code, out, err) == (0, "-m x 1\n", "")
+
+
+def test_normal_form_with_leading_minus_reads_back(capsys):
+    code, out, _ = run(capsys, ["normalize", "--rules", HOMASS, "--term", "- m 1 2"])
+    assert (code, out) == (0, "-m 1 2\n")
+    code, again, err = run(capsys, ["normalize", "--rules", HOMASS, "--term", out.strip()])
+    assert (code, again, err) == (0, out, "")
+    code, out, _ = run(capsys, ["normalize", "--rules", HOMASS, "--term", "-m a 1 m 2 3 + -2 * a m 1 m 2 3"])
+    assert (code, out) == (0, "-2 * a m 1 m 2 3 - m m 1 2 a 3\n")
 
 
 def test_help_and_unknown_flag(capsys):

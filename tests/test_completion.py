@@ -1,3 +1,4 @@
+from homoperad import rewrite
 from homoperad.completion import complete, overlaps
 from homoperad.orders import LEX_MA, RIGHT_COMB
 from homoperad.rewrite import RewritingSystem, find_redexes, is_irreducible, parse_rules
@@ -5,6 +6,7 @@ from homoperad.terms import (
     ASS_SIGNATURE,
     HOM_SIGNATURE,
     enumerate_plane,
+    parse,
     print_term,
 )
 
@@ -164,3 +166,51 @@ def test_order_failure_under_right_comb():
     assert (str(amb.site), amb.rule1, amb.rule2, outcome) == (
         "m a 1 m a 2 m 3 4", "r1", "r1", "order_failure"
     )
+
+
+def record_searches(monkeypatch):
+    """A list that gets (system state, monomial, redexes found) for each redex
+    search; the state counts the rules added and removed before it."""
+    searches, state = [], [0]
+    search, add, remove = rewrite.find_redexes, RewritingSystem.add, RewritingSystem.remove
+
+    def counting_search(t, sys_, **kwargs):
+        reds = search(t, sys_, **kwargs)
+        searches.append((state[0], t, reds))
+        return reds
+
+    def counting_add(self, rule):
+        state[0] += 1
+        add(self, rule)
+
+    def counting_remove(self, rule_id):
+        state[0] += 1
+        remove(self, rule_id)
+
+    monkeypatch.setattr(rewrite, "find_redexes", counting_search)
+    monkeypatch.setattr(RewritingSystem, "add", counting_add)
+    monkeypatch.setattr(RewritingSystem, "remove", counting_remove)
+    return searches
+
+
+def test_completion_searches_each_monomial_once_per_system_state(monkeypatch):
+    searches = record_searches(monkeypatch)
+    complete(homass_rules(), max_order=10)
+    seen = [(state, t) for state, t, _ in searches]
+    assert len(seen) == len(set(seen))
+
+
+def test_a_rule_added_after_a_search_rewrites_the_monomial_searched(monkeypatch):
+    """The first input rule's lhs is irreducible against the empty system;
+    once that rule is in, the second input rule, with the same lhs,
+    normalizes through it to ``-m m 1 2 a 3``: the redex memo was cleared
+    when the rule was added."""
+    lhs = parse("m a 1 m 2 3", HOM_SIGNATURE)
+    rules = parse_rules(HOMASS_RULE + "\nm a 1 m 2 3 -> 2 * m m 1 2 a 3", HOM_SIGNATURE, LEX_MA)
+    searches = record_searches(monkeypatch)
+    state = complete(RewritingSystem(HOM_SIGNATURE, LEX_MA, rules), max_order=4)
+    assert [bool(reds) for _, t, reds in searches if t == lhs][:2] == [False, True]
+    assert state.status == "complete"
+    assert [(r.id, str(r)) for r in state.system] == [
+        ("r2", "m m 1 2 a 3 -> 0"), ("r1", "m a 1 m 2 3 -> 0")
+    ]

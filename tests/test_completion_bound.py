@@ -375,6 +375,23 @@ def test_index_is_exact_on_other_signatures(name, max_order):
     assert_index_is_exact(system, max_order)
 
 
+def test_instances_use_all_the_room_the_largest_monomial_leaves():
+    """``m a 1 2`` occurs in ``m a 1 m 2 3`` only at its root, where its
+    second box binds the one vertex of ``m 2 3``: all the room that the
+    largest monomial held, of three vertices, leaves the two-vertex
+    pattern.  A removed rule does not lower that room."""
+    sig = HOM_SIGNATURE
+    old, new = parse_rules("m a 1 m 2 3 -> m m 1 2 a 3\nm a 1 2 -> 0", sig, LEX_MA)
+    system = RewritingSystem(sig, LEX_MA, [old, new])
+    index = completion._SubtermIndex(system)
+    assert index.largest == 3
+    assert index.instances(new.lhs) == {old.id: True, new.id: True}
+    system.remove(old.id)
+    index.remove(old)
+    assert index.largest == 3
+    assert index.instances(new.lhs) == {new.id: True}
+
+
 def index_entries(trie, arity):
     """(path, rule id, outside) of every leaf entry of a subterm trie."""
     out = set()

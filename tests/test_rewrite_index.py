@@ -231,28 +231,44 @@ def monomials(name, max_ops):
 # --- find_redexes -------------------------------------------------------------
 
 
+def check_search(t, sys_):
+    """The trie search equals the by-root scan; with ``first`` it returns
+    the head run of that list, the redexes at its least position."""
+    full = find_redexes(t, sys_)
+    assert full == ref_find_redexes(t, sys_)
+    first = [red for red in full if red.position == full[0].position]
+    assert find_redexes(t, sys_, first=True) == first
+
+
 @settings(max_examples=150, deadline=None)
 @given(monomials("homass12", 16))
 def test_trie_equals_scan_homass12(t):
-    assert find_redexes(t, homass12()) == ref_find_redexes(t, homass12())
+    check_search(t, homass12())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 29), monomials("homass12", 16))
+def test_trie_equals_scan_on_homass12_prefixes(n, t):
+    full = homass12()
+    check_search(t, RewritingSystem(full.sig, full.order, full.rules[:n]))
 
 
 @settings(max_examples=100, deadline=None)
 @given(monomials("assoc", 8))
 def test_trie_equals_scan_assoc(t):
-    assert find_redexes(t, assoc()) == ref_find_redexes(t, assoc())
+    check_search(t, assoc())
 
 
 @settings(max_examples=100, deadline=None)
 @given(monomials("leibniz", 8))
 def test_trie_equals_scan_leibniz(t):
-    assert find_redexes(t, leibniz()) == ref_find_redexes(t, leibniz())
+    check_search(t, leibniz())
 
 
 @settings(max_examples=150, deadline=None)
 @given(monomials("envelope", 10))
 def test_trie_equals_scan_envelope(t):
-    assert find_redexes(t, envelope()) == ref_find_redexes(t, envelope())
+    check_search(t, envelope())
 
 
 def test_trie_equals_scan_on_every_small_plane_monomial():
@@ -512,9 +528,9 @@ def test_normal_form_searches_each_distinct_monomial_once(monkeypatch):
     searched = []
     original = rewrite.find_redexes
 
-    def counting(t, sys_):
+    def counting(t, sys_, **kwargs):
         searched.append(t)
-        return original(t, sys_)
+        return original(t, sys_, **kwargs)
 
     monkeypatch.setattr(rewrite, "find_redexes", counting)
     for strategy in (None, random.Random(3)):
