@@ -12,11 +12,15 @@ the live subsets, those without 0, and sends every reducible monomial to
 one sink, SINK.
 
 The subset construction runs on int bitsets, one bit per grammar state,
-and numbers the live subsets 0..n-1; the transition tables are a list
-and n rows of n entries, indexed by those numbers.  ``minimize`` then
-merges the states into the classes of the coarsest partition that the
-transitions respect (Moore refinement), numbered the same way, which is
-all the Hilbert count needs.
+and numbers the live subsets 0..n-1.  The state of m(s, t) depends on s
+only through the m-productions with their left child in s, and on t only
+through those with their right child in t, so each state has a left class
+and a right class, and m is a table with one row per left class and one
+column per right class (Chase's compression): far fewer entries than the
+n x n pairs of states.  ``minimize`` then merges the states into the
+classes of the coarsest partition that the transitions respect (Moore
+refinement), numbered the same way and in the same form, which is all
+the Hilbert count needs.
 """
 
 from __future__ import annotations
@@ -80,16 +84,25 @@ def grammar_from_rules(rules) -> TreeGrammar:
 
 @dataclass(frozen=True)
 class BottomUpAutomaton:
-    """A DFA on the live states, numbered 0..n-1 with the leaf's state 0:
-    ``f_a[c]`` is the state of a(c) and ``f_m[c][d]`` that of m(c, d), or
-    SINK when the monomial is reducible."""
+    """A DFA on the live states, numbered 0..n-1 with the leaf's state 0.
+    ``f_a[c]`` is the state of a(c), or SINK when it is reducible.  The
+    state of m(c, d) depends on c only through its left class ``left[c]``
+    and on d only through its right class ``right[d]``: it is
+    ``table[left[c]][right[d]]``, one row per left class and one column
+    per right class (Chase's compression of the pair table)."""
 
     f_a: list  # state -> state
-    f_m: list  # n rows of n states
+    left: list  # state -> row of table
+    right: list  # state -> column of table
+    table: list  # left class -> right class -> state
 
     @property
     def states(self) -> range:
         return range(len(self.f_a))
+
+    def f_m(self, c: int, d: int) -> int:
+        """The state of m(c, d), SINK when it is reducible."""
+        return self.table[self.left[c]][self.right[d]]
 
     def run(self, word):
         """Evaluate a plane monomial bottom-up; returns the final state,
@@ -103,7 +116,7 @@ class BottomUpAutomaton:
                 stack.append(SINK if c == SINK else self.f_a[c])
             elif tok == "m":
                 c, d = stack.pop(), stack.pop()
-                stack.append(SINK if SINK in (c, d) else self.f_m[c][d])
+                stack.append(SINK if SINK in (c, d) else self.f_m(c, d))
             else:
                 raise TermError(f"unsupported symbol {tok!r}")
         (final,) = stack
@@ -115,23 +128,24 @@ class BottomUpAutomaton:
 
 def determinize(g: TreeGrammar) -> BottomUpAutomaton:
     """Reachable-subset construction over a worklist: the live subsets are
-    numbered in the order they are reached, the leaf's first, and on
-    reaching state k the transitions f_a[k], f_m[k][j] and f_m[j][k] for
-    every j up to k are computed, once each.  A subset holding grammar
-    state 0 is SINK; it is never numbered or paired.
+    numbered in the order they are reached, the leaf's first.  A subset
+    holding grammar state 0 is SINK; it is never numbered or paired.
 
     A subset is an int with bit b set for grammar state b, so the sink test
     is bit 0.  Each m-production has a bit of its own: every grammar state
     b > 0 has at most one, which takes bit b, and each of state 0's takes a
     bit past the grammar states, so a mask p of fired productions holds
     the grammar states ``p & own``, and state 0 when ``p > own``.  A state
-    keeps the mask of the productions with their left child in its subset
-    and the mask of those with their right child in it; the productions
-    that fire in m(c, d) are the AND of the first mask of c and the second
-    of d."""
+    has a left mask, of the productions with their left child in its
+    subset, and a right mask, of those with their right child in it; the
+    productions that fire in m(c, d) are the AND of the left mask of c and
+    the right mask of d.  Each distinct left mask is a row of the table and
+    each distinct right mask a column, numbered as they first appear; a
+    new row is filled against the columns known so far, and a new column
+    against the rows, so every entry is computed once."""
     n = len(g.states)
     a_image = [0] * n  # c -> mask of b with b -> a(c)
-    left, right = [0] * n, [0] * n  # c -> mask of the m-productions with child c
+    l_image, r_image = [0] * n, [0] * n  # c -> mask of the m-productions with child c
     leaf, extra = 0, n
     for b, ps in g.productions.items():
         for p in ps:
@@ -144,17 +158,20 @@ def determinize(g: TreeGrammar) -> BottomUpAutomaton:
                     bit = 1 << b
                 else:
                     bit, extra = 1 << extra, extra + 1
-                left[p[1]] |= bit
-                right[p[2]] |= bit
+                l_image[p[1]] |= bit
+                r_image[p[2]] |= bit
     own = (1 << n) - 1
 
     subsets, number = [leaf], {leaf: 0}  # the worklist; subset -> state
-    f_a, f_m, lefts, rights = [], [], [], []
+    f_a, left, right, table = [], [], [], []
+    row_of, col_of = {}, {}  # left mask -> row, right mask -> column
+    lmasks, rmasks = [], []  # by row, by column
 
     def state(u):
         """The number of the subset u, appended to the worklist when new;
-        SINK when u holds grammar state 0."""
-        if u & 1:
+        SINK when u holds grammar state 0, which is bit 0 of a subset and,
+        in a mask of fired m-productions, any bit past ``own``."""
+        if u & 1 or u > own:
             return SINK
         k = number.get(u)
         if k is None:
@@ -162,26 +179,38 @@ def determinize(g: TreeGrammar) -> BottomUpAutomaton:
             subsets.append(u)
         return k
 
-    def fire(p):
-        """The set of grammar states of a mask of fired m-productions."""
-        return p & own | (p > own)
+    def fill(p, masks):
+        """The states of m between a side of mask p and each of ``masks``
+        on the other: a mask of fired productions that holds no bit past
+        ``own`` is the subset, so a known one costs one lookup."""
+        out = list(map(number.get, [p & q for q in masks]))
+        for k, s in enumerate(out):
+            if s is None:
+                out[k] = state(p & masks[k])
+        return out
 
-    for k, s in enumerate(subsets):
+    for s in subsets:
         a = l = r = 0
-        while s:
-            c = (s & -s).bit_length() - 1
-            a, l, r = a | a_image[c], l | left[c], r | right[c]
-            s &= s - 1
-        lefts.append(l)
-        rights.append(r)
+        bits = bin(s)[:1:-1]  # bits[c] is "1" when grammar state c is in s
+        c = bits.find("1")
+        while c >= 0:
+            a, l, r = a | a_image[c], l | l_image[c], r | r_image[c]
+            c = bits.find("1", c + 1)
         f_a.append(state(a))
-        row = []
-        for j in range(k):
-            row.append(state(fire(l & rights[j])))
-            f_m[j].append(state(fire(lefts[j] & r)))
-        row.append(state(fire(l & r)))
-        f_m.append(row)
-    return BottomUpAutomaton(f_a, f_m)
+        i = row_of.get(l)
+        if i is None:
+            i = row_of[l] = len(lmasks)
+            lmasks.append(l)
+            table.append(fill(l, rmasks))
+        j = col_of.get(r)
+        if j is None:
+            j = col_of[r] = len(rmasks)
+            rmasks.append(r)
+            for row, k in zip(table, fill(r, lmasks)):
+                row.append(k)
+        left.append(i)
+        right.append(j)
+    return BottomUpAutomaton(f_a, left, right, table)
 
 
 def minimize(aut: BottomUpAutomaton) -> BottomUpAutomaton:
@@ -189,26 +218,31 @@ def minimize(aut: BottomUpAutomaton) -> BottomUpAutomaton:
     start as one block of live states and the sink alone; a block splits
     until any two of its states have f_a images in one block and, for every
     state t, f_m images with t on the left and on the right in one block.
-    Blocks are numbered by their first state, so the leaf's is 0, and the
-    result keeps the transitions of each block's first state, so it
-    accepts what ``aut`` accepts; and the series of a block is the sum of
-    its members'."""
-    fa, rows = aut.f_a, aut.f_m
-    cols = list(zip(*rows))
-    n = len(fa)
+    Since f_m reads only the row and the column of its arguments, each
+    round maps every row and every column of the table to its tuple of
+    blocks, numbers the distinct tuples, and splits by (block, f_a block,
+    row tuple, column tuple).  Blocks are numbered by their first state, so
+    the leaf's is 0, and the result keeps the transitions of each block's
+    first state, so it accepts what ``aut`` accepts; and the series of a
+    block is the sum of its members'.  Its rows and columns are the
+    distinct row and column tuples of the last round."""
+    fa, n = aut.f_a, len(aut.f_a)
+    # Equal rows stay equal in every round, and so do equal columns: merge
+    # them first, so that a round reads each distinct one once.
+    row, table = _number(map(tuple, aut.table))
+    col, cols = _number(zip(*table))
+    table = list(zip(*cols))
+    left, right = [row[i] for i in aut.left], [col[j] for j in aut.right]
     # The sink's block ends the list, where the index SINK = -1 finds it.
     block = [0] * n + [SINK]
     count = 1
     while True:
         look = block.__getitem__
-        sigs = {}
-        new = [
-            sigs.setdefault(
-                (block[i], block[fa[i]], *map(look, rows[i]), *map(look, cols[i])),
-                len(sigs),
-            )
-            for i in range(n)
-        ]
+        row, _ = _number(tuple(map(look, r)) for r in table)
+        col, cols_by_id = _number(tuple(map(look, c)) for c in cols)
+        new, sigs = _number(
+            (block[i], block[fa[i]], row[left[i]], col[right[i]]) for i in range(n)
+        )
         block = new + [SINK]
         if len(sigs) == count:
             break
@@ -218,7 +252,21 @@ def minimize(aut: BottomUpAutomaton) -> BottomUpAutomaton:
     for i in range(n):
         if block[i] == len(reps):
             reps.append(i)
+    # Read across the last round's column tuples, a row of the table lists
+    # its blocks by column number; the rows of one row number read alike,
+    # and the first of each comes in the order of the numbers.
+    _, rows_by_id = _number(zip(*cols_by_id))
     return BottomUpAutomaton(
         [block[fa[i]] for i in reps],
-        [[block[rows[i][j]] for j in reps] for i in reps],
+        [row[left[i]] for i in reps],
+        [col[right[i]] for i in reps],
+        [list(r) for r in rows_by_id],
     )
+
+
+def _number(keys):
+    """The keys numbered 0, 1, ... in the order they first appear: the
+    number of each key, and the distinct keys in the order of their
+    numbers."""
+    numbers = {}
+    return [numbers.setdefault(k, len(numbers)) for k in keys], list(numbers)

@@ -44,7 +44,7 @@ from .rewrite import (
 )
 from .scalars import ScalarParseError, format_scalar
 from .series import format_series, free_series, hilbert_series, unstable_degrees
-from .terms import HOM_SIGNATURE, TermError
+from .terms import HOM_SIGNATURE, TermError, _is_ascii_decimal
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -141,9 +141,9 @@ def cmd_ambiguities(args) -> int:
 
 
 def _parse_grading(text: str) -> tuple[int, int]:
-    """A `K,L` grading: two non-negative decimal integers."""
+    """A `K,L` grading: two non-negative integers in ASCII digits."""
     parts = text.split(",")
-    if len(parts) != 2 or not all(p.strip().isdecimal() for p in parts):
+    if len(parts) != 2 or not all(_is_ascii_decimal(p.strip()) for p in parts):
         raise TermError(f"--stable expects K,L with K, L >= 0, got {text!r}")
     return int(parts[0]), int(parts[1])
 

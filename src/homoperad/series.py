@@ -8,7 +8,10 @@ free series is the count of the empty rule set, by the same automaton.
 
 from __future__ import annotations
 
+from operator import mul
+
 from .automata import SINK, BottomUpAutomaton, determinize, grammar_from_rules, minimize
+from .terms import plane_count
 
 
 class BivariateSeries:
@@ -85,42 +88,61 @@ def solve_series(aut: BottomUpAutomaton, D: int) -> list:
     G_b = [b = 0] + a * sum_{f_a(c)=b} G_c + m * sum_{f_m(c,d)=b} G_c G_d,
     state 0 being the leaf's.  Every production raises the total degree by
     exactly one, so the counts of degree n follow from those below it: one
-    pass, degree by degree."""
-    # g[b][n][i]: monomials in state b with i a-vertices and n - i m-vertices
-    g = [[[0] * (n + 1) for n in range(D + 1)] for _ in aut.states]
-    g[0][0][0] = 1
-    a_moves = [(c, b) for c, b in enumerate(aut.f_a) if b != SINK]
-    # The m-transitions into b with left state c share one convolution with
-    # the sum over their right states d of g[d]; sums[n] is its degree n.
-    rights = {}
-    for c, row in enumerate(aut.f_m):
-        for d, b in enumerate(row):
+    pass, degree by degree.  Since f_m(c, d) reads only the row of c and
+    the column of d in the table, the m-term of b is a sum over the
+    entries of the table that hold b of a product of two series: the sum of the
+    series of the entry's row's states, and the same for its column.  The
+    entries of one column with one target share one product, with the sum
+    of their rows' series.
+
+    The counts of one state at degree n are packed into one int, the count
+    with i a-vertices at bit W * i (Kronecker substitution), so an a-move
+    is a shift by W and the product of two packed ints is the convolution
+    of their counts.  Every partial sum is nonnegative and counts distinct
+    monomials of one grading, since each monomial reaches one state or the
+    sink, so it is at most the plane count of that grading; W has one bit
+    more than the largest plane count of total degree <= D, so no slot
+    ever carries into the next."""
+    largest = max(plane_count(i, j) for j in range(D + 1) for i in range(D + 1 - j))
+    W = 1 + largest.bit_length()
+    # g[b][n]: the packed counts of the monomials of total degree n in state b
+    g = [[0] * (D + 1) for _ in aut.states]
+    g[0][0] = 1
+    a_moves = [(g[c], g[b]) for c, b in enumerate(aut.f_a) if b != SINK]
+    in_row = [[] for _ in aut.table]
+    in_col = [[] for _ in aut.table[0]]
+    for c in aut.states:
+        in_row[aut.left[c]].append(g[c])
+        in_col[aut.right[c]].append(g[c])
+    # at degree n, the sums of a row's states by degree 0..n-1, and of a
+    # column's by degree n-1..0, so that one map pairs the degrees to n - 1
+    row_sums = [[] for _ in in_row]
+    col_sums = [[] for _ in in_col]
+    # one m-move per column and target: the rows whose entries in that
+    # column are the target, and the sums of their series by degree
+    groups = {}
+    for l, targets in enumerate(aut.table):
+        for r, b in enumerate(targets):
             if b != SINK:
-                rights.setdefault((b, c), []).append(d)
-    groups = [(b, c, ds, []) for (b, c), ds in rights.items()]
+                groups.setdefault((r, b), []).append(row_sums[l])
+    m_moves = [(rows, [], col_sums[r], g[b]) for (r, b), rows in groups.items()]
 
     for n in range(1, D + 1):
-        for _, _, ds, sums in groups:
-            sums.append(list(map(sum, zip(*(g[d][n - 1] for d in ds)))))
-        for c, b in a_moves:
-            row = g[b][n]
-            for i, k in enumerate(g[c][n - 1]):
-                row[i + 1] += k
-        for b, c, _, sums in groups:
-            row, lefts = g[b][n], g[c]
-            for n1 in range(n):
-                left, right = lefts[n1], sums[n - 1 - n1]
-                if not any(left):
-                    continue
-                for i1, k1 in enumerate(left):
-                    if k1:
-                        for i2, k2 in enumerate(right):
-                            row[i1 + i2] += k1 * k2
+        for sums, states in zip(row_sums, in_row):
+            sums.append(sum(x[n - 1] for x in states))
+        for sums, states in zip(col_sums, in_col):
+            sums.insert(0, sum(x[n - 1] for x in states))
+        for x, y in a_moves:
+            y[n] += x[n - 1] << W
+        for rows, sums, ys, z in m_moves:
+            sums.append(sum(xs[n - 1] for xs in rows))
+            z[n] += sum(map(mul, sums, ys))
+    mask = (1 << W) - 1
     return [
         BivariateSeries(
-            D, {(i, n - i): k for n, row in enumerate(rows) for i, k in enumerate(row)}
+            D, {(i, n - i): x >> W * i & mask for n, x in enumerate(xs) for i in range(n + 1)}
         )
-        for rows in g
+        for xs in g
     ]
 
 

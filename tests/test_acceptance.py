@@ -236,7 +236,8 @@ def test_criterion_6_automaton_vs_brute_force():
         grammar_from_rules(parse_rules(HOMASS_RULE, HOM_SIGNATURE, LEX_MA))
     )
     ok = ok and aut1.f_a == [1, 1, 1]
-    ok = ok and aut1.f_m == [[2, 2, 2], [2, 2, SINK], [2, 2, 2]]
+    f_m = [[aut1.f_m(c, d) for d in aut1.states] for c in aut1.states]
+    ok = ok and f_m == [[2, 2, 2], [2, 2, SINK], [2, 2, 2]]
     ok = ok and aut1.run(("m", "a", 1, "m", 2, 3)) == SINK
     report(6, ok)
 

@@ -93,8 +93,9 @@ def witnesses(aut):
         for c, b in enumerate(aut.f_a):
             if c in found and b != SINK:
                 found.setdefault(b, ("a", *found[c]))
-        for c, row in enumerate(aut.f_m):
-            for d, b in enumerate(row):
+        for c in aut.states:
+            for d in aut.states:
+                b = aut.f_m(c, d)
                 if c in found and d in found and b != SINK:
                     found.setdefault(b, ("m", *found[c], *found[d]))
     return found
@@ -127,7 +128,9 @@ def test_determinize_single_rule_exact_states():
     assert aut.states == range(3)
     assert aut.f_a == [1, 1, 1]
     # alpha on top of a product: the redex root is one m above, in the sink
-    assert aut.f_m == [[2, 2, 2], [2, 2, SINK], [2, 2, 2]]
+    assert [[aut.f_m(c, d) for d in aut.states] for c in aut.states] == [
+        [2, 2, 2], [2, 2, SINK], [2, 2, 2]
+    ]
     assert aut.run(("m", "a", 1, "m", 2, 3)) == SINK
     assert aut.run(("a", "m", "a", 1, "m", 2, 3)) == SINK
     assert aut.accepts(("m", "a", 1, "m", 2, 3))
@@ -141,9 +144,32 @@ def test_order_ten_system_has_34_live_states():
     subsets = [frozenset(grammar_states(g, w)) for w in witnesses(aut).values()]
     assert len(set(subsets)) == 34
     assert not any(0 in s for s in subsets)
-    targets = {*aut.f_a, *(b for row in aut.f_m for b in row)}
+    targets = {*aut.f_a, *(b for row in aut.table for b in row)}
     assert targets <= {SINK, *aut.states}
-    assert all(len(row) == 34 for row in aut.f_m)
+    assert all(len(row) == len(aut.table[0]) for row in aut.table)
+
+
+# (rules file, live states, table rows, table columns, classes): m(c, d)
+# reads only the left-child production mask of c and the right-child one of
+# d, so the table has one row per distinct left mask and one column per
+# distinct right mask
+COMPRESSION = [
+    ("bench/data/homass-o10.rules", 34, 20, 19, 28),
+    ("bench/data/homass-o12.rules", 208, 120, 66, 89),
+]
+
+
+@pytest.mark.parametrize("path, n, n_rows, n_cols, n_classes", COMPRESSION)
+def test_pair_table_has_a_row_per_left_mask_and_a_column_per_right_mask(
+    path, n, n_rows, n_cols, n_classes
+):
+    _, rs = read_rules((ROOT / path).read_text(), LEX_MA)
+    aut = determinize(grammar_from_rules(rs))
+    assert len(aut.states) == n
+    assert (len(aut.table), len(aut.table[0])) == (n_rows, n_cols)
+    assert sorted(set(aut.left)) == list(range(n_rows))
+    assert sorted(set(aut.right)) == list(range(n_cols))
+    assert len(minimize(aut).states) == n_classes
 
 
 def test_automaton_language_matches_redex_search():
@@ -177,15 +203,15 @@ def test_minimize_blocks_are_a_congruence(text):
     for s in aut.states:
         assert block[aut.f_a[s]] == small.f_a[block[s]]
         for t in aut.states:
-            assert block[aut.f_m[s][t]] == small.f_m[block[s]][block[t]]
+            assert block[aut.f_m(s, t)] == small.f_m(block[s], block[t])
     for s in aut.states:
         for s2 in aut.states:
             if block[s] != block[s2]:
                 continue
             assert block[aut.f_a[s]] == block[aut.f_a[s2]]
             for t in aut.states:
-                assert block[aut.f_m[s][t]] == block[aut.f_m[s2][t]]
-                assert block[aut.f_m[t][s]] == block[aut.f_m[t][s2]]
+                assert block[aut.f_m(s, t)] == block[aut.f_m(s2, t)]
+                assert block[aut.f_m(t, s)] == block[aut.f_m(t, s2)]
 
 
 def test_minimized_automaton_accepts_what_determinize_accepts():

@@ -469,7 +469,7 @@ def test_hilbert_reads_no_pattern_longer_than_the_degree(capsys, tmp_path):
     assert out == run(capsys, ["hilbert", "--free", "--degree", "3"])[1]
 
 
-@pytest.mark.parametrize("value", ["5", "a,b", "1,2,3"])
+@pytest.mark.parametrize("value", ["5", "a,b", "1,2,3", "５,３"])
 def test_hilbert_malformed_stable_is_a_parse_error(capsys, value):
     code, out, err = run(
         capsys, ["hilbert", "--rules", HOMASS, "--degree", "3", "--stable", value]
