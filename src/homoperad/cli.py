@@ -6,13 +6,17 @@ or refused input (input that is not UTF-8; a malformed rule, such as one
 whose sides differ in arity or whose pattern has no operation; a symbol
 name the rules format could not read back, such as `+`; a negative
 `hilbert --degree`; for `complete`, a negative `--max-order`, a `--budget`
-that is not >= 0 or an inhomogeneous rule, all refused before any `--out`
-file is created, or an unwritable `--out`; for `normalize` and
-`ambiguities`, a rule with a replacement monomial of more vertices than
-its pattern), 3 budget exhausted, 4 order failure (a rule, a candidate,
-or a `complete` input rule as the rules before it reduce it, could not be
-oriented by the active term order), 5 write error (writing
+that is not >= 0 or an inhomogeneous rule, one with a replacement monomial
+whose (a, m) grading or vertex count differs from its pattern's, all
+refused before any `--out` file is created, or an unwritable `--out`; for
+`normalize` and `ambiguities`, a rule with a replacement monomial of more
+vertices than its pattern), 3 budget exhausted, 4 order failure (a rule, a
+candidate, or a `complete` input rule as the rules before it reduce it,
+could not be oriented by the active term order), 5 write error (writing
 or closing a `complete --out` file failed).
+
+`hilbert --free` counts the empty rule set as `--rules` counts a file;
+free counts are exact, so neither it nor a file of no rules warns.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .rewrite import (
     refuse_growing,
 )
 from .scalars import ScalarParseError, format_scalar
-from .series import format_series, free_series, hilbert_series, unstable_degrees
+from .series import format_series, hilbert_series, unstable_degrees
 from .terms import HOM_SIGNATURE, TermError, _is_ascii_decimal
 
 EXIT_OK = 0
@@ -99,10 +103,7 @@ def cmd_complete(args) -> int:
                 with stack.pop_all():  # closing flushes, so a write may fail there
                     rules_f.write(format_rules(ordered, sig))
                     census_f.write(census)
-                    log_f.writelines(
-                        f"{amb.site}\t{amb.rule1},{amb.rule2}\t{outcome}\n"
-                        for amb, outcome in state.log
-                    )
+                    log_f.writelines(f"{amb}\t{outcome}\n" for amb, outcome in state.log)
             except OSError as e:
                 print(f"write error: {e}", file=sys.stderr)
                 return EXIT_WRITE
@@ -124,7 +125,7 @@ def cmd_ambiguities(args) -> int:
     ambs = []
     for i, r1 in enumerate(rules):
         for r2 in rules[i:]:
-            ambs.extend(overlaps(r1, r2, sig))
+            ambs.extend(overlaps(r1, r2))
     ambs.sort(key=lambda a: (a.order, str(a.site), a.rule1, a.rule2))
     for amb in ambs:
         diff = resolve(amb, system)
@@ -136,7 +137,7 @@ def cmd_ambiguities(args) -> int:
                 verdict = f"candidate\t{diff}"
             except IncomparableLeading:
                 verdict = "order_failure"
-        print(f"{amb.site}\t{amb.rule1},{amb.rule2}\t{verdict}")
+        print(f"{amb}\t{verdict}")
     return EXIT_OK
 
 
@@ -151,20 +152,16 @@ def _parse_grading(text: str) -> tuple[int, int]:
 def cmd_hilbert(args) -> int:
     if args.degree < 0:
         raise TermError(f"--degree expects D >= 0, got {args.degree}")
+    stable = [_parse_grading(s) for s in args.stable]
     if args.free:
-        series = free_series(args.degree)
-        warnings = []
-    else:
-        if not args.rules:
-            raise TermError("hilbert needs --rules or --free")
-        stable = [_parse_grading(s) for s in args.stable]
+        rules = []
+    else:  # load_rules_path refuses a missing --rules
         sig, _, rules = load_rules_path(args.rules, args.order)
         if set(sig.symbols) != set(HOM_SIGNATURE.symbols):
             got = ", ".join(f"{name}/{n}" for name, n in sig.symbols)
             raise TermError(f"hilbert counts over m/2, a/1; the rules are over {got}")
-        series = hilbert_series(rules, args.degree)
-        warnings = unstable_degrees(rules, stable, args.degree)
-    sys.stdout.write(format_series(series))
+    sys.stdout.write(format_series(hilbert_series(rules, args.degree)))
+    warnings = unstable_degrees(rules, stable, args.degree)
     if warnings:
         print(
             "warning: coefficients not guaranteed stable at degrees "

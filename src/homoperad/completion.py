@@ -21,7 +21,7 @@ from .rewrite import (
     orient,
     trie_leaf,
 )
-from .terms import Context, Signature, TermError, grading, renumber, word_key
+from .terms import Context, TermError, grading, renumber, word_key
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,17 @@ class Ambiguity:
     def order(self) -> int:
         return self.site.order
 
+    def __str__(self):
+        return f"{self.site}\t{self.rule1},{self.rule2}"
 
-def _merge(a, i, b, ends_a, ends_b):
-    """Unify the subterm of Polish word ``a`` at ``i`` with the whole of
-    Polish word ``b`` in one lockstep walk; boxes are local wildcards and
-    ``ends_a``/``ends_b`` the words' subterm-end tables. Returns the merged
-    tokens, or None on a symbol clash. Equal symbols have equal arity, so
-    both words end together. Box tokens are copied as they are;
-    ``terms.renumber`` numbers them afterwards."""
+
+def _merge(x: Context, i, y: Context):
+    """Unify the subterm of term ``x`` at token i with the whole of term
+    ``y`` in one lockstep walk of their words; boxes are local wildcards.
+    Returns the merged tokens, or None on a symbol clash. Equal symbols have
+    equal arity, so both words end together. Box tokens are copied as they
+    are; ``terms.renumber`` numbers them afterwards."""
+    a, ends_a, b, ends_b = x.word, x.ends, y.word, y.ends
     out, j, stop = [], 0, ends_a[i]
     while i < stop:
         ta, tb = a[i], b[j]
@@ -66,13 +69,12 @@ def _merge(a, i, b, ends_a, ends_b):
     return out
 
 
-def _superpositions(s1: Rule, s2: Rule, sig: Signature, max_order):
+def _superpositions(s1: Rule, s2: Rule, max_order):
     """Sites of order at most ``max_order`` where lhs(s2), rooted at a vertex
     of lhs(s1), unifies with it, in position order.  Yields (site, position
     of the s2 embedding); s1 embeds at the root."""
-    w1, w2 = s1.lhs.word, s2.lhs.word
-    ends1, sizes1 = s1.lhs.ends, s1.lhs.sizes
-    n1, n2, root2 = s1.order, s2.order, w2[0]  # an lhs is rooted at a symbol
+    w1, ends1, sizes1 = s1.lhs.word, s1.lhs.ends, s1.lhs.sizes
+    n1, n2, root2 = s1.order, s2.order, s2.lhs.word[0]  # an lhs is rooted at a symbol
     for p, tok in enumerate(w1):
         if tok != root2:
             continue
@@ -80,30 +82,30 @@ def _superpositions(s1: Rule, s2: Rule, sig: Signature, max_order):
         outside = n1 - sizes1[p]
         if outside + n2 > max_order:
             continue
-        merged = _merge(w1, p, w2, ends1, s2.lhs.ends)
+        merged = _merge(s1.lhs, p, s2.lhs)
         if merged is None:
             continue
         if outside + sum(1 for t in merged if not isinstance(t, int)) > max_order:
             continue
-        yield renumber(w1[:p] + tuple(merged) + w1[ends1[p] :], sig), p
+        yield renumber(w1[:p] + tuple(merged) + w1[ends1[p] :], s1.lhs.sig), p
 
 
-def overlaps(s1: Rule, s2: Rule, sig: Signature, max_order=math.inf) -> list[Ambiguity]:
-    """The plane critical ambiguities of order at most ``max_order`` between
-    the two rules, each found once: lhs(s2) rooted at each vertex of lhs(s1)
-    (not at its root when the rules are one rule, which is no ambiguity),
-    then, for two rules, lhs(s1) rooted below the root of lhs(s2); the root
-    site of two rules is the same from both sides."""
+def overlaps(s1: Rule, s2: Rule, max_order=math.inf) -> list[Ambiguity]:
+    """The plane critical ambiguities of the two rules, over their signature,
+    of order at most ``max_order``, each found once: lhs(s2) rooted at each
+    vertex of lhs(s1) (not at its root when the rules are one rule, which is
+    no ambiguity), then, for two rules, lhs(s1) rooted below the root of
+    lhs(s2); the root site of two rules is the same from both sides."""
     same = s1.id == s2.id
     out = [
         Ambiguity(site, s1.id, s2.id, p)
-        for site, p in _superpositions(s1, s2, sig, max_order)
+        for site, p in _superpositions(s1, s2, max_order)
         if p or not same
     ]
     if not same:
         out += [
             Ambiguity(site, s2.id, s1.id, p)
-            for site, p in _superpositions(s2, s1, sig, max_order)
+            for site, p in _superpositions(s2, s1, max_order)
             if p
         ]
     return out
@@ -131,13 +133,14 @@ def _terms_below(node: dict, room, arity: dict):
                 yield child, size
 
 
-def _walk(trie: dict, word, ends, i, room, arity: dict, both=True):
+def _walk(trie: dict, term: Context, i, room, both=True):
     """(leaf, cost) of each trie term that unifies with the subterm of
-    ``word`` at i, walked in lockstep: a box of ``word`` takes one whole trie
-    term, whose vertices it adds to the cost, and with ``both`` a trie box
-    takes the subterm of ``word`` opposite it, at no cost.  Without ``both``
-    the trie terms found are the instances of the subterm.  Walks that cost
-    more than ``room`` are cut."""
+    ``term`` at token i, walked in lockstep: a box of ``term`` takes one whole
+    trie term, whose vertices it adds to the cost, and with ``both`` a trie
+    box takes the subterm opposite it, at no cost.  Without ``both`` the trie
+    terms found are the instances of the subterm.  Walks that cost more than
+    ``room`` are cut.  Trie symbols take their arities from ``term.sig``."""
+    word, ends, arity = term.word, term.ends, term.sig._arity
     stop = ends[i]
     stack = [(trie, i, 0)]
     while stack:
@@ -170,7 +173,6 @@ class _SubtermIndex:
 
     def __init__(self, system: RewritingSystem):
         self.system = system
-        self.arity = dict(system.sig.symbols)
         self.trie = {}
         self.largest = 0
         for rule in system:
@@ -202,16 +204,16 @@ class _SubtermIndex:
         whose lhs unifies with a subterm of ``new.lhs``, and those with an
         lhs subterm below the root that unifies with ``new.lhs`` and fits
         with the vertices outside it.  These are exactly the rules ``other``
-        with a nonempty ``overlaps(new, other, sig, new.order + room)``."""
-        word, ends = new.lhs.word, new.lhs.ends
+        with a nonempty ``overlaps(new, other, new.order + room)``."""
+        lhs = new.lhs
         out = {new.id}
         if room < 0:  # no site that holds new.lhs fits
             return out
-        for p, tok in enumerate(word):
+        for p, tok in enumerate(lhs.word):
             if not isinstance(tok, int):
-                for leaf, _ in _walk(self.system._trie, word, ends, p, room, self.arity):
+                for leaf, _ in _walk(self.system._trie, lhs, p, room):
                     out.update(r.id for r in leaf[_RULES])
-        for leaf, cost in _walk(self.trie, word, ends, 0, room, self.arity):
+        for leaf, cost in _walk(self.trie, lhs, 0, room):
             out.update(rid for rid, outside in leaf.items() if cost + outside <= room)
         return out
 
@@ -221,12 +223,11 @@ class _SubtermIndex:
         instance inside a monomial of n vertices binds at most n -
         ``lhs.order`` vertices to the boxes of ``lhs``, so the walks are cut
         at ``largest - lhs.order``."""
-        word, ends, arity = lhs.word, lhs.ends, self.arity
         room = self.largest - lhs.order
         out = {}
-        for leaf, _ in _walk(self.system._trie, word, ends, 0, room, arity, both=False):
+        for leaf, _ in _walk(self.system._trie, lhs, 0, room, both=False):
             out.update((r.id, True) for r in leaf[_RULES])
-        for leaf, _ in _walk(self.trie, word, ends, 0, room, arity, both=False):
+        for leaf, _ in _walk(self.trie, lhs, 0, room, both=False):
             for rid, outside in leaf.items():
                 out[rid] = out.get(rid, False) or outside < math.inf
         return out
@@ -251,15 +252,17 @@ def resolve(amb: Ambiguity, sys: RewritingSystem, memo=None) -> LinComb:
 
 
 def is_homogeneous(lhs: Context, rhs: LinComb) -> bool:
-    g = grading(lhs)
-    return all(grading(m) == g for m in rhs.support())
+    """Whether every replacement monomial has the (a, m) grading and the
+    vertex count of the pattern: `c 1 -> b c 1` keeps one grading but grows."""
+    g, n = grading(lhs), lhs.order
+    return all(grading(m) == g and m.order == n for m in rhs.support())
 
 
 def refuse_inhomogeneous(rules):
-    """Raise a TermError naming the first rule that is not grading-homogeneous."""
+    """Raise a TermError naming the first rule that is not homogeneous."""
     for r in rules:
         if not is_homogeneous(r.lhs, r.rhs):
-            raise TermError(f"rule {r.id} is not grading-homogeneous")
+            raise TermError(f"rule {r.id} is not homogeneous")
 
 
 @dataclass
@@ -320,13 +323,12 @@ def complete(
         index.remove(rule)
         memo.clear()
 
-    counter = 0
     heap = []
     log = []
-    seq = itertools.count()
+    seq, ids = itertools.count(), itertools.count(1)
 
     def push_overlaps(a: Rule, b: Rule):
-        for amb in overlaps(a, b, sig, max_order):
+        for amb in overlaps(a, b, max_order):
             key = (
                 amb.order,
                 word_key(amb.site.word),
@@ -340,15 +342,13 @@ def complete(
         """Normalize, orient and add a difference, inter-reduce, and push each
         added rule's overlaps with its partners; returns the rules added.  A
         re-normalized rule moves to the system's end, whose order breaks heap ties."""
-        nonlocal counter
         added = []
         work = [diff]
         while work:
             d = normal_form(work.pop(), system, memo=memo)
             if not d:
                 continue
-            counter += 1
-            new = orient(f"r{counter}", d, order)
+            new = orient(f"r{next(ids)}", d, order)
             put(new)
             added.append(new)
             if not inter_reduce:

@@ -98,7 +98,7 @@ def homass_completion(max_order):
 def test_criterion_1_associative_operad():
     rules = parse_rules("m 1 m 2 3 -> m m 1 2 3", ASS_SIGNATURE, RIGHT_COMB)
     system = RewritingSystem(ASS_SIGNATURE, RIGHT_COMB, rules)
-    ambs = overlaps(rules[0], rules[0], ASS_SIGNATURE)
+    ambs = overlaps(rules[0], rules[0])
     ok = len(ambs) == 1
     ok = ok and not resolve(ambs[0], system)
     # census counts rules by vertex count, so the single binary-tree rule

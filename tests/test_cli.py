@@ -2,6 +2,8 @@ import hashlib
 import importlib.resources
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -158,10 +160,31 @@ def test_complete_refuses_inhomogeneous_rules(capsys, tmp_path):
     code, out, err = run(capsys, argv + ["--out", str(out_dir / "run")])
     assert code == 2
     assert out == ""
-    assert err == "parse error: rule r1 is not grading-homogeneous\n"
+    assert err == "parse error: rule r1 is not homogeneous\n"
     assert list(out_dir.iterdir()) == []
     with pytest.raises(SystemExit):
         main(argv + ["--allow-inhomogeneous"])
+
+
+# `c 1 -> b c 1` keeps the (a, m) grading (0, 0) but grows, and `d 1 -> c 1`
+# then rewrites `c 1` without end: completion would never return
+GROWING_UNARY = "op b 1\nop c 1\nop d 1\nc 1 -> b c 1\nd 1 -> c 1\n"
+
+
+def test_complete_refuses_a_growing_rule_of_one_grading(tmp_path):
+    """In a subprocess with a timeout, so that a regression fails instead
+    of hanging."""
+    path = tmp_path / "growing.rules"
+    path.write_text(GROWING_UNARY)
+    prefix = tmp_path / "run"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = [sys.executable, "-m", "homoperad.cli", "complete", "--rules", str(path),
+            "--max-order", "4", "--out", str(prefix)]
+    for extra in ([], ["--budget", "2"]):
+        proc = subprocess.run(argv + extra, env=env, capture_output=True, text=True, timeout=30)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "parse error: rule r1 is not homogeneous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["growing.rules"]
 
 
 def test_complete_has_no_inter_reduce_flag():
@@ -423,6 +446,19 @@ def test_ambiguities_listing(capsys):
     assert out.splitlines() == ["m 1 m 2 m 3 4\tr1,r1\tresolved"]
 
 
+@pytest.mark.parametrize("rules, order, line", [
+    (
+        HOMASS,
+        "lex_ma",
+        "m a 1 m a 2 m 3 4\tr1,r1\tcandidate\tm m 1 a 2 a m 3 4 - m m 1 m 2 3 a a 4",
+    ),
+    (data_path("leibniz.rules"), "right_comb", "m 1 m 2 m 3 4\tr1,r1\tresolved"),
+], ids=["homass-lex_ma", "leibniz-right_comb"])
+def test_ambiguities_listing_is_pinned(capsys, rules, order, line):
+    code, out, err = run(capsys, ["ambiguities", "--rules", rules, "--order", order])
+    assert (code, out, err) == (0, line + "\n", "")
+
+
 def test_hilbert_free(capsys):
     code, out, _ = run(capsys, ["hilbert", "--free", "--degree", "5"])
     assert code == 0
@@ -457,6 +493,17 @@ def test_hilbert_strict_without_stable_warns_and_fails(capsys):
     assert code == 1
     assert strict_out == out
     assert "warning" in err
+
+
+@pytest.mark.parametrize("strict", [[], ["--strict"]], ids=["plain", "strict"])
+def test_hilbert_on_no_rules_is_the_free_count(capsys, tmp_path, strict):
+    """`--free` is the empty rule set: a rules file with no rules prints
+    the same lines, and neither warns, since the free counts are exact."""
+    path = tmp_path / "empty.rules"
+    path.write_text("")
+    free = run(capsys, ["hilbert", "--free", "--degree", "5", *strict])
+    assert run(capsys, ["hilbert", "--rules", str(path), "--degree", "5", *strict]) == free
+    assert free[0] == 0 and free[2] == ""
 
 
 def test_hilbert_reads_no_pattern_longer_than_the_degree(capsys, tmp_path):
@@ -502,6 +549,8 @@ MALFORMED = {
         ["check-algebra", "FILE", "--identities", "skew"],
     ),
     "negative-degree": (None, ["hilbert", "--free", "--degree", "-1"]),
+    # --stable is read before the rules, and --free is the empty rule set
+    "hilbert-free-malformed-stable": (None, ["hilbert", "--free", "--degree", "3", "--stable", "a,b"]),
     "negative-max-order": (None, ["complete", "--rules", HOMASS, "--max-order", "-3"]),
     "negative-budget": (None, ["complete", "--rules", HOMASS, "--max-order", "3", "--budget", "-1"]),
     "nan-budget": (None, ["complete", "--rules", HOMASS, "--max-order", "3", "--budget", "nan"]),

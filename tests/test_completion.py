@@ -1,13 +1,18 @@
+import pytest
+
 from homoperad import rewrite
-from homoperad.completion import complete, overlaps
+from homoperad.completion import complete, overlaps, refuse_inhomogeneous
 from homoperad.orders import LEX_MA, RIGHT_COMB
 from homoperad.rewrite import RewritingSystem, find_redexes, is_irreducible, parse_rules
 from homoperad.terms import (
     ASS_SIGNATURE,
     HOM_SIGNATURE,
+    Signature,
+    TermError,
     enumerate_plane,
     parse,
     print_term,
+    subterm_ends,
 )
 
 HOMASS_RULE = "m a 1 m 2 3 -> m m 1 2 a 3"
@@ -28,10 +33,30 @@ def ass_system(text):
 
 def test_assoc_overlap_site():
     rules = parse_rules("m 1 m 2 3 -> m m 1 2 3", ASS_SIGNATURE, RIGHT_COMB)
-    ambs = overlaps(rules[0], rules[0], ASS_SIGNATURE)
+    ambs = overlaps(rules[0], rules[0])
     assert len(ambs) == 1
     assert print_term(ambs[0].site.word) == "m 1 m 2 m 3 4"
     assert ambs[0].order == 3
+
+
+def test_overlap_sites_are_over_the_rules_signature():
+    """A site's signature and subterm-end table come from the rules'
+    patterns, and an ambiguity prints as its site and its rule pair."""
+    rule = homass_rules().rules[0]
+    (amb,) = overlaps(rule, rule)
+    assert amb.site.sig is HOM_SIGNATURE
+    assert amb.site.ends == subterm_ends(amb.site.word, HOM_SIGNATURE)
+    assert str(amb) == "m a 1 m a 2 m 3 4\tr1,r1"
+
+
+def test_refuse_inhomogeneous_refuses_a_growing_rule_of_one_grading():
+    """`c 1 -> b c 1` has the (a, m) grading (0, 0) on both sides but one
+    more vertex on the right, so adjoining `d 1 -> c 1` would rewrite
+    `c 1` forever."""
+    sig = Signature.parse("op b 1\nop c 1\nop d 1")
+    rules = parse_rules("c 1 -> b c 1\nd 1 -> c 1", sig, LEX_MA)
+    with pytest.raises(TermError, match="rule r1 is not homogeneous"):
+        refuse_inhomogeneous(rules)
 
 
 def test_assoc_completion_is_immediate():
@@ -138,7 +163,7 @@ def test_overlap_sites_share_a_vertex():
     rules = complete(homass_rules(), max_order=7).system.rules
     for r1 in rules:
         for r2 in rules:
-            for amb in overlaps(r1, r2, HOM_SIGNATURE):
+            for amb in overlaps(r1, r2):
                 assert amb.site.order <= r1.order + r2.order
                 assert amb.site.order >= max(r1.order, r2.order)
 

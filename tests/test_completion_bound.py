@@ -88,9 +88,10 @@ def ref_overlaps(s1, s2, sig):
     return list(seen.values())
 
 
-def ref_bounded(s1, s2, sig, max_order=math.inf):
-    """The reference with the filter the completion loop applied after it."""
-    return [x for x in ref_overlaps(s1, s2, sig) if x.order <= max_order]
+def ref_bounded(s1, s2, max_order=math.inf):
+    """The reference with the filter the completion loop applied after it,
+    over the signature of the rules' patterns, as ``overlaps`` is."""
+    return [x for x in ref_overlaps(s1, s2, s1.lhs.sig) if x.order <= max_order]
 
 
 # --- inputs -------------------------------------------------------------------
@@ -143,24 +144,24 @@ def rule_pairs(draw):
 @given(rule_pairs(), st.integers(3, 20))
 def test_bounded_overlaps_equal_filtered_reference(pair, k):
     sig, a, b = pair
-    assert overlaps(a, b, sig) == ref_overlaps(a, b, sig)
-    assert overlaps(a, b, sig, max_order=k) == ref_bounded(a, b, sig, k)
+    assert overlaps(a, b) == ref_overlaps(a, b, sig)
+    assert overlaps(a, b, max_order=k) == ref_bounded(a, b, k)
 
 
-def merges_tried(a, b, sig, k):
+def merges_tried(a, b, k):
     """The (word, position, word) of every ``_merge`` call that
-    ``overlaps(a, b, sig, max_order=k)`` makes, each one from the root of
-    its second word."""
+    ``overlaps(a, b, max_order=k)`` makes, each one from the root of its
+    second term."""
     tried = []
     merge = completion._merge
 
-    def recording(x, i, y, *rest):
-        tried.append((x, i, y))
-        return merge(x, i, y, *rest)
+    def recording(x, i, y):
+        tried.append((x.word, i, y.word))
+        return merge(x, i, y)
 
     completion._merge = recording
     try:
-        overlaps(a, b, sig, max_order=k)
+        overlaps(a, b, max_order=k)
     finally:
         completion._merge = merge
     return tried
@@ -179,7 +180,7 @@ def test_no_merge_at_a_position_that_cannot_fit(pair, k):
     """Each merge of lhs(b) into lhs(a) is tried only at a position p of
     lhs(a) where order(a) - order(a|p) + order(b) <= k."""
     sig, a, b = pair
-    assert_merges_fit(merges_tried(a, b, sig, k), sig, k)
+    assert_merges_fit(merges_tried(a, b, k), sig, k)
 
 
 def test_merges_are_recorded():
@@ -187,7 +188,7 @@ def test_merges_are_recorded():
     against itself at k = 20 is tried at its inner ``m`` (position 3)."""
     system = homass()
     r = system.rules[0]
-    tried = merges_tried(r, r, system.sig, 20)
+    tried = merges_tried(r, r, 20)
     assert 3 in [i for _, i, _ in tried]
     assert_merges_fit(tried, system.sig, 20)
 
@@ -347,7 +348,7 @@ def assert_index_is_exact(system, max_order):
     sig = system.sig
     index = completion._SubtermIndex(system)
     for new in system:
-        want = {o.id for o in system if overlaps(new, o, sig, max_order)} | {new.id}
+        want = {o.id for o in system if overlaps(new, o, max_order)} | {new.id}
         assert index.partners(new, max_order - new.order) == want
         one = RewritingSystem(sig, system.order, [new])
         in_lhs = {o.id: bool(find_redexes(o.lhs, one)) for o in system}
@@ -392,7 +393,7 @@ def test_instances_use_all_the_room_the_largest_monomial_leaves():
     assert index.instances(new.lhs) == {new.id: True}
 
 
-def index_entries(trie, arity):
+def index_entries(trie, sig):
     """(path, rule id, outside) of every leaf entry of a subterm trie."""
     out = set()
     stack = [(trie, (), 1)]
@@ -402,7 +403,7 @@ def index_entries(trie, arity):
             out.update((path, rid, outside) for rid, outside in node.items())
             continue
         for key, child in node.items():
-            left = need - 1 if key == completion._WILD else need + arity[key] - 1
+            left = need - 1 if key == completion._WILD else need + sig.arity(key) - 1
             stack.append((child, path + (key,), left))
     return out
 
@@ -415,10 +416,10 @@ def test_index_remove_and_add_leave_the_index_of_the_rules_present():
         system.remove(r.id)
         index.remove(r)
     fresh = completion._SubtermIndex(RewritingSystem(sig, order, rules[1::2]))
-    assert index_entries(index.trie, index.arity) == index_entries(fresh.trie, fresh.arity)
+    assert index_entries(index.trie, sig) == index_entries(fresh.trie, sig)
     for r in rules[::2]:
         system.add(r)
         index.add(r)
     fresh = completion._SubtermIndex(RewritingSystem(sig, order, rules))
-    assert index_entries(index.trie, index.arity) == index_entries(fresh.trie, fresh.arity)
-    assert index_entries(index.trie, index.arity)
+    assert index_entries(index.trie, sig) == index_entries(fresh.trie, sig)
+    assert index_entries(index.trie, sig)
