@@ -25,7 +25,7 @@ import argparse
 import contextlib
 import sys
 
-from .completion import complete, overlaps, refuse_inhomogeneous, resolve
+from .completion import _SubtermIndex, complete, refuse_inhomogeneous, resolve
 from .homalgebra import (
     AlgebraFormatError,
     check_hom_associative,
@@ -121,14 +121,16 @@ def cmd_complete(args) -> int:
 def cmd_ambiguities(args) -> int:
     sig, order, rules = load_rules_path(args.rules, args.order)
     refuse_growing(rules)
-    system = RewritingSystem(sig, order, rules)
+    index = _SubtermIndex(RewritingSystem(sig, order, []))
+    bound = 2 * max((r.order for r in rules), default=0)  # two patterns share a vertex
     ambs = []
-    for i, r1 in enumerate(rules):
-        for r2 in rules[i:]:
-            ambs.extend(overlaps(r1, r2))
+    for r in reversed(rules):  # each rule pairs with those after it, itself included
+        index.system.add(r)
+        index.add(r)
+        ambs.extend(index.critical_pairs(r, bound))
     ambs.sort(key=lambda a: (a.order, str(a.site), a.rule1, a.rule2))
     for amb in ambs:
-        diff = resolve(amb, system)
+        diff = resolve(amb, index.system)
         if not diff:
             verdict = "resolved"
         else:

@@ -166,8 +166,10 @@ class _SubtermIndex:
     trie, laid out as the system's lhs trie.  A leaf maps the id of each
     rule that holds the subterm to the fewest lhs vertices outside it, or to
     infinity when only an rhs monomial holds it.  A whole lhs is left out:
-    the system's own lhs trie holds it.  ``complete`` adds and removes each
-    rule here as it does in the system.  ``largest`` is the most vertices
+    the system's own lhs trie holds it.  Each rule is added and removed here
+    as it is in the system, and ``rank`` maps its id to when it was last
+    added, so ``in_system_order`` takes rules in put order, the order in
+    which the system iterates them.  ``largest`` is the most vertices
     of any lhs or rhs monomial ever added; removal leaves it, since it only
     bounds the walks."""
 
@@ -175,6 +177,7 @@ class _SubtermIndex:
         self.system = system
         self.trie = {}
         self.largest = 0
+        self.rank, self._tick = {}, itertools.count()
         for rule in system:
             self.add(rule)
 
@@ -190,6 +193,7 @@ class _SubtermIndex:
                     yield trie_leaf(self.trie, word[p : ends[p]]), outside
 
     def add(self, rule: Rule):
+        self.rank[rule.id] = next(self._tick)
         self.largest = max(self.largest, rule.order, *(m.order for m in rule.rhs.support()))
         for leaf, outside in self._leaves(rule):
             leaf[rule.id] = min(outside, leaf.get(rule.id, outside))
@@ -198,13 +202,20 @@ class _SubtermIndex:
         for leaf, _ in self._leaves(rule):
             leaf.pop(rule.id, None)
 
+    def in_system_order(self, ids) -> list[Rule]:
+        """The rules of ``ids`` still in the system, in put order."""
+        system = self.system
+        return [system[rid] for rid in sorted(filter(system.__contains__, ids), key=self.rank.get)]
+
     def partners(self, new: Rule, room) -> set:
         """Ids of the rules with an ambiguity with ``new`` of at most
         ``room`` vertices more than ``new.lhs``, plus ``new`` itself: those
         whose lhs unifies with a subterm of ``new.lhs``, and those with an
         lhs subterm below the root that unifies with ``new.lhs`` and fits
-        with the vertices outside it.  These are exactly the rules ``other``
-        with a nonempty ``overlaps(new, other, new.order + room)``."""
+        with the vertices outside it.  At a finite ``room`` these are
+        exactly the rules ``other`` with a nonempty ``overlaps(new, other,
+        new.order + room)``; at infinity they also take the rules that hold
+        ``new.lhs`` only in an rhs."""
         lhs = new.lhs
         out = {new.id}
         if room < 0:  # no site that holds new.lhs fits
@@ -216,6 +227,13 @@ class _SubtermIndex:
         for leaf, cost in _walk(self.trie, lhs, 0, room):
             out.update(rid for rid, outside in leaf.items() if cost + outside <= room)
         return out
+
+    def critical_pairs(self, new: Rule, max_order) -> list[Ambiguity]:
+        """The ambiguities of order at most ``max_order`` of ``new``, a rule
+        just added, with each rule here, itself included:
+        ``overlaps(new, other, max_order)`` for each partner in put order."""
+        partners = self.in_system_order(self.partners(new, max_order - new.order))
+        return [amb for other in partners for amb in overlaps(new, other, max_order)]
 
     def instances(self, lhs: Context) -> dict:
         """Maps the id of each rule that holds an instance of ``lhs`` to
@@ -306,17 +324,11 @@ def complete(
     system = RewritingSystem(sig, order, [])
     index = _SubtermIndex(system)
     memo = {}
-    rank, tick = {}, itertools.count()  # rank[id]: when the rule was last put
 
     def put(rule: Rule):
         system.add(rule)
         index.add(rule)
         memo.clear()
-        rank[rule.id] = next(tick)
-
-    def in_system_order(ids) -> list[Rule]:
-        """The rules of ``ids`` still in the system, in its order."""
-        return [system[rid] for rid in sorted((rid for rid in ids if rid in system), key=rank.get)]
 
     def drop(rule: Rule):
         system.remove(rule.id)
@@ -327,20 +339,11 @@ def complete(
     log = []
     seq, ids = itertools.count(), itertools.count(1)
 
-    def push_overlaps(a: Rule, b: Rule):
-        for amb in overlaps(a, b, max_order):
-            key = (
-                amb.order,
-                word_key(amb.site.word),
-                tuple(sorted((amb.rule1, amb.rule2))),
-            )
-            heapq.heappush(heap, (key, next(seq), amb))
-
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
 
     def adjoin(diff: LinComb) -> list[Rule]:
         """Normalize, orient and add a difference, inter-reduce, and push each
-        added rule's overlaps with its partners; returns the rules added.  A
+        added rule's critical pairs; returns the rules added.  A
         re-normalized rule moves to the system's end, whose order breaks heap ties."""
         added = []
         work = [diff]
@@ -355,7 +358,7 @@ def complete(
                 continue
             hits = index.instances(new.lhs)
             del hits[new.id]  # new.lhs is an instance of itself
-            for old in in_system_order(hits):
+            for old in index.in_system_order(hits):
                 if hits[old.id]:
                     drop(old)
                     work.append(LinComb.monomial(old.lhs) - old.rhs)
@@ -364,8 +367,9 @@ def complete(
                     drop(old)
                     put(make_rule(old.id, old.lhs, rhs, order))
         for new in added:
-            for other in in_system_order(index.partners(new, max_order - new.order)):
-                push_overlaps(new, other)
+            for amb in index.critical_pairs(new, max_order):
+                key = (amb.order, word_key(amb.site.word), tuple(sorted((amb.rule1, amb.rule2))))
+                heapq.heappush(heap, (key, next(seq), amb))
         return added
 
     for rule in initial:

@@ -335,8 +335,11 @@ def parse_lincomb(text: str, sig: Signature) -> LinComb:
     """Parse `[c *] <polish> { (+|-) [c *] <polish> }`, adding each summand
     into one sum in place.  In a summand without `*`, a `-` glued to its
     first token is its sign, as ``LinComb.__str__`` writes a leading -1
-    (`-m 1 2`); no symbol name starts with `-`."""
+    (`-m 1 2`); no symbol name starts with `-`.  A lone `0` is the zero
+    sum, as ``LinComb.__str__`` writes it, of arity 0."""
     tokens = text.split()
+    if tokens == ["0"]:
+        return LinComb(0)
     if not tokens:
         raise TermError("empty linear combination")
     result = None

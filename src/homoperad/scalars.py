@@ -420,8 +420,10 @@ def parse_scalar(text: str):
     p = _Parser(text)
     try:
         v = p.expr()
-    except (IndexError, ZeroDivisionError) as e:
+    except IndexError as e:
         raise ScalarParseError(str(e)) from e
+    except ZeroDivisionError:  # Fraction's and RatFunc's own texts differ
+        raise ScalarParseError("division by zero") from None
     except RecursionError:
         raise ScalarParseError("parentheses or signs nested too deeply") from None
     if p.peek() is not None:

@@ -1,5 +1,6 @@
 import hashlib
 import importlib.resources
+import json
 import os
 import random
 import subprocess
@@ -35,6 +36,12 @@ def test_normalize(capsys):
     )
     assert code == 0
     assert out.strip() == "m m 1 2 a a 3"
+
+
+def test_normalize_reads_the_zero_sum_it_prints(capsys):
+    argv = ["normalize", "--rules", HOMASS, "--term", "m a 1 m 2 3 - m m 1 2 a 3"]
+    assert run(capsys, argv) == (0, "0\n", "")
+    assert run(capsys, ["normalize", "--rules", HOMASS, "--term", "0"]) == (0, "0\n", "")
 
 
 def test_normalize_assoc_right_comb(capsys):
@@ -459,6 +466,33 @@ def test_ambiguities_listing_is_pinned(capsys, rules, order, line):
     assert (code, out, err) == (0, line + "\n", "")
 
 
+def test_ambiguities_of_an_envelope_are_pinned(capsys, tmp_path):
+    """The qsl2 envelope's rules file, over constants e, f, h: each
+    ambiguity is a candidate, with rational-function coefficients."""
+    code, out, err = run(capsys, ["envelope", QSL2, "--names", "e,f,h"])
+    assert (code, err) == (0, "")
+    path = tmp_path / "envelope.rules"
+    path.write_text(out)
+    code, out, err = run(capsys, ["ambiguities", "--rules", str(path)])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "m a e m 1 2\tr7,r1\tcandidate\t(-q) * m e m 1 2 + m m e 1 a 2",
+        "m a f m 1 2\tr7,r2\tcandidate\t(-q^2) * m f m 1 2 + m m f 1 a 2",
+        "m a h m 1 2\tr7,r3\tcandidate\t(-q) * m h m 1 2 + m m h 1 a 2",
+        "m a 1 m a 2 m 3 4\tr7,r7\tcandidate\tm m 1 a 2 a m 3 4 - m m 1 m 2 3 a a 4",
+        "m a 1 m f e\tr7,r4\tcandidate\t"
+        "(1/2 + 1/2*q) * m a 1 h + (-q^2) * m m 1 e f + q * m m 1 f e",
+        "m a 1 m h e\tr7,r5\tcandidate\t-2 * m a 1 e + (-q) * m m 1 e h + q * m m 1 h e",
+        "m a 1 m h f\tr7,r6\tcandidate\t2*q * m a 1 f + (-q) * m m 1 f h + q^2 * m m 1 h f",
+    ]
+
+
+def test_ambiguities_of_no_rules_print_nothing(capsys, tmp_path):
+    path = tmp_path / "empty.rules"
+    path.write_text("# no rules\n")
+    assert run(capsys, ["ambiguities", "--rules", str(path)]) == (0, "", "")
+
+
 def test_hilbert_free(capsys):
     code, out, _ = run(capsys, ["hilbert", "--free", "--degree", "5"])
     assert code == 0
@@ -637,6 +671,19 @@ def test_malformed_algebra_names_the_field(capsys, tmp_path, case, field):
     code, _, err = run(capsys, [str(path) if a == "FILE" else a for a in argv])
     assert code == 2
     assert err == f"parse error: malformed algebra document: {field}\n"
+
+
+@pytest.mark.parametrize("scalar", ["1/0", "q/0", "1/(q - q)", "(1 + q)/(q - q)"])
+def test_division_by_zero_has_one_message(capsys, tmp_path, scalar):
+    """A zero divisor is one parse error, whether the quotient is a
+    rational or a rational function, in a `--term` and in an algebra."""
+    argv = ["normalize", "--rules", HOMASS, "--term", f"{scalar} * m 1 2"]
+    assert run(capsys, argv) == (2, "", "parse error: division by zero\n")
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"dim": 1, "mult": [[[scalar]]], "alpha": [["1"]]}))
+    assert run(capsys, ["check-algebra", str(path), "--identities", "skew"]) == (
+        2, "", "parse error: malformed algebra document: mult[0][0][0]: division by zero\n"
+    )
 
 
 def test_deep_scalar_is_a_parse_error_that_names_the_nesting(capsys):

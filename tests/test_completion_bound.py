@@ -1,10 +1,12 @@
-"""The order-bounded superposition search and the order-aware inter-reduction
-of ``complete``, checked against the unbounded search they replaced, which
-is kept here as the reference, and against the invariants a completed
-system must satisfy."""
+"""The order-bounded superposition search, the critical pairs of the
+subterm index and the order-aware inter-reduction of ``complete``, checked
+against the unbounded all-pairs search they replaced, which is kept here as
+the reference, and against the invariants a completed system must
+satisfy."""
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -92,6 +94,12 @@ def ref_bounded(s1, s2, max_order=math.inf):
     """The reference with the filter the completion loop applied after it,
     over the signature of the rules' patterns, as ``overlaps`` is."""
     return [x for x in ref_overlaps(s1, s2, s1.lhs.sig) if x.order <= max_order]
+
+
+def ref_ambiguities(rules):
+    """Every critical ambiguity of a rule list, each rule paired with itself
+    and the rules after it, as ``ambiguities`` once listed them."""
+    return [amb for i, r1 in enumerate(rules) for r2 in rules[i:] for amb in overlaps(r1, r2)]
 
 
 # --- inputs -------------------------------------------------------------------
@@ -330,13 +338,20 @@ def test_complete_builds_few_end_tables(end_tables_built):
 # --- the subterm index: partners and inter-reduction targets ----------------------
 
 
+def pair_bound(rules):
+    """The bound ``ambiguities`` passes: two patterns share a vertex, so no
+    site of two rules reaches twice the largest pattern."""
+    return 2 * max((r.order for r in rules), default=0)
+
+
 def systems_with_prefixes():
-    """(system, max_order) over a prefix of the order-12 homass system."""
+    """(system, max_order) over a prefix of the order-12 homass system, at a
+    bound of 8 to 16 or at the bound ``ambiguities`` passes."""
     sig, order, rules = rule_file("homass-o12")
     return st.builds(
-        lambda n, k: (RewritingSystem(sig, order, rules[:n]), k),
+        lambda n, k: (RewritingSystem(sig, order, rules[:n]), k or pair_bound(rules[:n])),
         st.integers(1, len(rules)),
-        st.integers(8, 16),
+        st.integers(8, 16) | st.none(),
     )
 
 
@@ -364,7 +379,7 @@ def test_index_is_exact_on_homass_prefixes(case):
 
 
 @pytest.mark.parametrize("name", ["assoc", "leibniz", "envelope"])
-@pytest.mark.parametrize("max_order", [3, 5, 8])
+@pytest.mark.parametrize("max_order", [3, 5, 8, "pair-bound"])
 def test_index_is_exact_on_other_signatures(name, max_order):
     """Non-hom signatures, and the constants of an envelope, whose terms
     end without a box."""
@@ -373,6 +388,8 @@ def test_index_is_exact_on_other_signatures(name, max_order):
     else:
         sig, order, rules = rule_file(name)
         system = RewritingSystem(sig, order, rules)
+    if max_order == "pair-bound":
+        max_order = pair_bound(system)
     assert_index_is_exact(system, max_order)
 
 
@@ -423,3 +440,58 @@ def test_index_remove_and_add_leave_the_index_of_the_rules_present():
     fresh = completion._SubtermIndex(RewritingSystem(sig, order, rules))
     assert index_entries(index.trie, sig) == index_entries(fresh.trie, sig)
     assert index_entries(index.trie, sig)
+
+
+# --- critical pairs: one enumerator for complete and ambiguities -------------------
+
+
+@st.composite
+def rule_lists(draw):
+    """(signature, order, rules): a prefix of the order-12 homass rules in
+    file order or shuffled, or the assoc, leibniz or qsl2 envelope rules."""
+    name = draw(st.sampled_from(["homass-o12", "assoc", "leibniz", "envelope"]))
+    if name == "envelope":
+        system = envelope()
+        return system.sig, system.order, system.rules
+    sig, order, rules = rule_file(name)
+    if name == "homass-o12":
+        rules = rules[: draw(st.integers(1, len(rules)))]
+        if draw(st.booleans()):
+            rules = draw(st.permutations(rules))
+    return sig, order, rules
+
+
+def index_ambiguities(sig, order, rules, max_order):
+    """The pairing of ``ambiguities``: each rule, last to first, is added to
+    a fresh index and paired with the rules after it and itself."""
+    index = completion._SubtermIndex(RewritingSystem(sig, order, []))
+    out = []
+    for r in reversed(rules):
+        index.system.add(r)
+        index.add(r)
+        out += index.critical_pairs(r, max_order)
+    return out
+
+
+def amb_keys(ambs):
+    return Counter((a.site.word, a.rule1, a.rule2, a.pos2) for a in ambs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule_lists())
+def test_critical_pairs_at_the_pair_bound_equal_all_pairs(case):
+    """At the bound ``ambiguities`` passes, the index finds every
+    ambiguity of the reference, and a root site of two rules names the
+    earlier one first."""
+    sig, order, rules = case
+    got = index_ambiguities(sig, order, rules, pair_bound(rules))
+    assert amb_keys(got) == amb_keys(ref_ambiguities(rules))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rule_lists(), st.integers(8, 16))
+def test_bounded_critical_pairs_equal_the_cut_reference(case, max_order):
+    sig, order, rules = case
+    got = index_ambiguities(sig, order, rules, max_order)
+    want = [a for a in ref_ambiguities(rules) if a.order <= max_order]
+    assert amb_keys(got) == amb_keys(want)

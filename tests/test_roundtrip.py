@@ -34,20 +34,26 @@ SCALARS = FRACTIONS | ratfuncs().filter(bool)
 
 @st.composite
 def sums(draw):
-    """A nonzero sum of plane {m/2, a/1} monomials of grading up to (2, 3)
-    and one arity, with nonzero Fraction and RatFunc coefficients.  The
-    zero sum prints as `0`, which carries no arity: ``parse_rules`` reads
-    it as the rhs of a rule, whose lhs gives the arity."""
+    """A sum of plane {m/2, a/1} monomials of grading up to (2, 3) and one
+    arity, with nonzero Fraction and RatFunc coefficients; the zero sum
+    too."""
     m = draw(st.integers(0, 3))
     pool = [c for a in range(3) for c in enumerate_plane(a, m)]
-    monos = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6, unique=True))
+    monos = draw(st.lists(st.sampled_from(pool), max_size=6, unique=True))
     return LinComb(m + 1, {c: draw(SCALARS) for c in monos})
 
 
 @settings(max_examples=500, deadline=None)
 @given(sums())
 def test_signed_sum_reads_back(x):
-    assert parse_lincomb(str(x), HOM_SIGNATURE) == x
+    """The zero sum prints as `0`, which carries no arity: it reads back as
+    the zero sum of arity 0, which prints as `0` again.  ``parse_rules`` reads
+    it as the rhs of a rule, whose lhs gives the arity."""
+    back = parse_lincomb(str(x), HOM_SIGNATURE)
+    if x:
+        assert back == x
+    else:
+        assert (back, str(back)) == (LinComb(0), "0")
 
 
 def test_signed_sum_with_each_kind_of_coefficient_reads_back():
