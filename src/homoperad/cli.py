@@ -272,9 +272,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser = None  # built by the first call of main
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; may be called many times in one process, which
+    builds the argument parser once and keeps no other state between calls."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.fn(args)
     except (RuleError, IncomparableLeading) as e:  # RuleError is a TermError

@@ -5,7 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .orders import GT, LT
-from .terms import Context, Permutation, TermError, act, compose, print_term, word_key
+from .scalars import RatFunc, format_scalar
+from .terms import Context, Permutation, TermError, act, compose, print_term, sort_key
 
 
 class IncomparableLeading(ValueError):
@@ -88,11 +89,13 @@ class LinComb:
     def __str__(self):
         if not self.terms:
             return "0"
-        parts = sorted(self.terms.items(), key=lambda kv: word_key(kv[0].word))
+        parts = sorted(self.terms.items(), key=lambda kv: sort_key(kv[0]))
         out = []
         for i, (ctx, c) in enumerate(parts):
+            if c.__class__ is RatFunc and (f := c._fraction()) is not None:
+                c = f  # a constant prints as the Fraction it equals
             sign = "-" if _is_negative(c) else "+"
-            mag = -c if _is_negative(c) else c
+            mag = -c if sign == "-" else c
             coeff = "" if mag == 1 else f"{_fmt(mag)} * "
             if i == 0:
                 out.append(("-" if sign == "-" else "") + coeff + print_term(ctx.word))
@@ -106,12 +109,10 @@ class LinComb:
 def _is_negative(c) -> bool:
     if isinstance(c, Fraction):
         return c < 0
-    return False  # rational functions print with explicit sign inside
+    return False  # a non-constant rational function prints its sign inside
 
 
 def _fmt(c) -> str:
-    from .scalars import format_scalar
-
     s = format_scalar(c)
     return f"({s})" if any(op in s for op in " +-/") and not s.lstrip("-").replace("/", "").isdigit() else s
 

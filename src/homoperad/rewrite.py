@@ -9,7 +9,7 @@ from .linear import LinComb, leading_monomial, maximal
 from .orders import GT, TermOrder
 from .scalars import parse_scalar
 from .terms import (
-    HOM_SIGNATURE, Context, Signature, TermError, parse, planarize, word_key
+    HOM_SIGNATURE, Context, Signature, TermError, parse, parse_tokens, planarize, word_key
 )
 
 
@@ -316,15 +316,15 @@ def _split_summands(tokens):
     """Split a signed-sum token list at top-level + and - separators."""
     out, current, sign, depth = [], [], 1, 0
     for tok in tokens:
-        if depth == 0 and tok in ("+", "-") and not current:
-            if tok == "-":
+        if depth == 0 and (tok == "+" or tok == "-"):
+            if current:
+                out.append((sign, current))
+                current, sign = [], (1 if tok == "+" else -1)
+            elif tok == "-":
                 sign = -sign
             continue
-        if depth == 0 and tok in ("+", "-"):
-            out.append((sign, current))
-            current, sign = [], (1 if tok == "+" else -1)
-            continue
-        depth += tok.count("(") - tok.count(")")
+        if "(" in tok or ")" in tok:
+            depth += tok.count("(") - tok.count(")")
         current.append(tok)
     if current:
         out.append((sign, current))
@@ -352,7 +352,7 @@ def parse_lincomb(text: str, sig: Signature) -> LinComb:
         elif toks[0].startswith("-") and toks[0] != "-":
             coeff = -coeff
             toks = [toks[0][1:], *toks[1:]]
-        ctx = parse(" ".join(toks), sig)
+        ctx = parse_tokens(toks, sig)
         if result is None:
             result = LinComb.monomial(ctx, coeff)
         elif ctx.arity != result.arity:

@@ -415,8 +415,15 @@ class _Parser:
 def parse_scalar(text: str):
     """Parse a scalar: plain `p/q` rationals, or polynomial expressions in q.
 
-    Returns a Fraction when the value is constant, a RatFunc otherwise.
+    Returns a Fraction when the value is constant, a RatFunc otherwise.  A
+    plain ASCII literal `p` or `p/q` is read directly.
     """
+    num, slash, den = text.partition("/")
+    if text.isascii() and num.isdigit() and (den.isdigit() or not slash):
+        n, d = int(num), int(den) if slash else 1
+        if not d:
+            raise ScalarParseError("division by zero")
+        return Fraction(n, d)
     p = _Parser(text)
     try:
         v = p.expr()

@@ -154,8 +154,12 @@ def hilbert_series(rules, D: int) -> BivariateSeries:
     vertices fits no monomial counted, so only the rules of order <= D
     build the automaton."""
     rules = [r for r in rules if r.order <= D]
-    g = solve_series(minimize(determinize(grammar_from_rules(rules))), D)
-    return sum(g, BivariateSeries(D))
+    total = BivariateSeries(D)
+    coeffs = total.coeffs
+    for x in solve_series(minimize(determinize(grammar_from_rules(rules))), D):
+        for key, c in x.coeffs.items():  # counts are positive: no sum is 0
+            coeffs[key] = coeffs.get(key, 0) + c
+    return total
 
 
 def unstable_degrees(rules, stable_gradings, D: int) -> list[tuple[int, int]]:

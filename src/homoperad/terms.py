@@ -7,6 +7,7 @@ equality and hashing are therefore O(n) tuple operations.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, count
@@ -44,6 +45,15 @@ class Signature:
                 raise TermError(f"negative arity for {name!r}")
             seen[name] = arity
         object.__setattr__(self, "_arity", seen)
+        # the reader's token table: a name spells (name, arity), a one-digit
+        # token its box; names hold no digit, so the two never meet
+        tokens = {name: (name, arity) for name, arity in seen.items()}
+        tokens.update((str(i), i) for i in range(1, 10))
+        object.__setattr__(self, "_tokens", tokens)
+        # the printer's sort key of a name: its rank among the names, above
+        # every box, since a box index is at most the length of its word
+        ranks = {name: sys.maxsize + r for r, name in enumerate(sorted(seen))}
+        object.__setattr__(self, "_sort_keys", ranks)
 
     def arity(self, name: str) -> int:
         try:
@@ -181,37 +191,80 @@ def word_key(word: tuple[Token, ...]) -> tuple:
     return tuple((0, t, "") if isinstance(t, int) else (1, 0, t) for t in word)
 
 
+def sort_key(c: Context) -> tuple[int, ...]:
+    """An int tuple that sorts the contexts of one signature exactly as
+    ``word_key`` sorts their words: a box is its index, a symbol its
+    signature's ``_sort_keys`` entry."""
+    keys = c.sig._sort_keys
+    return tuple(map(keys.get, c.word, c.word))
+
+
 def parse(text: str, sig: Signature) -> Context:
     """Parse whitespace-separated Polish tokens; ASCII digits 1-9 are boxes
     and bracketed ASCII decimals like [12] are boxes with larger indices."""
-    word = []
-    for tok in text.split():
-        if len(tok) == 1 and _is_ascii_decimal(tok):
-            if tok == "0":
-                raise TermError("box indices start at 1")
-            word.append(int(tok))
-        elif tok.startswith("[") and tok.endswith("]"):
-            if not _is_ascii_decimal(tok[1:-1]):
-                raise TermError(f"bad box token {tok!r}")
-            idx = int(tok[1:-1])
-            if idx < 1:
-                raise TermError("box indices start at 1")
-            word.append(idx)
+    return parse_tokens(text.split(), sig)
+
+
+def parse_tokens(tokens, sig: Signature) -> Context:
+    """The context a list of Polish tokens spells, read in one pass that
+    counts the arguments still open and collects the boxes.  The first bad
+    token is reported; then boxes that are not 1..n each once; then tokens
+    after a complete term; then a term left open."""
+    table = sig._tokens
+    word, boxes = [], []
+    need, trailing = 1, False
+    for tok in tokens:
+        if need <= 0:
+            trailing = True
+        t = table.get(tok)
+        if t is None:
+            t = _box(tok)
+        if t.__class__ is int:
+            word.append(t)
+            boxes.append(t)
+            need -= 1
         else:
-            if tok not in sig:
-                raise TermError(f"unknown symbol {tok!r}")
-            word.append(tok)
-    return Context(tuple(word), sig)
+            word.append(t[0])
+            need += t[1] - 1
+    n = len(boxes)
+    if sorted(boxes) != list(range(1, n + 1)):
+        raise TermError(f"boxes must be 1..{n} each once, got {boxes}")
+    if trailing:
+        raise TermError("trailing tokens after complete term")
+    if need:
+        raise TermError("truncated Polish term")
+    return Context(tuple(word), sig, _checked=True, _arity=n)
+
+
+def _box(tok: str) -> int:
+    """The index of a box token outside the token table, `[n]`; any other
+    such token is an error."""
+    if tok == "0":
+        raise TermError("box indices start at 1")
+    if tok.startswith("[") and tok.endswith("]"):
+        if not _is_ascii_decimal(tok[1:-1]):
+            raise TermError(f"bad box token {tok!r}")
+        idx = int(tok[1:-1])
+        if idx < 1:
+            raise TermError("box indices start at 1")
+        return idx
+    raise TermError(f"unknown symbol {tok!r}")
+
+
+class _TokenTexts(dict):
+    """Token -> its printed text: a symbol is its name, a box past 9 is
+    bracketed.  Each entry is made on the first print of its token."""
+
+    def __missing__(self, t):
+        text = self[t] = t if t.__class__ is str else str(t) if t <= 9 else f"[{t}]"
+        return text
+
+
+_TEXTS = _TokenTexts()
 
 
 def print_term(word: tuple[Token, ...]) -> str:
-    out = []
-    for t in word:
-        if isinstance(t, int):
-            out.append(str(t) if t <= 9 else f"[{t}]")
-        else:
-            out.append(t)
-    return " ".join(out)
+    return " ".join(map(_TEXTS.__getitem__, word))
 
 
 def compose(outer: Context, inners: list[Context]) -> Context:

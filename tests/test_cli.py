@@ -529,6 +529,46 @@ def test_hilbert_strict_without_stable_warns_and_fails(capsys):
     assert "warning" in err
 
 
+ONE_PROCESS = """
+import contextlib, io, json, sys
+from homoperad.cli import main
+
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_repeated_main_calls_share_no_state():
+    """``main`` builds its parser once per process: a `--stable` given to
+    one call is not seen by the next, and a call that argparse refuses
+    leaves nothing behind.  Each call answers as it does alone."""
+    calls = [
+        ["hilbert", "--rules", HOMASS, "--degree", "3", "--stable", "1,1"],
+        ["hilbert", "--rules", HOMASS, "--degree", "3", "--strict"],
+        ["hilbert", "--degree", "3", "--stable"],
+        ["normalize", "--rules", HOMASS, "--term", "m a 1 m 2 a 3"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    alone = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "homoperad.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=60)
+        alone.append([proc.returncode, proc.stdout, proc.stderr])
+    assert [code for code, _, _ in alone] == [0, 1, 2, 0]
+    proc = subprocess.run([sys.executable, "-c", ONE_PROCESS, json.dumps(calls)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == alone
+
+
 @pytest.mark.parametrize("strict", [[], ["--strict"]], ids=["plain", "strict"])
 def test_hilbert_on_no_rules_is_the_free_count(capsys, tmp_path, strict):
     """`--free` is the empty rule set: a rules file with no rules prints

@@ -33,14 +33,14 @@ SCALARS = FRACTIONS | ratfuncs().filter(bool)
 
 
 @st.composite
-def sums(draw):
+def sums(draw, coeffs=SCALARS):
     """A sum of plane {m/2, a/1} monomials of grading up to (2, 3) and one
-    arity, with nonzero Fraction and RatFunc coefficients; the zero sum
-    too."""
+    arity, with nonzero coefficients, by default Fraction and RatFunc;
+    the zero sum too."""
     m = draw(st.integers(0, 3))
     pool = [c for a in range(3) for c in enumerate_plane(a, m)]
     monos = draw(st.lists(st.sampled_from(pool), max_size=6, unique=True))
-    return LinComb(m + 1, {c: draw(SCALARS) for c in monos})
+    return LinComb(m + 1, {c: draw(coeffs) for c in monos})
 
 
 @settings(max_examples=500, deadline=None)
@@ -64,6 +64,19 @@ def test_signed_sum_with_each_kind_of_coefficient_reads_back():
     x = LinComb(3, dict(zip(enumerate_plane(1, 2), coeffs)))
     assert len(x.terms) == 6
     assert parse_lincomb(str(x), HOM_SIGNATURE) == x
+
+
+def test_constant_rational_function_prints_as_its_fraction():
+    monos = parse("a m 1 2", HOM_SIGNATURE), parse("m 1 a 2", HOM_SIGNATURE)
+    for c in (Fraction(-5, 24), RatFunc.const(Fraction(-5, 24))):
+        assert str(LinComb(2, dict(zip(monos, (1, c))))) == "a m 1 2 - 5/24 * m 1 a 2"
+
+
+@settings(max_examples=300, deadline=None)
+@given(sums(FRACTIONS.map(RatFunc.const) | ratfuncs().filter(bool)))
+def test_sum_with_rational_function_coefficients_prints_as_it_reads_back(x):
+    """A constant RatFunc reads back as a Fraction, and prints as one."""
+    assert str(parse_lincomb(str(x), HOM_SIGNATURE)) == str(x)
 
 
 @st.composite
