@@ -21,7 +21,7 @@ from .rewrite import (
     orient,
     trie_leaf,
 )
-from .terms import Context, TermError, grading, renumber, word_key
+from .terms import Context, TermError, grading, renumber, sort_key
 
 
 @dataclass(frozen=True)
@@ -368,7 +368,7 @@ def complete(
                     put(make_rule(old.id, old.lhs, rhs, order))
         for new in added:
             for amb in index.critical_pairs(new, max_order):
-                key = (amb.order, word_key(amb.site.word), tuple(sorted((amb.rule1, amb.rule2))))
+                key = (amb.order, sort_key(amb.site), tuple(sorted((amb.rule1, amb.rule2))))
                 heapq.heappush(heap, (key, next(seq), amb))
         return added
 

@@ -50,8 +50,8 @@ def lex_ma_key(c: Context) -> tuple:
     first token where two words differ, a higher symbol wins as in
     ``lex_ma``; where ``lex_ma`` finds them incomparable, a box beats any
     symbol and a lower box index beats a higher one, the word that
-    ``word_key`` sorts first.  So the key-greatest of a set is its
-    ``word_key``-least ``lex_ma``-maximal element."""
+    ``terms.sort_key`` sorts first.  So the key-greatest of a set is its
+    ``sort_key``-least ``lex_ma``-maximal element."""
     return tuple(map(_key_table(c.sig, c.arity).__getitem__, c.word))
 
 

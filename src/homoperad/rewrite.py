@@ -9,7 +9,7 @@ from .linear import LinComb, leading_monomial, maximal
 from .orders import GT, TermOrder
 from .scalars import parse_scalar
 from .terms import (
-    HOM_SIGNATURE, Context, Signature, TermError, parse, parse_tokens, planarize, word_key
+    HOM_SIGNATURE, Context, Signature, TermError, parse, parse_tokens, planarize, sort_key
 )
 
 
@@ -228,7 +228,7 @@ def is_irreducible(x: LinComb | Context, sys: RewritingSystem) -> bool:
 def _pick_greatest(monos, order):
     """The order-greatest monomial; Polish-lex-least fallback among maximal
     candidates when the order cannot decide."""
-    return min(maximal(monos, order), key=lambda m: word_key(m.word))
+    return min(maximal(monos, order), key=sort_key)
 
 
 def normal_form(x: LinComb, sys: RewritingSystem, rng=None, memo=None) -> LinComb:

@@ -186,14 +186,9 @@ def _is_ascii_decimal(text: str) -> bool:
     return text.isascii() and text.isdecimal()
 
 
-def word_key(word: tuple[Token, ...]) -> tuple:
-    """Polish-lex sort key: boxes (by index) before symbols (by name)."""
-    return tuple((0, t, "") if isinstance(t, int) else (1, 0, t) for t in word)
-
-
 def sort_key(c: Context) -> tuple[int, ...]:
-    """An int tuple that sorts the contexts of one signature exactly as
-    ``word_key`` sorts their words: a box is its index, a symbol its
+    """Polish-lex sort key on the contexts of one signature: boxes (by
+    index) before symbols (by name).  A box is its index, a symbol its
     signature's ``_sort_keys`` entry."""
     keys = c.sig._sort_keys
     return tuple(map(keys.get, c.word, c.word))
@@ -251,20 +246,8 @@ def _box(tok: str) -> int:
     raise TermError(f"unknown symbol {tok!r}")
 
 
-class _TokenTexts(dict):
-    """Token -> its printed text: a symbol is its name, a box past 9 is
-    bracketed.  Each entry is made on the first print of its token."""
-
-    def __missing__(self, t):
-        text = self[t] = t if t.__class__ is str else str(t) if t <= 9 else f"[{t}]"
-        return text
-
-
-_TEXTS = _TokenTexts()
-
-
 def print_term(word: tuple[Token, ...]) -> str:
-    return " ".join(map(_TEXTS.__getitem__, word))
+    return " ".join(t if t.__class__ is str else str(t) if t <= 9 else f"[{t}]" for t in word)
 
 
 def compose(outer: Context, inners: list[Context]) -> Context:

@@ -4,12 +4,13 @@ references: ``ref_parse`` checks each token, then builds a validating
 each summand's tokens back to text for it; ``ref_parse_scalar`` reads every
 scalar through ``_Parser``.  On every text the new reader gives an equal
 result, or raises the same exception class with the same message.  The
-printer's int sort key is checked against ``word_key``."""
+printer's int sort key is checked against ``ref_word_key``, the
+Polish-lex key of tuples it replaced."""
 
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
-from test_rewrite_index import plane_words
+from test_rewrite_index import plane_words, ref_word_key
 from test_roundtrip import TERNARY, signatures, sums
 
 from homoperad.linear import LinComb
@@ -25,7 +26,6 @@ from homoperad.terms import (
     parse,
     print_term,
     sort_key,
-    word_key,
 )
 
 
@@ -228,5 +228,5 @@ def monomials(draw):
 def test_sort_key_orders_as_word_key(monos):
     for x in monos:
         for y in monos:
-            kx, ky, wx, wy = sort_key(x), sort_key(y), word_key(x.word), word_key(y.word)
+            kx, ky, wx, wy = sort_key(x), sort_key(y), ref_word_key(x.word), ref_word_key(y.word)
             assert (kx < ky, kx == ky) == (wx < wy, wx == wy)
