@@ -10,8 +10,6 @@ from dataclasses import dataclass, field
 
 from .linear import IncomparableLeading, LinComb
 from .rewrite import (
-    _RULES,
-    _WILD,
     Redex,
     RewritingSystem,
     Rule,
@@ -20,6 +18,7 @@ from .rewrite import (
     normal_form,
     orient,
     trie_leaf,
+    trie_walk,
 )
 from .terms import Context, TermError, grading, renumber, sort_key
 
@@ -114,53 +113,6 @@ def overlaps(s1: Rule, s2: Rule, max_order=math.inf) -> list[Ambiguity]:
 # --- the subterm index -----------------------------------------------------
 
 
-def _terms_below(node: dict, room, arity: dict):
-    """(node, k) at the end of each complete term spelled from the inner
-    trie ``node`` that has k <= ``room`` vertices."""
-    stack = [(node, 1, 0)]
-    while stack:
-        node, need, k = stack.pop()
-        for key, child in node.items():  # an inner node: a term is still open
-            if key == _WILD:
-                left, size = need - 1, k
-            elif k < room:
-                left, size = need + arity[key] - 1, k + 1
-            else:
-                continue
-            if left:
-                stack.append((child, left, size))
-            else:
-                yield child, size
-
-
-def _walk(trie: dict, term: Context, i, room, both=True):
-    """(leaf, cost) of each trie term that unifies with the subterm of
-    ``term`` at token i, walked in lockstep: a box of ``term`` takes one whole
-    trie term, whose vertices it adds to the cost, and with ``both`` a trie
-    box takes the subterm opposite it, at no cost.  Without ``both`` the trie
-    terms found are the instances of the subterm.  Walks that cost more than
-    ``room`` are cut.  Trie symbols take their arities from ``term.sig``."""
-    word, ends, arity = term.word, term.ends, term.sig._arity
-    stop = ends[i]
-    stack = [(trie, i, 0)]
-    while stack:
-        node, i, cost = stack.pop()
-        if i == stop:
-            yield node, cost
-            continue
-        tok = word[i]
-        if isinstance(tok, int):
-            for child, k in _terms_below(node, room - cost, arity):
-                stack.append((child, i + 1, cost + k))
-            continue
-        child = node.get(tok)
-        if child is not None:
-            stack.append((child, i + 1, cost))
-        child = node.get(_WILD) if both else None
-        if child is not None:
-            stack.append((child, ends[i], cost))
-
-
 class _SubtermIndex:
     """Every symbol-rooted subterm of a system's rules in one discrimination
     trie, laid out as the system's lhs trie.  A leaf maps the id of each
@@ -220,11 +172,9 @@ class _SubtermIndex:
         out = {new.id}
         if room < 0:  # no site that holds new.lhs fits
             return out
-        for p, tok in enumerate(lhs.word):
-            if not isinstance(tok, int):
-                for leaf, _ in _walk(self.system._trie, lhs, p, room):
-                    out.update(r.id for r in leaf[_RULES])
-        for leaf, cost in _walk(self.trie, lhs, 0, room):
+        for _, leaf, _ in trie_walk(self.system._trie, lhs, range(len(lhs.word)), room):
+            out.update(leaf)
+        for _, leaf, cost in trie_walk(self.trie, lhs, (0,), room):
             out.update(rid for rid, outside in leaf.items() if cost + outside <= room)
         return out
 
@@ -243,9 +193,9 @@ class _SubtermIndex:
         at ``largest - lhs.order``."""
         room = self.largest - lhs.order
         out = {}
-        for leaf, _ in _walk(self.system._trie, lhs, 0, room, both=False):
-            out.update((r.id, True) for r in leaf[_RULES])
-        for leaf, _ in _walk(self.trie, lhs, 0, room, both=False):
+        for _, leaf, _ in trie_walk(self.system._trie, lhs, (0,), room, both=False):
+            out.update(dict.fromkeys(leaf, True))
+        for _, leaf, _ in trie_walk(self.trie, lhs, (0,), room, both=False):
             for rid, outside in leaf.items():
                 out[rid] = out.get(rid, False) or outside < math.inf
         return out

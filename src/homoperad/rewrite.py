@@ -70,16 +70,80 @@ def orient(rule_id: str, diff: LinComb, order: TermOrder) -> Rule:
 
 
 _WILD = 0  # trie edge of a pattern box; box tokens themselves are >= 1
-_RULES = None  # trie key of the rules whose lhs ends at that node
 
 
 def trie_leaf(trie: dict, word) -> dict:
     """The node of a discrimination trie at the end of the path that spells
-    ``word``, with every box one ``_WILD`` edge; missing nodes are made."""
+    ``word``, with every box one ``_WILD`` edge; missing nodes are made.  A
+    complete term is no prefix of another, so this node is a leaf: its keys
+    are rule ids, never edges."""
     node = trie
     for tok in word:
         node = node.setdefault(_WILD if isinstance(tok, int) else tok, {})
     return node
+
+
+def _terms_below(node: dict, room, arity: dict):
+    """(node, k) at the end of each complete term spelled from the inner
+    trie ``node`` that has k <= ``room`` vertices."""
+    stack = [(node, 1, 0)]
+    while stack:
+        node, need, k = stack.pop()
+        for key, child in node.items():  # an inner node: a term is still open
+            if key == _WILD:
+                left, size = need - 1, k
+            elif k < room:
+                left, size = need + arity[key] - 1, k + 1
+            else:
+                continue
+            if left:
+                stack.append((child, left, size))
+            else:
+                yield child, size
+
+
+def trie_walk(trie: dict, term: Context, starts, room=0, both=True, first=False) -> list:
+    """(start, leaf, cost) of each nonempty trie leaf whose term unifies with
+    the subterm of ``term`` at a token of ``starts``, walked in lockstep: a
+    trie symbol takes the same symbol, with ``both`` a trie box takes the
+    subterm opposite it, and a box of ``term`` takes one whole trie term,
+    whose vertices it adds to the cost.  Walks that cost more than ``room``
+    are cut, so at room 0 the leaves are the patterns that match there, and
+    without ``both`` they are the instances of the subterm.  A start with
+    no root edge, as every box, is skipped; with ``first``, the walk stops
+    after the first start that has a leaf.  The walk follows one path to
+    its end and stacks the other edges it passes by."""
+    word, ends, arity = term.word, term.ends, term.sig._arity
+    out = []
+    for i in starts:
+        node = trie.get(word[i])
+        if node is None:
+            continue
+        stop, j, cost, forks = ends[i], i + 1, 0, []
+        while True:
+            if j == stop:
+                if node:  # a removed rule's leaf stays, empty
+                    out.append((i, node, cost))
+            else:
+                tok = word[j]
+                child, wild = node.get(tok), node.get(_WILD)
+                if child is not None:
+                    if wild is not None and both:
+                        forks.append((wild, ends[j], cost))
+                    node, j = child, j + 1
+                    continue
+                if cost < room and isinstance(tok, int):  # a box takes a trie term
+                    below = _terms_below(node, room - cost, arity)
+                    forks += [(end, j + 1, cost + k) for end, k in below]
+                elif wild is not None and (both or isinstance(tok, int)):
+                    node, j = wild, ends[j]
+                    continue
+            if not forks:
+                break
+            node, j, cost = forks.pop()
+        if first and out:
+            break
+    return out
 
 
 class RewritingSystem:
@@ -87,8 +151,9 @@ class RewritingSystem:
     place by ``add`` and ``remove``; iteration is in insertion order.
 
     The lhs words are indexed by a discrimination trie: nested dicts keyed
-    by symbol, with every box one ``_WILD`` edge.  Each lhs is plane and
-    linear, so the k-th wildcard on a path is Box_k."""
+    by symbol, with every box one ``_WILD`` edge, and a leaf maps the id of
+    each rule with that lhs to the rule.  Each lhs is plane and linear, so
+    the k-th wildcard on a path is Box_k."""
 
     def __init__(self, sig: Signature, order: TermOrder, rules):
         self.sig = sig
@@ -102,12 +167,12 @@ class RewritingSystem:
         if rule.id in self._rules:
             raise RuleError(f"duplicate rule id {rule.id}")
         self._rules[rule.id] = rule
-        trie_leaf(self._trie, rule.lhs.word).setdefault(_RULES, []).append(rule)
+        trie_leaf(self._trie, rule.lhs.word)[rule.id] = rule
 
     def remove(self, rule_id: str):
-        """Drop a rule; its trie path stays, with no rules at the end."""
+        """Drop a rule; its trie path stays, perhaps to an empty leaf."""
         rule = self._rules.pop(rule_id)
-        trie_leaf(self._trie, rule.lhs.word)[_RULES].remove(rule)
+        del trie_leaf(self._trie, rule.lhs.word)[rule_id]
 
     @property
     def rules(self) -> tuple:
@@ -138,40 +203,14 @@ class Redex:
 def find_redexes(t: Context, sys: RewritingSystem, first=False) -> list[Redex]:
     """All rule matches in t, ordered by Polish position then rule id; with
     ``first``, only those at the least position that has one, so the head
-    of the list is the same and the search stops there.
-
-    The trie is walked from every symbol of t; a symbol edge consumes one
-    token, a wildcard edge a whole subterm, found in t's end table.  The
-    walk follows one path until it ends, leaving the wildcard edge of a node
-    that has both for later."""
-    word, ends = t.word, t.ends
-    root = sys._trie
-    out = []
-    for pos, tok in enumerate(word):
-        node = root.get(tok)  # None at a box: no trie key is >= 1
-        if node is None:
-            continue
-        j, forks = pos + 1, []
-        while True:
-            rules = node.get(_RULES)
-            if rules is not None:
-                # a complete term is no prefix of another, so this is a leaf
-                out.extend(Redex(r, pos) for r in rules)
-            else:
-                child, wild = node.get(word[j]), node.get(_WILD)
-                if child is not None:
-                    if wild is not None:
-                        forks.append((wild, ends[j]))
-                    node, j = child, j + 1
-                    continue
-                if wild is not None:
-                    node, j = wild, ends[j]
-                    continue
-            if not forks:
-                break
-            node, j = forks.pop()
-        if first and out:
-            break
+    of the list is the same and the search stops there.  The lhs trie is
+    walked from every symbol of t at room 0: a trie box takes the subterm
+    opposite it, and a box of t only a trie box."""
+    out = [
+        Redex(rule, pos)
+        for pos, leaf, _ in trie_walk(sys._trie, t, range(len(t.word)), first=first)
+        for rule in leaf.values()
+    ]
     out.sort(key=lambda rd: (rd.position, rd.rule.id))
     return out
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homoperad import completion, terms
+from homoperad import completion, rewrite, terms
 from homoperad.cli import load_rules_path
 from homoperad.completion import Ambiguity, complete, overlaps
 from homoperad.homalgebra import envelope_presentation, q_sl2
@@ -420,7 +420,7 @@ def index_entries(trie, sig):
             out.update((path, rid, outside) for rid, outside in node.items())
             continue
         for key, child in node.items():
-            left = need - 1 if key == completion._WILD else need + sig.arity(key) - 1
+            left = need - 1 if key == rewrite._WILD else need + sig.arity(key) - 1
             stack.append((child, path + (key,), left))
     return out
 

@@ -382,6 +382,7 @@ def test_edited_system_matches_a_fresh_one(seed, ts):
     fresh = RewritingSystem(sys_.sig, sys_.order, rules)
     for t in ts:
         assert find_redexes(t, sys_) == find_redexes(t, fresh)
+        assert find_redexes(t, sys_, first=True) == find_redexes(t, fresh, first=True)
 
 
 def test_adding_a_present_id_is_an_error():
