@@ -26,7 +26,7 @@ from .rewrite import (
     parse_lincomb,
     parse_rules,
 )
-from .completion import Ambiguity, CompletionState, complete, overlaps, resolve
+from .completion import Ambiguity, CompletionState, ambiguities, complete, overlaps, resolve
 from .automata import determinize, grammar_from_rules
 from .series import BivariateSeries, free_series, hilbert_series, solve_series
 from .homalgebra import (

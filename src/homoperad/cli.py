@@ -25,7 +25,7 @@ import argparse
 import contextlib
 import sys
 
-from .completion import _SubtermIndex, complete, refuse_inhomogeneous, resolve
+from .completion import ambiguities, complete, refuse_inhomogeneous
 from .homalgebra import (
     AlgebraFormatError,
     check_hom_associative,
@@ -48,7 +48,7 @@ from .rewrite import (
 )
 from .scalars import ScalarParseError, format_scalar
 from .series import format_series, hilbert_series, unstable_degrees
-from .terms import HOM_SIGNATURE, TermError, _is_ascii_decimal
+from .terms import HOM_SIGNATURE, TermError, _is_ascii_decimal, sort_key
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -98,7 +98,7 @@ def cmd_complete(args) -> int:
         sys.stdout.write(census)
         if outs:
             rules_f, census_f, log_f = outs
-            ordered = sorted(state.system, key=lambda r: (r.order, str(r.lhs)))
+            ordered = sorted(state.system, key=lambda r: (r.order, sort_key(r.lhs)))
             try:
                 with stack.pop_all():  # closing flushes, so a write may fail there
                     rules_f.write(format_rules(ordered, sig))
@@ -121,16 +121,7 @@ def cmd_complete(args) -> int:
 def cmd_ambiguities(args) -> int:
     sig, order, rules = load_rules_path(args.rules, args.order)
     refuse_growing(rules)
-    index = _SubtermIndex(RewritingSystem(sig, order, []))
-    bound = 2 * max((r.order for r in rules), default=0)  # two patterns share a vertex
-    ambs = []
-    for r in reversed(rules):  # each rule pairs with those after it, itself included
-        index.system.add(r)
-        index.add(r)
-        ambs.extend(index.critical_pairs(r, bound))
-    ambs.sort(key=lambda a: (a.order, str(a.site), a.rule1, a.rule2))
-    for amb in ambs:
-        diff = resolve(amb, index.system)
+    for amb, diff in ambiguities(RewritingSystem(sig, order, rules)):
         if not diff:
             verdict = "resolved"
         else:
@@ -207,12 +198,12 @@ def cmd_envelope(args) -> int:
     with open(args.algebra) as f:
         L = load_algebra(f.read())
     try:
-        pres = envelope_presentation(L, args.names.split(","), get_order(args.order))
+        system = envelope_presentation(L, args.names.split(","), get_order(args.order))
     except (TermError, IncomparableLeading):
         raise
     except (TypeError, ValueError) as e:  # not a bracket table, not skew, name count
         raise TermError(str(e)) from None
-    sys.stdout.write(pres.to_text())
+    sys.stdout.write(format_rules(system.rules, system.sig))
     return EXIT_OK
 
 

@@ -14,13 +14,12 @@ defect becomes a dense vector only when some term of it is non-zero.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 from .linear import LinComb
 from .orders import LEX_MA, TermOrder
-from .rewrite import Rule, format_rules, make_rule, orient
+from .rewrite import RewritingSystem, make_rule, orient
 from .scalars import ScalarParseError, format_scalar, parse_scalar
 from .terms import Context, Signature, parse
 
@@ -375,23 +374,13 @@ def dump_algebra(A: FiniteHomAlgebra) -> str:
 # --- enveloping presentation ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnvelopePresentation:
-    signature: Signature
-    rules: tuple[Rule, ...]
-    order: TermOrder
-
-    def to_text(self) -> str:
-        return format_rules(self.rules, self.signature)
-
-
 def envelope_presentation(
     L: FiniteHomAlgebra, names, order: TermOrder = LEX_MA
-) -> EnvelopePresentation:
+) -> RewritingSystem:
     """Ground presentation of the enveloping hom-associative algebra of a
     hom-Lie algebra: alpha-action rules, oriented commutator rules, and the
     hom-associativity rule over the signature {m/2, a/1} plus one constant
-    per basis element."""
+    per basis element, as one rewriting system."""
     if not L.bracket:
         raise TypeError("enveloping presentation expects a bracket table")
     if check_skew(L):
@@ -425,4 +414,4 @@ def envelope_presentation(
         order,
     )
     rules.append(homass)
-    return EnvelopePresentation(sig, tuple(rules), order)
+    return RewritingSystem(sig, order, rules)

@@ -487,6 +487,22 @@ def test_ambiguities_of_an_envelope_are_pinned(capsys, tmp_path):
     ]
 
 
+def test_listings_sort_a_box_before_every_symbol(capsys, tmp_path):
+    """`complete --out` lists its rules, and `ambiguities` its sites, in
+    Polish-lex order: a box before any symbol, even `.`, which as text
+    sorts before the digits."""
+    given, out = tmp_path / "given.rules", tmp_path / "dot"
+    given.write_text("op m 2\nop . 1\nm . 1 m 2 3 -> m m 1 2 . 3\n")
+    assert run(capsys, ["complete", "--rules", str(given), "--max-order", "8", "--out", str(out)])[0] == 0
+    lines = Path(f"{out}.rules").read_text().splitlines()
+    assert [line.split(" -> ")[0] for line in lines[-2:]] == [
+        "m m m 1 2 . . 3 . . m 4 5", "m m m 1 . 2 m m 3 4 5 . . 6"]
+    given.write_text("\n".join(lines[:3] + lines[5:6]) + "\n")
+    listing = run(capsys, ["ambiguities", "--rules", str(given)])[1].splitlines()
+    assert [line.split("\t")[0] for line in listing[2:4]] == [
+        "m m m 1 2 . . 3 . . m . 4 m 5 6", "m m m . 1 m 2 3 . . 4 . . m 5 6"]
+
+
 def test_ambiguities_of_no_rules_print_nothing(capsys, tmp_path):
     path = tmp_path / "empty.rules"
     path.write_text("# no rules\n")

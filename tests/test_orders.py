@@ -119,13 +119,12 @@ def _rank_signatures():
     import importlib.resources
 
     from homoperad.homalgebra import envelope_presentation, q_sl2
+    from homoperad.rewrite import read_rules
     from homoperad.scalars import RatFunc
 
     text = importlib.resources.files("homoperad").joinpath("data", "leibniz.rules").read_text()
-    leibniz = Signature.parse(
-        "\n".join(line for line in text.splitlines() if line.startswith("op "))
-    )
-    envelope = envelope_presentation(q_sl2(RatFunc.q()), ["e", "f", "h"]).signature
+    leibniz, _ = read_rules(text, get_order("right_comb"))
+    envelope = envelope_presentation(q_sl2(RatFunc.q()), ["e", "f", "h"]).sig
     return {"hom": HOM_SIGNATURE, "ass": ASS_SIGNATURE, "leibniz": leibniz, "envelope": envelope}
 
 

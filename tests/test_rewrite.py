@@ -180,10 +180,10 @@ def test_read_rules_reads_back_a_signature_and_its_rules():
     from homoperad.scalars import RatFunc
 
     pres = envelope_presentation(q_sl2(RatFunc.q()), ["e", "f", "h"])
-    text = pres.to_text()
+    text = format_rules(pres.rules, pres.sig)
     assert text.startswith("op m 2\nop a 1\nop e 0\n")
     sig, rules = read_rules(text, LEX_MA)
-    assert sig == pres.signature
+    assert sig == pres.sig
     assert format_rules(rules, sig) == text
     sig, rules = read_rules("# hom-associativity\nm a 1 m 2 3 -> m m 1 2 a 3\n", LEX_MA)
     assert sig == HOM_SIGNATURE and [str(r) for r in rules] == ["m a 1 m 2 3 -> m m 1 2 a 3"]

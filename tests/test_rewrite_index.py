@@ -26,6 +26,7 @@ from homoperad.rewrite import (
     find_redexes,
     normal_form,
     parse_rules,
+    read_rules,
 )
 from homoperad.scalars import RatFunc
 from homoperad.terms import (
@@ -141,11 +142,8 @@ def data_text(name):
 
 
 def rules_file_system(name, order):
-    lines = data_text(name).splitlines()
-    ops = "\n".join(line for line in lines if line.strip().startswith("op "))
-    rest = "\n".join(line for line in lines if not line.strip().startswith("op "))
-    sig = Signature.parse(ops) if ops else HOM_SIGNATURE
-    return RewritingSystem(sig, order, parse_rules(rest, sig, order))
+    sig, rules = read_rules(data_text(name), order)
+    return RewritingSystem(sig, order, rules)
 
 
 @lru_cache(maxsize=None)
@@ -167,8 +165,7 @@ def leibniz():
 
 @lru_cache(maxsize=None)
 def envelope():
-    p = envelope_presentation(q_sl2(RatFunc.q()), ["e", "f", "h"])
-    return RewritingSystem(p.signature, p.order, p.rules)
+    return envelope_presentation(q_sl2(RatFunc.q()), ["e", "f", "h"])
 
 
 SYSTEMS = {"homass12": homass12, "assoc": assoc, "leibniz": leibniz, "envelope": envelope}
