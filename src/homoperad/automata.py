@@ -2,8 +2,9 @@
 determinization into bottom-up automata by the subset construction.
 
 State 0 generates the reducible plane monomials, state 1 generates all
-plane monomials, and every internal edge of a rule pattern contributes
-one further state describing the subtree hanging below that edge.
+plane monomials, and every subpattern below the root of a rule pattern
+has one further state, shared by every pattern it occurs in, which
+generates the monomials that the subpattern matches.
 
 Every reachable subset holds state 1 (it has ``leaf``, ``a(1)`` and
 ``m(1, 1)``), so a subset holding state 0 only leads to subsets holding 0
@@ -17,10 +18,12 @@ only through the m-productions with their left child in s, and on t only
 through those with their right child in t, so each state has a left class
 and a right class, and m is a table with one row per left class and one
 column per right class (Chase's compression): far fewer entries than the
-n x n pairs of states.  ``minimize`` then merges the states into the
-classes of the coarsest partition that the transitions respect (Moore
-refinement), numbered the same way and in the same form, which is all
-the Hilbert count needs.
+n x n pairs of states.  A right class is a mask of m-productions; a left
+class is numbered by a key that decides the row's contents, so no two
+rows are equal and none is filled twice.  ``minimize`` then merges the
+states into the classes of the coarsest partition that the transitions
+respect (Moore refinement), numbered the same way and in the same form,
+which is all the Hilbert count needs.
 """
 
 from __future__ import annotations
@@ -45,20 +48,21 @@ def grammar_from_rules(rules) -> TreeGrammar:
     reducible by at least one of the rules; a pattern symbol other than
     ``a`` or ``m`` raises a TermError.
 
-    State 1 has the one m-production m(1, 1), and each state b >= 2 is
-    made for one pattern edge and has one production, so every state but
-    0 has at most one m-production; ``determinize`` relies on it."""
+    Every subpattern below the root of a rule pattern gets one state,
+    shared by all the patterns it occurs in: the subpattern is keyed by its
+    word with each box written as one wildcard token.  States are numbered
+    breadth-first from each root in turn, as first seen.  State 1 has the
+    one m-production m(1, 1), and each state b >= 2 has one production,
+    which no other state b' >= 2 has, so every state but 0 has at most one
+    m-production; ``determinize`` relies on it."""
     prods = {
         0: {("a", 0), ("m", 0, 1), ("m", 1, 0)},
         1: {LEAF, ("a", 1), ("m", 1, 1)},
     }
-    next_state = 2
+    state_of = {}  # subpattern word, every box written 0 -> state
 
     for rule in rules:
         word, ends = rule.lhs.word, rule.lhs.ends
-
-        # Assign states to internal edges breadth-first from the root, so
-        # the numbering matches the natural reading of the pattern.
         queue = deque([(0, 0)])
         while queue:
             s, pos = queue.popleft()
@@ -72,11 +76,15 @@ def grammar_from_rules(rules) -> TreeGrammar:
             for p in kids:
                 if isinstance(word[p], int):
                     child_states.append(1)
-                else:
-                    child_states.append(next_state)
-                    queue.append((next_state, p))
-                    next_state += 1
-            prods.setdefault(s, set()).add((sym, *child_states))
+                    continue
+                key = tuple(0 if isinstance(t, int) else t for t in word[p : ends[p]])
+                c = state_of.get(key)
+                if c is None:
+                    c = state_of[key] = len(prods)
+                    prods[c] = set()
+                    queue.append((c, p))
+                child_states.append(c)
+            prods[s].add((sym, *child_states))
 
     states = tuple(sorted(prods))
     return TreeGrammar(states, {b: frozenset(p) for b, p in prods.items()})
@@ -139,13 +147,24 @@ def determinize(g: TreeGrammar) -> BottomUpAutomaton:
     has a left mask, of the productions with their left child in its
     subset, and a right mask, of those with their right child in it; the
     productions that fire in m(c, d) are the AND of the left mask of c and
-    the right mask of d.  Each distinct left mask is a row of the table and
-    each distinct right mask a column, numbered as they first appear; a
-    new row is filled against the columns known so far, and a new column
-    against the rows, so every entry is computed once."""
+    the right mask of d.  Each distinct right mask is a column of the
+    table, numbered as it first appears.
+
+    A row is numbered by a key that decides its contents, and filled only
+    when the key is new.  A subset holding a grammar state holds every
+    state whose subpattern generalizes that state's.  So, over the root
+    m-productions m(c1, c2) with c1 in s (those with a child 0 never fire
+    on a live subset), m(s, t) is SINK exactly when t meets K, the mask of
+    the states d != 0 whose subpatterns are instances of such a c2's; and
+    an m-production whose right child is in K fires in no live entry.  The
+    key of s is K with the other m-productions of its left mask, those of
+    the states b > 0 whose right child is not in K.  A new row is filled
+    against the columns known so far, and a new column against the rows,
+    so every entry is computed once."""
     n = len(g.states)
     a_image = [0] * n  # c -> mask of b with b -> a(c)
     l_image, r_image = [0] * n, [0] * n  # c -> mask of the m-productions with child c
+    roots = []  # the root m-productions m(c1, c2) that can fire on a live subset
     leaf, extra = 0, n
     for b, ps in g.productions.items():
         for p in ps:
@@ -158,14 +177,39 @@ def determinize(g: TreeGrammar) -> BottomUpAutomaton:
                     bit = 1 << b
                 else:
                     bit, extra = 1 << extra, extra + 1
+                    if p[1] and p[2]:
+                        roots.append(p[1:])
                 l_image[p[1]] |= bit
                 r_image[p[2]] |= bit
     own = (1 << n) - 1
+    # c -> mask of the states d != 0 whose subpattern is an instance of c's:
+    # every state but 0 for the box, and for c -> a(e) or m(e, f) the states
+    # other than 0 and 1 with a production a(e') or m(e', f') whose children
+    # are instances of e's and f's
+    instances = {1: own - 1}
+
+    def instances_of(c):
+        x = instances.get(c)
+        if x is None:
+            ((sym, *kids),) = g.productions[c]
+            if sym == "a":
+                x = _union(a_image, instances_of(kids[0]))
+            else:
+                x = _union(l_image, instances_of(kids[0])) & _union(
+                    r_image, instances_of(kids[1])
+                )
+            x = instances[c] = x & own & ~3
+        return x
+
+    k_image = [0] * n  # c -> K of the subsets holding c
+    for c1, c2 in roots:
+        k_image[c1] |= instances_of(c2)
+    drops = {}  # K -> the m-productions with their right child in K
 
     subsets, number = [leaf], {leaf: 0}  # the worklist; subset -> state
     f_a, left, right, table = [], [], [], []
-    row_of, col_of = {}, {}  # left mask -> row, right mask -> column
-    lmasks, rmasks = [], []  # by row, by column
+    row_of, col_of = {}, {}  # row key -> row, right mask -> column
+    lmasks, rmasks = [], []  # a left mask of each row, the right mask of each column
 
     def state(u):
         """The number of the subset u, appended to the worklist when new;
@@ -190,27 +234,42 @@ def determinize(g: TreeGrammar) -> BottomUpAutomaton:
         return out
 
     for s in subsets:
-        a = l = r = 0
+        a = l = r = k = 0
         bits = bin(s)[:1:-1]  # bits[c] is "1" when grammar state c is in s
         c = bits.find("1")
         while c >= 0:
-            a, l, r = a | a_image[c], l | l_image[c], r | r_image[c]
+            a, l, r, k = a | a_image[c], l | l_image[c], r | r_image[c], k | k_image[c]
             c = bits.find("1", c + 1)
         f_a.append(state(a))
-        i = row_of.get(l)
+        drop = drops.get(k)
+        if drop is None:
+            drop = drops[k] = _union(r_image, k) & own
+        key = (k, l & own & ~drop)
+        i = row_of.get(key)
         if i is None:
-            i = row_of[l] = len(lmasks)
+            i = row_of[key] = len(lmasks)
             lmasks.append(l)
             table.append(fill(l, rmasks))
         j = col_of.get(r)
         if j is None:
             j = col_of[r] = len(rmasks)
             rmasks.append(r)
-            for row, k in zip(table, fill(r, lmasks)):
-                row.append(k)
+            for row, t in zip(table, fill(r, lmasks)):
+                row.append(t)
         left.append(i)
         right.append(j)
     return BottomUpAutomaton(f_a, left, right, table)
+
+
+def _union(images, x):
+    """The OR of ``images[c]`` over the bits c of x."""
+    out = 0
+    bits = bin(x)[:1:-1]
+    c = bits.find("1")
+    while c >= 0:
+        out |= images[c]
+        c = bits.find("1", c + 1)
+    return out
 
 
 def minimize(aut: BottomUpAutomaton) -> BottomUpAutomaton:
@@ -227,12 +286,12 @@ def minimize(aut: BottomUpAutomaton) -> BottomUpAutomaton:
     block is the sum of its members'.  Its rows and columns are the
     distinct row and column tuples of the last round."""
     fa, n = aut.f_a, len(aut.f_a)
-    # Equal rows stay equal in every round, and so do equal columns: merge
-    # them first, so that a round reads each distinct one once.
-    row, table = _number(map(tuple, aut.table))
-    col, cols = _number(zip(*table))
+    # Equal columns stay equal in every round: merge them first, so that a
+    # round reads each distinct one once.  ``determinize`` gives no two
+    # equal rows.
+    col, cols = _number(zip(*aut.table))
     table = list(zip(*cols))
-    left, right = [row[i] for i in aut.left], [col[j] for j in aut.right]
+    left, right = aut.left, [col[j] for j in aut.right]
     # The sink's block ends the list, where the index SINK = -1 finds it.
     block = [0] * n + [SINK]
     count = 1

@@ -86,14 +86,21 @@ def solve_series(aut: BottomUpAutomaton, D: int) -> list:
     """Truncated at total degree D, the series G_b counting the plane
     monomials that the automaton sends to state b, listed by state:
     G_b = [b = 0] + a * sum_{f_a(c)=b} G_c + m * sum_{f_m(c,d)=b} G_c G_d,
-    state 0 being the leaf's.  Every production raises the total degree by
-    exactly one, so the counts of degree n follow from those below it: one
-    pass, degree by degree.  Since f_m(c, d) reads only the row of c and
-    the column of d in the table, the m-term of b is a sum over the
-    entries of the table that hold b of a product of two series: the sum of the
-    series of the entry's row's states, and the same for its column.  The
-    entries of one column with one target share one product, with the sum
-    of their rows' series.
+    state 0 being the leaf's."""
+    g, W = _packed_series(aut, D)
+    return [_unpack(xs, D, W) for xs in g]
+
+
+def _packed_series(aut: BottomUpAutomaton, D: int) -> tuple[list, int]:
+    """The series G_b of ``solve_series``, packed, and the slot width W:
+    ``g[b][n]`` holds the counts of G_b of total degree n.  Every
+    production raises the total degree by exactly one, so the counts of
+    degree n follow from those below it: one pass, degree by degree.
+    Since f_m(c, d) reads only the row of c and the column of d in the
+    table, the m-term of b is a sum over the entries of the table that hold
+    b of a product of two series: the sum of the series of the entry's
+    row's states, and the same for its column.  The entries of one column
+    with one target share one product, with the sum of their rows' series.
 
     The counts of one state at degree n are packed into one int, the count
     with i a-vertices at bit W * i (Kronecker substitution), so an a-move
@@ -105,7 +112,6 @@ def solve_series(aut: BottomUpAutomaton, D: int) -> list:
     ever carries into the next."""
     largest = max(plane_count(i, j) for j in range(D + 1) for i in range(D + 1 - j))
     W = 1 + largest.bit_length()
-    # g[b][n]: the packed counts of the monomials of total degree n in state b
     g = [[0] * (D + 1) for _ in aut.states]
     g[0][0] = 1
     a_moves = [(g[c], g[b]) for c, b in enumerate(aut.f_a) if b != SINK]
@@ -137,13 +143,16 @@ def solve_series(aut: BottomUpAutomaton, D: int) -> list:
         for rows, sums, ys, z in m_moves:
             sums.append(sum(xs[n - 1] for xs in rows))
             z[n] += sum(map(mul, sums, ys))
+    return g, W
+
+
+def _unpack(xs, D: int, W: int) -> BivariateSeries:
+    """The series whose counts of total degree n are packed in ``xs[n]``,
+    the count with i a-vertices at bit W * i."""
     mask = (1 << W) - 1
-    return [
-        BivariateSeries(
-            D, {(i, n - i): x >> W * i & mask for n, x in enumerate(xs) for i in range(n + 1)}
-        )
-        for xs in g
-    ]
+    return BivariateSeries(
+        D, {(i, n - i): x >> W * i & mask for n, x in enumerate(xs) for i in range(n + 1)}
+    )
 
 
 def hilbert_series(rules, D: int) -> BivariateSeries:
@@ -152,14 +161,12 @@ def hilbert_series(rules, D: int) -> BivariateSeries:
     class, and the series of a class is the sum of its states' series,
     because the transitions respect the classes.  A pattern of more than D
     vertices fits no monomial counted, so only the rules of order <= D
-    build the automaton."""
+    build the automaton.  The packed counts of the classes are summed degree
+    by degree and unpacked once: a sum counts distinct monomials of each
+    grading, so it fits the slots as each class's counts do."""
     rules = [r for r in rules if r.order <= D]
-    total = BivariateSeries(D)
-    coeffs = total.coeffs
-    for x in solve_series(minimize(determinize(grammar_from_rules(rules))), D):
-        for key, c in x.coeffs.items():  # counts are positive: no sum is 0
-            coeffs[key] = coeffs.get(key, 0) + c
-    return total
+    g, W = _packed_series(minimize(determinize(grammar_from_rules(rules))), D)
+    return _unpack(list(map(sum, zip(*g))), D, W)
 
 
 def unstable_degrees(rules, stable_gradings, D: int) -> list[tuple[int, int]]:

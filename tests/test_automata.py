@@ -1,8 +1,13 @@
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from homoperad.automata import LEAF, SINK, determinize, grammar_from_rules, minimize
+from homoperad.automata import (
+    LEAF, SINK, BottomUpAutomaton, determinize, grammar_from_rules, minimize
+)
+from homoperad.completion import complete
 from homoperad.linear import LinComb
 from homoperad.orders import LEX_MA, get_order
 from homoperad.rewrite import (
@@ -14,6 +19,7 @@ RULE1 = "m a 1 m 2 3 -> m m 1 2 a 3"
 RULE2 = "m m 1 a 2 a m 3 4 -> m m 1 m 2 3 a a 4"
 ROOT = Path(__file__).resolve().parents[1]
 ORDER_TEN = ROOT / "bench" / "data" / "homass-o10.rules"
+ORDER_TWELVE = ROOT / "bench" / "data" / "homass-o12.rules"
 SYSTEMS = [RULE1, RULE1 + "\n" + RULE2, ORDER_TEN.read_text()]
 
 
@@ -33,12 +39,12 @@ def test_grammar_single_rule_states():
 
 
 def test_grammar_two_rules_states():
+    # the second rule's subpatterns `a 1` and `m 1 2` are the first rule's
+    # states 2 and 3
     g = grammar_from_rules(rules(RULE1 + "\n" + RULE2))
-    assert g.states == tuple(range(8))
-    assert g.productions[4] == frozenset({("m", 1, 6)})
-    assert g.productions[5] == frozenset({("a", 7)})
-    assert g.productions[6] == frozenset({("a", 1)})
-    assert g.productions[7] == frozenset({("m", 1, 1)})
+    assert g.states == tuple(range(6))
+    assert g.productions[4] == frozenset({("m", 1, 2)})
+    assert g.productions[5] == frozenset({("a", 3)})
     assert ("m", 4, 5) in g.productions[0]
 
 
@@ -60,10 +66,26 @@ def assert_one_m_production_per_state(g):
             assert sum(p[0] == "m" for p in ps) <= 1, (b, ps)
 
 
+def assert_no_shared_production(g):
+    """One state per subpattern: no production belongs to two states but
+    state 1, whose a(1) and m(1, 1) are also those of `a 1` and `m 1 2`."""
+    seen = {}
+    for b, ps in g.productions.items():
+        if b != 1:
+            for p in ps:
+                assert seen.setdefault(p, b) == b, (p, seen[p], b)
+
+
 @pytest.mark.parametrize("path, order", RULES_FILES, ids=[p for p, _ in RULES_FILES])
 def test_every_state_but_zero_has_at_most_one_m_production(path, order):
     _, rs = read_rules((ROOT / path).read_text(), get_order(order))
     assert_one_m_production_per_state(grammar_from_rules(rs))
+
+
+@pytest.mark.parametrize("path, order", RULES_FILES, ids=[p for p, _ in RULES_FILES])
+def test_no_two_grammar_states_share_a_production(path, order):
+    _, rs = read_rules((ROOT / path).read_text(), get_order(order))
+    assert_no_shared_production(grammar_from_rules(rs))
 
 
 def test_grammar_refuses_a_symbol_other_than_a_and_m():
@@ -150,17 +172,17 @@ def test_order_ten_system_has_34_live_states():
 
 
 # (rules file, live states, table rows, table columns, classes): m(c, d)
-# reads only the left-child production mask of c and the right-child one of
-# d, so the table has one row per distinct left mask and one column per
-# distinct right mask
+# reads only the row of c and the right-child production mask of d, so the
+# table has one row per distinct row content and one column per distinct
+# right mask
 COMPRESSION = [
-    ("bench/data/homass-o10.rules", 34, 20, 19, 28),
-    ("bench/data/homass-o12.rules", 208, 120, 66, 89),
+    ("bench/data/homass-o10.rules", 34, 13, 19, 28),
+    ("bench/data/homass-o12.rules", 208, 39, 66, 89),
 ]
 
 
 @pytest.mark.parametrize("path, n, n_rows, n_cols, n_classes", COMPRESSION)
-def test_pair_table_has_a_row_per_left_mask_and_a_column_per_right_mask(
+def test_pair_table_has_a_row_per_distinct_row_content_and_a_column_per_right_mask(
     path, n, n_rows, n_cols, n_classes
 ):
     _, rs = read_rules((ROOT / path).read_text(), LEX_MA)
@@ -170,6 +192,100 @@ def test_pair_table_has_a_row_per_left_mask_and_a_column_per_right_mask(
     assert sorted(set(aut.left)) == list(range(n_rows))
     assert sorted(set(aut.right)) == list(range(n_cols))
     assert len(minimize(aut).states) == n_classes
+
+
+def test_order_fifteen_table_has_294_rows_all_distinct():
+    """At order 15 some m-productions have their right child in the row's
+    K, and leaving them in the key would split 35 rows off their equals."""
+    system = RewritingSystem(HOM_SIGNATURE, LEX_MA, rules(RULE1))
+    state = complete(system, max_order=15)
+    aut = determinize(grammar_from_rules(state.system.rules))
+    assert (len(aut.states), len(aut.table), len(aut.table[0])) == (8094, 294, 830)
+    assert len(set(map(tuple, aut.table))) == 294
+
+
+def ref_determinize(g) -> BottomUpAutomaton:
+    """The subset construction with one row per distinct left mask, as
+    ``determinize`` once built it, so that rows of equal contents are each
+    filled."""
+    n = len(g.states)
+    a_image = [0] * n
+    l_image, r_image = [0] * n, [0] * n
+    leaf, extra = 0, n
+    for b, ps in g.productions.items():
+        for p in ps:
+            if p == LEAF:
+                leaf |= 1 << b
+            elif p[0] == "a":
+                a_image[p[1]] |= 1 << b
+            else:
+                if b:
+                    bit = 1 << b
+                else:
+                    bit, extra = 1 << extra, extra + 1
+                l_image[p[1]] |= bit
+                r_image[p[2]] |= bit
+    own = (1 << n) - 1
+    subsets, number = [leaf], {leaf: 0}
+    f_a, left, right, table = [], [], [], []
+    row_of, col_of = {}, {}
+    lmasks, rmasks = [], []
+
+    def state(u):
+        if u & 1 or u > own:
+            return SINK
+        if u not in number:
+            number[u] = len(subsets)
+            subsets.append(u)
+        return number[u]
+
+    for s in subsets:
+        a = l = r = 0
+        for c in range(n):
+            if s >> c & 1:
+                a, l, r = a | a_image[c], l | l_image[c], r | r_image[c]
+        f_a.append(state(a))
+        if l not in row_of:
+            row_of[l] = len(lmasks)
+            lmasks.append(l)
+            table.append([state(l & q) for q in rmasks])
+        if r not in col_of:
+            col_of[r] = len(rmasks)
+            rmasks.append(r)
+            for row, p in zip(table, lmasks):
+                row.append(state(p & r))
+        left.append(row_of[l])
+        right.append(col_of[r])
+    return BottomUpAutomaton(f_a, left, right, table)
+
+
+@lru_cache(maxsize=None)
+def order_twelve_rules():
+    return tuple(rules(ORDER_TWELVE.read_text()))
+
+
+@st.composite
+def order_twelve_subsets(draw):
+    """Some of the order-12 rules, in file order or reversed."""
+    every = order_twelve_rules()
+    keep = draw(st.lists(st.booleans(), min_size=len(every), max_size=len(every)))
+    chosen = [r for r, k in zip(every, keep) if k]
+    return chosen[::-1] if draw(st.booleans()) else chosen
+
+
+@settings(max_examples=300, deadline=None)
+@given(order_twelve_subsets())
+def test_rows_numbered_by_content_match_the_left_mask_rows(rs):
+    g = grammar_from_rules(rs)
+    assert_no_shared_production(g)
+    got, want = determinize(g), ref_determinize(g)
+    # the same live states, numbered alike, with the same transitions
+    assert got.f_a == want.f_a
+    assert [[got.f_m(c, d) for d in got.states] for c in got.states] == [
+        [want.f_m(c, d) for d in want.states] for c in want.states
+    ]
+    # and every row of the table is one distinct row content
+    assert len(set(map(tuple, got.table))) == len(got.table)
 
 
 def test_automaton_language_matches_redex_search():
