@@ -23,7 +23,8 @@ class is numbered by a key that decides the row's contents, so no two
 rows are equal and none is filled twice.  ``minimize`` then merges the
 states into the classes of the coarsest partition that the transitions
 respect (Moore refinement), numbered the same way and in the same form,
-which is all the Hilbert count needs.
+which is all the Hilbert count needs.  It refines on that one table, and
+takes equal rows or equal columns as they come.
 """
 
 from __future__ import annotations
@@ -278,27 +279,24 @@ def minimize(aut: BottomUpAutomaton) -> BottomUpAutomaton:
     until any two of its states have f_a images in one block and, for every
     state t, f_m images with t on the left and on the right in one block.
     Since f_m reads only the row and the column of its arguments, each
-    round maps every row and every column of the table to its tuple of
-    blocks, numbers the distinct tuples, and splits by (block, f_a block,
-    row tuple, column tuple).  Blocks are numbered by their first state, so
-    the leaf's is 0, and the result keeps the transitions of each block's
-    first state, so it accepts what ``aut`` accepts; and the series of a
-    block is the sum of its members'.  Its rows and columns are the
-    distinct row and column tuples of the last round."""
-    fa, n = aut.f_a, len(aut.f_a)
-    # Equal columns stay equal in every round: merge them first, so that a
-    # round reads each distinct one once.  ``determinize`` gives no two
-    # equal rows.
-    col, cols = _number(zip(*aut.table))
-    table = list(zip(*cols))
-    left, right = aut.left, [col[j] for j in aut.right]
+    round reads the table as ``determinize`` built it: it maps every row to
+    its tuple of blocks and numbers the distinct tuples, then numbers the
+    columns by their tuples across the distinct rows only, which loses
+    nothing, since rows of one number read alike in every column; and it
+    splits by (block, f_a block, row number, column number).  Blocks are
+    numbered by their first state, so the leaf's is 0, and the result keeps
+    the transitions of each block's first state, so it accepts what
+    ``aut`` accepts; and the series of a block is the sum of its members'.
+    Its rows and columns are the distinct row and column tuples of the
+    last round."""
+    fa, left, right, n = aut.f_a, aut.left, aut.right, len(aut.f_a)
     # The sink's block ends the list, where the index SINK = -1 finds it.
     block = [0] * n + [SINK]
     count = 1
     while True:
         look = block.__getitem__
-        row, _ = _number(tuple(map(look, r)) for r in table)
-        col, cols_by_id = _number(tuple(map(look, c)) for c in cols)
+        row, rows = _number(tuple(map(look, r)) for r in aut.table)
+        col, cols = _number(zip(*rows))
         new, sigs = _number(
             (block[i], block[fa[i]], row[left[i]], col[right[i]]) for i in range(n)
         )
@@ -311,15 +309,11 @@ def minimize(aut: BottomUpAutomaton) -> BottomUpAutomaton:
     for i in range(n):
         if block[i] == len(reps):
             reps.append(i)
-    # Read across the last round's column tuples, a row of the table lists
-    # its blocks by column number; the rows of one row number read alike,
-    # and the first of each comes in the order of the numbers.
-    _, rows_by_id = _number(zip(*cols_by_id))
     return BottomUpAutomaton(
         [block[fa[i]] for i in reps],
         [row[left[i]] for i in reps],
         [col[right[i]] for i in reps],
-        [list(r) for r in rows_by_id],
+        [list(r) for r in zip(*cols)],
     )
 
 

@@ -4,11 +4,12 @@ Exit codes: 0 success, 1 a failed check (`check-algebra` FAIL, or
 `hilbert --strict` with coefficients not guaranteed stable), 2 parse error
 or refused input (input that is not UTF-8; a malformed rule, such as one
 whose sides differ in arity or whose pattern has no operation; a symbol
-name the rules format could not read back, such as `+`; a negative
-`hilbert --degree`; for `complete`, a negative `--max-order`, a `--budget`
-that is not >= 0 or an inhomogeneous rule, one with a replacement monomial
-whose (a, m) grading or vertex count differs from its pattern's, all
-refused before any `--out` file is created, or an unwritable `--out`; for
+name the rules format could not read back, such as `+`; a `hilbert
+--degree` that is not ASCII digits, such as `-1`, `５` or `1_0`; for
+`complete`, such a `--max-order`, a `--budget` that is not >= 0 or an
+inhomogeneous rule, one with a replacement monomial whose (a, m) grading
+or vertex count differs from its pattern's, all refused before any
+`--out` file is created, or an unwritable `--out`; for
 `normalize` and `ambiguities`, a rule with a replacement monomial of more
 vertices than its pattern), 3 budget exhausted, 4 order failure (a rule, a
 candidate, or a `complete` input rule as the rules before it reduce it,
@@ -80,9 +81,15 @@ def cmd_normalize(args) -> int:
     return EXIT_OK
 
 
+def _parse_count(text: str, option: str, name: str) -> int:
+    """A non-negative integer in ASCII digits, the value of ``option``."""
+    if not _is_ascii_decimal(text):
+        raise TermError(f"{option} expects {name} >= 0, got {text}")
+    return int(text)
+
+
 def cmd_complete(args) -> int:
-    if args.max_order < 0:
-        raise TermError(f"--max-order expects N >= 0, got {args.max_order}")
+    max_order = _parse_count(args.max_order, "--max-order", "N")
     if args.budget is not None and not args.budget >= 0:  # NaN too
         raise TermError(f"--budget expects seconds >= 0, got {args.budget}")
     sig, order, rules = load_rules_path(args.rules, args.order)
@@ -92,7 +99,7 @@ def cmd_complete(args) -> int:
         # opened before completion, so an unwritable --out prefix fails first
         outs = [stack.enter_context(open(args.out + ext, "w")) for ext in exts]
         state = complete(
-            RewritingSystem(sig, order, rules), args.max_order, budget_seconds=args.budget
+            RewritingSystem(sig, order, rules), max_order, budget_seconds=args.budget
         )
         census = "".join(f"{o}\t{n}\n" for o, n in state.census().items())
         sys.stdout.write(census)
@@ -143,8 +150,7 @@ def _parse_grading(text: str) -> tuple[int, int]:
 
 
 def cmd_hilbert(args) -> int:
-    if args.degree < 0:
-        raise TermError(f"--degree expects D >= 0, got {args.degree}")
+    degree = _parse_count(args.degree, "--degree", "D")
     stable = [_parse_grading(s) for s in args.stable]
     if args.free:
         rules = []
@@ -153,8 +159,8 @@ def cmd_hilbert(args) -> int:
         if set(sig.symbols) != set(HOM_SIGNATURE.symbols):
             got = ", ".join(f"{name}/{n}" for name, n in sig.symbols)
             raise TermError(f"hilbert counts over m/2, a/1; the rules are over {got}")
-    sys.stdout.write(format_series(hilbert_series(rules, args.degree)))
-    warnings = unstable_degrees(rules, stable, args.degree)
+    sys.stdout.write(format_series(hilbert_series(rules, degree)))
+    warnings = unstable_degrees(rules, stable, degree)
     if warnings:
         print(
             "warning: coefficients not guaranteed stable at degrees "
@@ -225,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("complete", help="run critical-pairs completion")
     common(sp)
-    sp.add_argument("--max-order", type=int, required=True)
+    sp.add_argument("--max-order", required=True)
     sp.add_argument("--budget", type=float, default=None, help="seconds")
     sp.add_argument("--out", help="prefix for .rules/.census.tsv/.log outputs")
     sp.set_defaults(fn=cmd_complete)
@@ -236,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("hilbert", help="irreducible plane monomial counts")
     common(sp)
-    sp.add_argument("--degree", type=int, required=True)
+    sp.add_argument("--degree", required=True)
     sp.add_argument(
         "--free", action="store_true", help="free series: the count of the empty rule set"
     )

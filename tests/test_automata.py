@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homoperad.automata import (
-    LEAF, SINK, BottomUpAutomaton, determinize, grammar_from_rules, minimize
+    LEAF, SINK, BottomUpAutomaton, _number, determinize, grammar_from_rules, minimize
 )
 from homoperad.completion import complete
 from homoperad.linear import LinComb
@@ -202,6 +202,8 @@ def test_order_fifteen_table_has_294_rows_all_distinct():
     aut = determinize(grammar_from_rules(state.system.rules))
     assert (len(aut.states), len(aut.table), len(aut.table[0])) == (8094, 294, 830)
     assert len(set(map(tuple, aut.table))) == 294
+    small = minimize(aut)
+    assert (len(small.states), len(small.table), len(small.table[0])) == (533, 207, 256)
 
 
 def ref_determinize(g) -> BottomUpAutomaton:
@@ -358,3 +360,96 @@ def test_minimize_sends_the_leaf_to_class_zero(text):
     # the classes are numbered in the order of their first states
     block = {s: small.run(w) for s, w in witnesses(aut).items()}
     assert list(dict.fromkeys(block[s] for s in aut.states)) == list(small.states)
+
+
+def ref_minimize(aut: BottomUpAutomaton) -> BottomUpAutomaton:
+    """Moore refinement as ``minimize`` once ran it: the equal columns
+    merged and the table re-rowed before the first round, every row and
+    column tuple numbered in each round, and the result's rows read back
+    across the last round's column tuples."""
+    fa, n = aut.f_a, len(aut.f_a)
+    col, cols = _number(zip(*aut.table))
+    table = list(zip(*cols))
+    left, right = aut.left, [col[j] for j in aut.right]
+    block = [0] * n + [SINK]
+    count = 1
+    while True:
+        look = block.__getitem__
+        row, _ = _number(tuple(map(look, r)) for r in table)
+        col, cols_by_id = _number(tuple(map(look, c)) for c in cols)
+        new, sigs = _number(
+            (block[i], block[fa[i]], row[left[i]], col[right[i]]) for i in range(n)
+        )
+        block = new + [SINK]
+        if len(sigs) == count:
+            break
+        count = len(sigs)
+    reps = []
+    for i in range(n):
+        if block[i] == len(reps):
+            reps.append(i)
+    _, rows_by_id = _number(zip(*cols_by_id))
+    return BottomUpAutomaton(
+        [block[fa[i]] for i in reps],
+        [row[left[i]] for i in reps],
+        [col[right[i]] for i in reps],
+        [list(r) for r in rows_by_id],
+    )
+
+
+def assert_minimize_matches_reference(aut):
+    got, want = minimize(aut), ref_minimize(aut)
+    assert (got.f_a, got.left, got.right, got.table) == (
+        want.f_a, want.left, want.right, want.table
+    )
+
+
+@pytest.mark.parametrize("path", [ORDER_TEN, ORDER_TWELVE], ids=["order10", "order12"])
+def test_minimize_matches_the_reference_on_the_completed_systems(path):
+    assert_minimize_matches_reference(determinize(grammar_from_rules(rules(path.read_text()))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(order_twelve_subsets())
+def test_minimize_matches_the_reference_on_order_twelve_subsets(rs):
+    assert_minimize_matches_reference(determinize(grammar_from_rules(rs)))
+
+
+def test_minimize_takes_repeated_rows_and_columns():
+    """Rows 0 and 2 are equal, and so are columns 0 and 2, which
+    ``determinize`` never gives; states 0 and 2 read them, so they share
+    a class."""
+    aut = BottomUpAutomaton(
+        f_a=[1, 1, 1],
+        left=[0, 1, 2],
+        right=[0, 1, 2],
+        table=[[1, SINK, 1], [2, 0, 2], [1, SINK, 1]],
+    )
+    assert_minimize_matches_reference(aut)
+    small = minimize(aut)
+    assert (small.f_a, small.left, small.right, small.table) == (
+        [1, 1], [0, 1], [0, 1], [[1, SINK], [0, 0]]
+    )
+
+
+@st.composite
+def small_automata(draw):
+    """An automaton of up to 6 states on a table of up to 4 rows and 4
+    columns, whose rows and columns may repeat."""
+    n = draw(st.integers(1, 6))
+    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    target = st.integers(SINK, n - 1)
+    return BottomUpAutomaton(
+        draw(st.lists(target, min_size=n, max_size=n)),
+        draw(st.lists(st.integers(0, n_rows - 1), min_size=n, max_size=n)),
+        draw(st.lists(st.integers(0, n_cols - 1), min_size=n, max_size=n)),
+        draw(st.lists(
+            st.lists(target, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows
+        )),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_automata())
+def test_minimize_matches_the_reference_on_small_automata(aut):
+    assert_minimize_matches_reference(aut)

@@ -642,6 +642,11 @@ MALFORMED = {
     # --stable is read before the rules, and --free is the empty rule set
     "hilbert-free-malformed-stable": (None, ["hilbert", "--free", "--degree", "3", "--stable", "a,b"]),
     "negative-max-order": (None, ["complete", "--rules", HOMASS, "--max-order", "-3"]),
+    # --degree and --max-order are ASCII decimals, as boxes and arities are
+    "degree-fullwidth-digit": (None, ["hilbert", "--free", "--degree", "\uff15"]),
+    "degree-underscore": (None, ["hilbert", "--free", "--degree", "1_0"]),
+    "max-order-fullwidth-digit": (None, ["complete", "--rules", HOMASS, "--max-order", "\uff15"]),
+    "max-order-underscore": (None, ["complete", "--rules", HOMASS, "--max-order", "1_0"]),
     "negative-budget": (None, ["complete", "--rules", HOMASS, "--max-order", "3", "--budget", "-1"]),
     "nan-budget": (None, ["complete", "--rules", HOMASS, "--max-order", "3", "--budget", "nan"]),
     # a malformed rule is a parse error, not an order failure
