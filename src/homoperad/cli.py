@@ -1,23 +1,28 @@
 """Batch command-line front end.
 
 Exit codes: 0 success, 1 a failed check (`check-algebra` FAIL, or
-`hilbert --strict` with coefficients not guaranteed stable), 2 parse error
-or refused input (input that is not UTF-8; a malformed rule, such as one
-whose sides differ in arity or whose pattern has no operation; a symbol
-name the rules format could not read back, such as `+`; a `hilbert
---degree` that is not ASCII digits, such as `-1`, `５` or `1_0`; for
-`complete`, such a `--max-order`, a `--budget` that is not >= 0 or an
-inhomogeneous rule, one with a replacement monomial whose (a, m) grading
-or vertex count differs from its pattern's, all refused before any
-`--out` file is created, or an unwritable `--out`; for
-`normalize` and `ambiguities`, a rule with a replacement monomial of more
-vertices than its pattern), 3 budget exhausted, 4 order failure (a rule, a
-candidate, or a `complete` input rule as the rules before it reduce it,
-could not be oriented by the active term order), 5 write error (writing
-or closing a `complete --out` file failed).
+`hilbert --strict` with a count that an ambiguity which does not resolve
+leaves inexact), 2 parse error or refused input (input that is not UTF-8;
+a malformed rule, such as one whose sides differ in arity or whose pattern
+has no operation; a symbol name the rules format could not read back, such
+as `+`; a `hilbert --degree` that is not ASCII digits, such as `-1`, `５`
+or `1_0`; `hilbert --free` with `--rules`; for `complete`, such a
+`--max-order`, a `--budget` that is not >= 0 or an inhomogeneous rule, one
+with a replacement monomial whose (a, m) grading or vertex count differs
+from its pattern's, all refused before any `--out` file is created, or an
+unwritable `--out`; for `hilbert --strict`, an inhomogeneous rule, refused
+before anything is printed; for `normalize` and `ambiguities`, a rule with
+a replacement monomial of more vertices than its pattern), 3 budget
+exhausted, 4 order failure (a rule, a candidate, or a `complete` input rule
+as the rules before it reduce it, could not be oriented by the active term
+order), 5 write error (writing or closing a `complete --out` file failed).
 
-`hilbert --free` counts the empty rule set as `--rules` counts a file;
-free counts are exact, so neither it nor a file of no rules warns.
+`hilbert --free` counts the empty rule set as `--rules` counts a file.
+`hilbert --strict` then lists the critical ambiguities of the rules of
+order <= D, where D is `--degree`, and warns at every grading at or above,
+in both a and m, one that does not resolve: by the Diamond Lemma the other
+counts are exact.  Free counts are exact, so neither `--free` nor a file of
+no rules warns.
 """
 
 from __future__ import annotations
@@ -48,8 +53,8 @@ from .rewrite import (
     refuse_growing,
 )
 from .scalars import ScalarParseError, format_scalar
-from .series import format_series, hilbert_series, unstable_degrees
-from .terms import HOM_SIGNATURE, TermError, _is_ascii_decimal, sort_key
+from .series import format_series, hilbert_series
+from .terms import HOM_SIGNATURE, TermError, _is_ascii_decimal, grading, sort_key
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -141,34 +146,36 @@ def cmd_ambiguities(args) -> int:
     return EXIT_OK
 
 
-def _parse_grading(text: str) -> tuple[int, int]:
-    """A `K,L` grading: two non-negative integers in ASCII digits."""
-    parts = text.split(",")
-    if len(parts) != 2 or not all(_is_ascii_decimal(p.strip()) for p in parts):
-        raise TermError(f"--stable expects K,L with K, L >= 0, got {text!r}")
-    return int(parts[0]), int(parts[1])
-
-
 def cmd_hilbert(args) -> int:
     degree = _parse_count(args.degree, "--degree", "D")
-    stable = [_parse_grading(s) for s in args.stable]
     if args.free:
-        rules = []
+        if args.rules is not None:
+            raise TermError("--free counts the empty rule set and reads no --rules")
+        sig, order, rules = HOM_SIGNATURE, get_order(args.order), []
     else:  # load_rules_path refuses a missing --rules
-        sig, _, rules = load_rules_path(args.rules, args.order)
+        sig, order, rules = load_rules_path(args.rules, args.order)
         if set(sig.symbols) != set(HOM_SIGNATURE.symbols):
             got = ", ".join(f"{name}/{n}" for name, n in sig.symbols)
             raise TermError(f"hilbert counts over m/2, a/1; the rules are over {got}")
+    if args.strict:
+        refuse_inhomogeneous(rules)
     sys.stdout.write(format_series(hilbert_series(rules, degree)))
-    warnings = unstable_degrees(rules, stable, degree)
+    if not args.strict:
+        return EXIT_OK
+    system = RewritingSystem(sig, order, rules)
+    unresolved = {grading(amb.site) for amb, diff in ambiguities(system, degree) if diff}
+    warnings = [
+        f"a^{i}m^{n - i}"
+        for n in range(degree + 1)
+        for i in range(n + 1)
+        if any(i >= k and n - i >= l for k, l in unresolved)
+    ]
     if warnings:
         print(
-            "warning: coefficients not guaranteed stable at degrees "
-            + " ".join(f"a^{i}m^{j}" for i, j in warnings),
+            "warning: coefficients not guaranteed stable at degrees " + " ".join(warnings),
             file=sys.stderr,
         )
-        if args.strict:
-            return 1
+        return 1
     return EXIT_OK
 
 
@@ -246,14 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--free", action="store_true", help="free series: the count of the empty rule set"
     )
-    sp.add_argument(
-        "--stable",
-        action="append",
-        default=[],
-        metavar="K,L",
-        help="grading fully processed by the rule set (repeatable)",
-    )
-    sp.add_argument("--strict", action="store_true")
+    sp.add_argument("--strict", action="store_true", help="exit 1 unless every count is exact")
     sp.set_defaults(fn=cmd_hilbert)
 
     sp = sub.add_parser("check-algebra", help="evaluate identities on an algebra")

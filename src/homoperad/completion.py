@@ -230,19 +230,23 @@ def resolve(amb: Ambiguity, sys: RewritingSystem, memo=None) -> LinComb:
     return left - right
 
 
-def ambiguities(system: RewritingSystem):
-    """Yield every critical ambiguity of the rules of ``system`` with the
-    difference ``resolve`` leaves, zero when it resolves.  Each rule, last
-    to first, is added to a fresh index and paired with itself and the
-    rules after it at twice the largest pattern, which no site reaches,
-    since two patterns share a vertex.  The ambiguities come sorted by site
+def ambiguities(system: RewritingSystem, max_order=math.inf):
+    """Yield every critical ambiguity of order at most ``max_order`` of the
+    rules of ``system`` with the difference ``resolve`` leaves, zero when it
+    resolves.  Each rule of order at most ``max_order``, last to first, is
+    added to a fresh index and paired with itself and the rules after it at
+    ``max_order`` or twice the largest pattern, which no site reaches, since
+    two patterns share a vertex.  When no rule grows a monomial, reducing a
+    site meets no monomial of more vertices, which no rule left out fits,
+    so they change no difference.  The ambiguities come sorted by site
     order, site and rule pair.  Each is resolved with a memo of its own,
     which its two sides share: one memo for all of them would hold every
     monomial searched (+70 MB on the order-14 system's 22,442)."""
     index = _SubtermIndex(RewritingSystem(system.sig, system.order, []))
-    bound = 2 * max((r.order for r in system), default=0)
+    rules = [r for r in system.rules if r.order <= max_order]
+    bound = min(max_order, 2 * max((r.order for r in rules), default=0))
     ambs = []
-    for rule in reversed(system.rules):
+    for rule in reversed(rules):
         index.add(rule)
         ambs += index.critical_pairs(rule, bound)
     ambs.sort(key=lambda a: (a.order, sort_key(a.site), a.rule1, a.rule2))

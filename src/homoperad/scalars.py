@@ -409,6 +409,8 @@ class _Parser:
             return -self.atom()
         if isinstance(t, int):
             return Fraction(t)
+        if t is None:
+            raise ScalarParseError("scalar ends early")
         raise ScalarParseError(f"unexpected token {t!r}")
 
 

@@ -168,22 +168,3 @@ def hilbert_series(rules, D: int) -> BivariateSeries:
     g, W = _packed_series(minimize(determinize(grammar_from_rules(rules))), D)
     return _unpack(list(map(sum, zip(*g))), D, W)
 
-
-def unstable_degrees(rules, stable_gradings, D: int) -> list[tuple[int, int]]:
-    """Degrees (i, j) with i+j <= D not guaranteed stable by any processed
-    grading (k, l) via i <= k and j <= l.  An empty ``stable_gradings``
-    means nothing was declared and every degree is suspect, except the
-    a-free ones when every rule pattern holds an a: those stay free counts.
-    No rules is the free operad, whose counts are all exact."""
-    if not rules:
-        return []
-    every_pattern_has_a = all("a" in r.lhs.word for r in rules)
-    out = []
-    for total in range(D + 1):
-        for i in range(total + 1):
-            j = total - i
-            if i == 0 and every_pattern_has_a:
-                continue
-            if not any(i <= k and j <= l for k, l in stable_gradings):
-                out.append((i, j))
-    return out

@@ -21,6 +21,7 @@ HOMASS = data_path("homass.rules")
 ASSOC = data_path("assoc.rules")
 QSL2 = data_path("qsl2.json")
 DATA = data_path("")
+HOMASS_O10 = str(Path(__file__).resolve().parents[1] / "bench" / "data" / "homass-o10.rules")
 HOMASS_O12 = str(Path(__file__).resolve().parents[1] / "bench" / "data" / "homass-o12.rules")
 
 
@@ -289,18 +290,18 @@ def test_order_16_outputs_are_byte_identical_to_pinned_digests(capsys, tmp_path)
     assert sha256((tmp_path / "P.log").read_text()) == LOG_16
 
 
-# the degree-12 count of the order-12 system and its warning about unstable
-# degrees, pinned while every state pair still had its own convolution
+# the degree-12 count of the order-12 system, pinned while every state pair
+# still had its own convolution
 HILBERT_O12 = "5d95a89c070422957cabd59aa3a4de93ab92f829977affbcaf197af9fd3fb14d"
-HILBERT_O12_WARNING = "23e41cd4d3aff9c0c47b88dda9d06d96cea04d0197e9fbed384f84c79de9ea57"
 
 
 def test_order_12_hilbert_count_is_byte_identical_to_pinned_digest(capsys):
     code, out, err = run(capsys, ["hilbert", "--rules", HOMASS_O12, "--degree", "12"])
-    assert code == 0
+    assert (code, err) == (0, "")
     assert sha256(out) == HILBERT_O12
-    assert err.startswith("warning: coefficients not guaranteed stable at degrees a^1m^0 ")
-    assert sha256(err) == HILBERT_O12_WARNING
+    # every ambiguity of order <= 12 resolves, so every count is exact
+    argv = ["hilbert", "--rules", HOMASS_O12, "--degree", "12", "--strict"]
+    assert run(capsys, argv) == (0, out, "")
 
 
 def grown_word(rng, k, l):
@@ -515,34 +516,69 @@ def test_hilbert_free(capsys):
     assert "a^0 m^5\t42" in out.splitlines()
 
 
+WARNING = "warning: coefficients not guaranteed stable at degrees "
+
+
 def test_hilbert_with_rules_and_strict(capsys):
-    code, out, err = run(
-        capsys, ["hilbert", "--rules", HOMASS, "--degree", "3", "--stable", "1,1"]
-    )
-    assert code == 0
-    assert "a^1 m^2\t9" in out.splitlines()
-    assert "warning" in err
-    code, _, _ = run(
-        capsys,
-        ["hilbert", "--rules", HOMASS, "--degree", "3", "--stable", "1,1",
-         "--strict"],
-    )
-    assert code == 1
+    # the one ambiguity of homass.rules, of grading (2, 3), does not
+    # resolve: a^2 m^3 counts 111 here and 110 in the paper's table
+    code, out, err = run(capsys, ["hilbert", "--rules", HOMASS, "--degree", "5"])
+    assert (code, err) == (0, "")
+    assert "a^2 m^3\t111" in out.splitlines()
+    argv = ["hilbert", "--rules", HOMASS, "--degree", "5", "--strict"]
+    assert run(capsys, argv) == (1, out, WARNING + "a^2m^3\n")
 
 
 def test_hilbert_strict_without_stable_warns_and_fails(capsys):
-    # with no --stable, nothing is declared processed, so a^2 m^3 (111 here,
-    # 110 in the paper's table) is not guaranteed
-    code, out, err = run(capsys, ["hilbert", "--rules", HOMASS, "--degree", "5"])
-    assert code == 0
-    assert "a^2 m^3\t111" in out.splitlines()
-    assert "warning" in err and "a^2m^3" in err
-    code, strict_out, err = run(
-        capsys, ["hilbert", "--rules", HOMASS, "--degree", "5", "--strict"]
-    )
-    assert code == 1
-    assert strict_out == out
-    assert "warning" in err
+    # no grading is declared stable: --strict works out that every count
+    # below degree 5 is exact, and that a^2 m^3 alone is not at degree 5
+    code, out, err = run(capsys, ["hilbert", "--rules", HOMASS, "--degree", "4", "--strict"])
+    assert (code, err) == (0, "")
+    assert "a^1 m^2\t9" in out.splitlines()
+    code, _, err = run(capsys, ["hilbert", "--rules", HOMASS, "--degree", "5", "--strict"])
+    assert (code, err) == (1, WARNING + "a^2m^3\n")
+
+
+def counts(capsys, rules, degree):
+    code, out, err = run(capsys, ["hilbert", "--rules", rules, "--degree", str(degree)])
+    assert (code, err) == (0, "")
+    return out
+
+
+@pytest.mark.parametrize("rules, degree, flagged", [
+    (HOMASS, 8, "a^2m^3 a^2m^4 a^3m^3 a^2m^5 a^3m^4 a^4m^3 a^2m^6 a^3m^5 a^4m^4 a^5m^3"),
+    (HOMASS_O10, 12, "a^4m^7 a^5m^6 a^6m^5 a^4m^8 a^5m^7 a^6m^6 a^7m^5"),
+], ids=["homass", "homass-o10"])
+def test_hilbert_strict_flags_exactly_the_counts_that_completion_changes(
+    capsys, tmp_path, rules, degree, flagged
+):
+    """``--strict`` warns at exactly the gradings where the count differs
+    from the count of the system completed to order ``degree``, which is
+    exact there: a rule of more vertices fits no monomial counted."""
+    prefix = tmp_path / "P"
+    argv = ["complete", "--rules", rules, "--max-order", str(degree), "--out", str(prefix)]
+    assert run(capsys, argv)[0] == 0
+    got = counts(capsys, rules, degree)
+    exact = counts(capsys, f"{prefix}.rules", degree).splitlines()
+    differ = [x.split("\t")[0].replace(" ", "") for x, y in zip(got.splitlines(), exact) if x != y]
+    assert " ".join(differ) == flagged
+    argv = ["hilbert", "--rules", rules, "--degree", str(degree), "--strict"]
+    assert run(capsys, argv) == (1, got, WARNING + flagged + "\n")
+
+
+def test_hilbert_strict_refuses_an_inhomogeneous_rule(capsys, tmp_path):
+    """``--strict`` applies the Diamond Lemma one grading at a time, which
+    needs homogeneous rules: it refuses others before it prints anything.
+    Without it, the count runs."""
+    path = tmp_path / "shrink.rules"
+    path.write_text("a a m 1 2 -> a m 1 2\n")
+    argv = ["hilbert", "--rules", str(path), "--degree", "3"]
+    code, out, err = run(capsys, [*argv, "--strict"])
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:") and "not homogeneous" in err
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert "a^2 m^1\t5" in out.splitlines()  # of 6: all but the pattern
 
 
 ONE_PROCESS = """
@@ -563,13 +599,13 @@ print(json.dumps(results))
 
 
 def test_repeated_main_calls_share_no_state():
-    """``main`` builds its parser once per process: a `--stable` given to
+    """``main`` builds its parser once per process: a `--strict` given to
     one call is not seen by the next, and a call that argparse refuses
     leaves nothing behind.  Each call answers as it does alone."""
     calls = [
-        ["hilbert", "--rules", HOMASS, "--degree", "3", "--stable", "1,1"],
-        ["hilbert", "--rules", HOMASS, "--degree", "3", "--strict"],
-        ["hilbert", "--degree", "3", "--stable"],
+        ["hilbert", "--rules", HOMASS, "--degree", "5", "--strict"],
+        ["hilbert", "--rules", HOMASS, "--degree", "5"],
+        ["hilbert", "--degree", "3", "--strict", "1,1"],
         ["normalize", "--rules", HOMASS, "--term", "m a 1 m 2 a 3"],
     ]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
@@ -578,7 +614,7 @@ def test_repeated_main_calls_share_no_state():
         proc = subprocess.run([sys.executable, "-m", "homoperad.cli", *argv],
                               env=env, capture_output=True, text=True, timeout=60)
         alone.append([proc.returncode, proc.stdout, proc.stderr])
-    assert [code for code, _, _ in alone] == [0, 1, 2, 0]
+    assert [code for code, _, _ in alone] == [1, 0, 2, 0]
     proc = subprocess.run([sys.executable, "-c", ONE_PROCESS, json.dumps(calls)],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -606,17 +642,6 @@ def test_hilbert_reads_no_pattern_longer_than_the_degree(capsys, tmp_path):
     assert out == run(capsys, ["hilbert", "--free", "--degree", "3"])[1]
 
 
-@pytest.mark.parametrize("value", ["5", "a,b", "1,2,3", "５,３"])
-def test_hilbert_malformed_stable_is_a_parse_error(capsys, value):
-    code, out, err = run(
-        capsys, ["hilbert", "--rules", HOMASS, "--degree", "3", "--stable", value]
-    )
-    assert code == 2
-    assert out == ""
-    assert err.startswith("parse error:")
-    assert "Traceback" not in err
-
-
 GROWING = "op m 2\nop a 1\nop e 0\na e -> m e a e\n"
 
 # case -> (input file text or None, argv with FILE standing for that file)
@@ -639,8 +664,8 @@ MALFORMED = {
         ["check-algebra", "FILE", "--identities", "skew"],
     ),
     "negative-degree": (None, ["hilbert", "--free", "--degree", "-1"]),
-    # --stable is read before the rules, and --free is the empty rule set
-    "hilbert-free-malformed-stable": (None, ["hilbert", "--free", "--degree", "3", "--stable", "a,b"]),
+    # --free is the empty rule set, so a rules file given with it is refused
+    "hilbert-free-with-rules": (None, ["hilbert", "--free", "--rules", HOMASS, "--degree", "3"]),
     "negative-max-order": (None, ["complete", "--rules", HOMASS, "--max-order", "-3"]),
     # --degree and --max-order are ASCII decimals, as boxes and arities are
     "degree-fullwidth-digit": (None, ["hilbert", "--free", "--degree", "\uff15"]),
@@ -698,6 +723,7 @@ MALFORMED = {
     "scalar-superscript-digit": (None, ["normalize", "--rules", HOMASS, "--term", "\u00b2 * m 1 2"]),
     "term-fullwidth-box": (None, ["normalize", "--rules", HOMASS, "--term", "m 1 [\uff12]"]),
     "op-arity-fullwidth": ("op m \uff12\nm 1 2 -> m 2 1\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
+    "scalar-ends-early": (None, ["normalize", "--rules", HOMASS, "--term", "* m 1 2"]),
     "scalar-deep-parentheses": (
         None,
         ["normalize", "--rules", HOMASS, "--term", "(" * 1200 + "2" + ")" * 1200 + " * m 1 2"],
@@ -732,6 +758,11 @@ def test_malformed_algebra_names_the_field(capsys, tmp_path, case, field):
     code, _, err = run(capsys, [str(path) if a == "FILE" else a for a in argv])
     assert code == 2
     assert err == f"parse error: malformed algebra document: {field}\n"
+
+
+def test_a_scalar_that_ends_early_says_so(capsys):
+    code, out, err = run(capsys, MALFORMED["scalar-ends-early"][1])
+    assert (code, out, err) == (2, "", "parse error: scalar ends early\n")
 
 
 @pytest.mark.parametrize("scalar", ["1/0", "q/0", "1/(q - q)", "(1 + q)/(q - q)"])

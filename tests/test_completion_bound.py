@@ -488,3 +488,14 @@ def test_bounded_critical_pairs_equal_the_cut_reference(system, max_order):
         got += index.critical_pairs(r, max_order)
     want = [a for a in ref_ambiguities(system.rules) if a.order <= max_order]
     assert amb_keys(got) == amb_keys(want)
+
+
+@pytest.mark.parametrize("name", ["homass-o12", "assoc", "leibniz"])
+def test_bounded_ambiguities_are_the_unbounded_listing_cut_at_the_bound(name):
+    """``ambiguities(S, N)`` lists the ambiguities of order <= N of the
+    unbounded listing, in its order and with its differences."""
+    system = RewritingSystem(*rule_file(name))
+    listed = list(completion.ambiguities(system))
+    for max_order in range(14):
+        cut = [(amb, diff) for amb, diff in listed if amb.order <= max_order]
+        assert list(completion.ambiguities(system, max_order)) == cut

@@ -100,6 +100,12 @@ def test_parse_scalar_errors():
             parse_scalar(bad)
 
 
+@pytest.mark.parametrize("text", ["", "(", "2 +", "q *", "-"])
+def test_a_scalar_that_ends_early_says_so(text):
+    with pytest.raises(ScalarParseError, match="^scalar ends early$"):
+        parse_scalar(text)
+
+
 @given(ratfuncs())
 def test_format_parse_round_trip(x):
     v = parse_scalar(format_scalar(x))

@@ -4,7 +4,7 @@ import pytest
 
 from homoperad.automata import determinize, grammar_from_rules
 from homoperad.completion import complete
-from homoperad.orders import LEX_MA, RIGHT_COMB
+from homoperad.orders import LEX_MA
 from homoperad.rewrite import RewritingSystem, parse_rules
 from homoperad.series import (
     BivariateSeries,
@@ -12,9 +12,8 @@ from homoperad.series import (
     free_series,
     hilbert_series,
     solve_series,
-    unstable_degrees,
 )
-from homoperad.terms import ASS_SIGNATURE, HOM_SIGNATURE, plane_count
+from homoperad.terms import HOM_SIGNATURE, plane_count
 
 HOMASS_RULE = "m a 1 m 2 3 -> m m 1 2 a 3"
 
@@ -127,17 +126,3 @@ def test_refining_rules_never_raises_coefficients():
 def test_format_series_layout():
     x = BivariateSeries(1, {(0, 1): 3})
     assert format_series(x) == "a^0 m^0\t0\na^0 m^1\t3\na^1 m^0\t0\n"
-
-
-def test_unstable_degrees():
-    rules = parse_rules(HOMASS_RULE, HOM_SIGNATURE, LEX_MA)
-    assert (1, 0) in unstable_degrees(rules, [], 2)
-    assert (0, 2) not in unstable_degrees(rules, [], 2)
-    got = unstable_degrees(rules, [(2, 3)], 3)
-    assert (1, 1) not in got
-    assert (3, 0) in got
-    # a pattern without an a can change the a-free counts too
-    rules = parse_rules("m 1 m 2 3 -> m m 1 2 3", ASS_SIGNATURE, RIGHT_COMB)
-    got = unstable_degrees(rules, [(0, 0)], 4)
-    assert got == [(i, n - i) for n in range(1, 5) for i in range(n + 1)]
-    assert (0, 2) not in unstable_degrees(rules, [(0, 3)], 3)
