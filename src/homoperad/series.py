@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from operator import mul
 
-from .automata import SINK, BottomUpAutomaton, determinize, grammar_from_rules, minimize
+from .automata import SINK, BottomUpAutomaton, determinize, grammar_from_rules
 from .terms import plane_count
 
 
@@ -86,7 +86,8 @@ def solve_series(aut: BottomUpAutomaton, D: int) -> list:
     """Truncated at total degree D, the series G_b counting the plane
     monomials that the automaton sends to state b, listed by state:
     G_b = [b = 0] + a * sum_{f_a(c)=b} G_c + m * sum_{f_m(c,d)=b} G_c G_d,
-    state 0 being the leaf's."""
+    state 0 being the leaf's.  An automaton built with a degree bound
+    gives them only up to that degree."""
     g, W = _packed_series(aut, D)
     return [_unpack(xs, D, W) for xs in g]
 
@@ -116,7 +117,7 @@ def _packed_series(aut: BottomUpAutomaton, D: int) -> tuple[list, int]:
     g[0][0] = 1
     a_moves = [(g[c], g[b]) for c, b in enumerate(aut.f_a) if b != SINK]
     in_row = [[] for _ in aut.table]
-    in_col = [[] for _ in aut.table[0]]
+    in_col = [[] for _ in range(max(aut.right) + 1)]
     for c in aut.states:
         in_row[aut.left[c]].append(g[c])
         in_col[aut.right[c]].append(g[c])
@@ -156,15 +157,14 @@ def _unpack(xs, D: int, W: int) -> BivariateSeries:
 
 
 def hilbert_series(rules, D: int) -> BivariateSeries:
-    """Count of irreducible plane monomials by grading: the sum of G_B over
-    the classes B of the minimized automaton.  Every live state is in one
-    class, and the series of a class is the sum of its states' series,
-    because the transitions respect the classes.  A pattern of more than D
-    vertices fits no monomial counted, so only the rules of order <= D
-    build the automaton.  The packed counts of the classes are summed degree
-    by degree and unpacked once: a sum counts distinct monomials of each
-    grading, so it fits the slots as each class's counts do."""
+    """Count of irreducible plane monomials by grading: the sum of G_b over
+    the live states b of the automaton bounded by D, which holds every
+    state and transition that a monomial of <= D vertices reaches.  A
+    pattern of more than D vertices fits no monomial counted, so only the
+    rules of order <= D build the automaton.  The packed counts of the
+    states are summed degree by degree and unpacked once: a sum counts
+    distinct monomials of each grading, so it fits the slots as each
+    state's counts do."""
     rules = [r for r in rules if r.order <= D]
-    g, W = _packed_series(minimize(determinize(grammar_from_rules(rules))), D)
+    g, W = _packed_series(determinize(grammar_from_rules(rules), D), D)
     return _unpack(list(map(sum, zip(*g))), D, W)
-

@@ -1,12 +1,11 @@
+import math
 from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homoperad.automata import (
-    LEAF, SINK, BottomUpAutomaton, _number, determinize, grammar_from_rules, minimize
-)
+from homoperad.automata import LEAF, SINK, BottomUpAutomaton, determinize, grammar_from_rules
 from homoperad.completion import complete
 from homoperad.linear import LinComb
 from homoperad.orders import LEX_MA, get_order
@@ -171,45 +170,44 @@ def test_order_ten_system_has_34_live_states():
     assert all(len(row) == len(aut.table[0]) for row in aut.table)
 
 
-# (rules file, live states, table rows, table columns, classes): m(c, d)
-# reads only the row of c and the right-child production mask of d, so the
-# table has one row per distinct row content and one column per distinct
-# right mask
+# (rules file, live states, table rows, table columns): m(c, d) reads only
+# the left mask of c and the right mask of d, so the table has one row per
+# distinct left mask and one column per distinct right mask
 COMPRESSION = [
-    ("bench/data/homass-o10.rules", 34, 13, 19, 28),
-    ("bench/data/homass-o12.rules", 208, 39, 66, 89),
+    ("bench/data/homass-o10.rules", 34, 20, 19),
+    ("bench/data/homass-o12.rules", 208, 120, 66),
 ]
 
 
-@pytest.mark.parametrize("path, n, n_rows, n_cols, n_classes", COMPRESSION)
-def test_pair_table_has_a_row_per_distinct_row_content_and_a_column_per_right_mask(
-    path, n, n_rows, n_cols, n_classes
+@pytest.mark.parametrize("path, n, n_rows, n_cols", COMPRESSION)
+def test_pair_table_has_a_row_per_left_mask_and_a_column_per_right_mask(
+    path, n, n_rows, n_cols
 ):
     _, rs = read_rules((ROOT / path).read_text(), LEX_MA)
     aut = determinize(grammar_from_rules(rs))
     assert len(aut.states) == n
-    assert (len(aut.table), len(aut.table[0])) == (n_rows, n_cols)
+    assert len(aut.table) == n_rows
+    assert all(len(row) == n_cols for row in aut.table)
     assert sorted(set(aut.left)) == list(range(n_rows))
     assert sorted(set(aut.right)) == list(range(n_cols))
-    assert len(minimize(aut).states) == n_classes
 
 
-def test_order_fifteen_table_has_294_rows_all_distinct():
-    """At order 15 some m-productions have their right child in the row's
-    K, and leaving them in the key would split 35 rows off their equals."""
+def test_order_fifteen_automaton_and_its_degree_fifteen_part():
+    """A count to degree 15 reads 3,186 of the 8,094 live states, on 2,223
+    of the 6,152 rows and 796 of the 830 columns."""
     system = RewritingSystem(HOM_SIGNATURE, LEX_MA, rules(RULE1))
     state = complete(system, max_order=15)
-    aut = determinize(grammar_from_rules(state.system.rules))
-    assert (len(aut.states), len(aut.table), len(aut.table[0])) == (8094, 294, 830)
-    assert len(set(map(tuple, aut.table))) == 294
-    small = minimize(aut)
-    assert (len(small.states), len(small.table), len(small.table[0])) == (533, 207, 256)
+    g = grammar_from_rules(state.system.rules)
+    aut = determinize(g)
+    assert (len(aut.states), len(aut.table), max(aut.right) + 1) == (8094, 6152, 830)
+    small = determinize(g, 15)
+    assert (len(small.states), len(small.table), max(small.right) + 1) == (3186, 2223, 796)
 
 
 def ref_determinize(g) -> BottomUpAutomaton:
-    """The subset construction with one row per distinct left mask, as
-    ``determinize`` once built it, so that rows of equal contents are each
-    filled."""
+    """The subset construction over a worklist, with one row per distinct
+    left mask, as ``determinize`` once built it: states, rows and columns
+    are numbered in the order the worklist reaches them, not by degree."""
     n = len(g.states)
     a_image = [0] * n
     l_image, r_image = [0] * n, [0] * n
@@ -275,19 +273,109 @@ def order_twelve_subsets(draw):
     return chosen[::-1] if draw(st.booleans()) else chosen
 
 
+def renaming(got, want):
+    """The state of ``want`` that each state of ``got`` stands for, found
+    by making the same moves in both from the leaf's state."""
+    to, reached = {0: 0}, [0]
+    for c in reached:
+        moves = [(got.f_a[c], want.f_a[to[c]])]
+        for d in reached:
+            moves.append((got.f_m(c, d), want.f_m(to[c], to[d])))
+            moves.append((got.f_m(d, c), want.f_m(to[d], to[c])))
+        for b, b2 in moves:
+            if b != SINK and b not in to:
+                to[b] = b2
+                reached.append(b)
+    return [to[c] for c in got.states]
+
+
 @settings(max_examples=300, deadline=None)
 @given(order_twelve_subsets())
-def test_rows_numbered_by_content_match_the_left_mask_rows(rs):
+def test_determinize_matches_the_left_mask_reference_up_to_renaming(rs):
     g = grammar_from_rules(rs)
     assert_no_shared_production(g)
     got, want = determinize(g), ref_determinize(g)
-    # the same live states, numbered alike, with the same transitions
-    assert got.f_a == want.f_a
-    assert [[got.f_m(c, d) for d in got.states] for c in got.states] == [
-        [want.f_m(c, d) for d in want.states] for c in want.states
+    # the same live states, numbered by least degree in place of worklist
+    # order, with the same transitions
+    to = renaming(got, want) + [SINK]  # to[SINK] is SINK
+    assert sorted(to[:-1]) == list(want.states)
+    assert [to[b] for b in got.f_a] == [want.f_a[to[c]] for c in got.states]
+    assert [[to[got.f_m(c, d)] for d in got.states] for c in got.states] == [
+        [want.f_m(to[c], to[d]) for d in got.states] for c in got.states
     ]
-    # and every row of the table is one distinct row content
-    assert len(set(map(tuple, got.table))) == len(got.table)
+    # and the same rows and columns, every row full
+    assert len(got.table) == len(want.table)
+    assert {len(row) for row in got.table} == {len(want.table[0])}
+
+
+def least_degrees(aut):
+    """The least number of vertices of a monomial reaching each state,
+    found by relaxing every transition until nothing changes."""
+    deg = [0] + [math.inf] * (len(aut.states) - 1)
+    changed = True
+    while changed:
+        changed = False
+        moves = [(aut.f_a[c], deg[c] + 1) for c in aut.states]
+        moves += [(aut.f_m(c, d), deg[c] + deg[d] + 1) for c in aut.states for d in aut.states]
+        for b, k in moves:
+            if b != SINK and k < deg[b]:
+                deg[b], changed = k, True
+    return deg
+
+
+@lru_cache(maxsize=None)
+def order_twelve():
+    """The order-12 grammar, its whole automaton and its states' least degrees."""
+    g = grammar_from_rules(order_twelve_rules())
+    aut = determinize(g)
+    return g, aut, least_degrees(aut)
+
+
+def test_bounded_automaton_holds_the_states_of_at_most_D_vertices():
+    g, aut, deg = order_twelve()
+    sizes = [len(determinize(g, D).states) for D in range(10)]
+    assert sizes == [1, 3, 9, 18, 30, 42, 55, 71, 96, 124]
+    assert sizes == [sum(k <= D for k in deg) for D in range(10)]
+    # the monomials themselves, to 7 vertices
+    for D in range(8):
+        reached = {
+            aut.run(c.word) for n in range(D + 1) for i in range(n + 1)
+            for c in enumerate_plane(i, n - i)
+        }
+        assert len(reached - {SINK}) == sizes[D]
+
+
+@pytest.mark.parametrize("D", range(10))
+def test_bounded_table_pairs_exactly_the_degrees_below_D(D):
+    """The bounded automaton is the first states of the whole one, in
+    order of least degree, with the a-moves of those below D and the table
+    entries whose row and column are first reached at degrees summing to
+    D - 1 or less."""
+    g, aut, deg = order_twelve()
+    small = determinize(g, D)
+    n = len(small.states)
+    assert deg[:n] == sorted(deg[:n]) and max(deg[:n]) <= D < min(deg[n:], default=math.inf)
+    assert small.left == aut.left[:n] and small.right == aut.right[:n]
+    assert small.f_a == aut.f_a[: sum(k < D for k in deg)]
+    row_deg, col_deg = {}, {}
+    for c in small.states:
+        row_deg.setdefault(small.left[c], deg[c])
+        col_deg.setdefault(small.right[c], deg[c])
+    for i, row in enumerate(small.table):
+        assert row == aut.table[i][: len(row)]
+        assert len(row) == sum(row_deg[i] + k <= D - 1 for k in col_deg.values())
+
+
+def test_bounded_automaton_runs_the_words_of_at_most_D_vertices_as_the_whole_one():
+    for text in SYSTEMS:
+        g = grammar_from_rules(rules(text))
+        aut = determinize(g)
+        for D in (0, 3, 7):
+            small = determinize(g, D)
+            for n in range(D + 1):
+                for i in range(n + 1):
+                    for c in enumerate_plane(i, n - i):
+                        assert small.run(c.word) == aut.run(c.word)
 
 
 def test_automaton_language_matches_redex_search():
@@ -307,149 +395,3 @@ def test_run_on_single_box():
     aut = determinize(grammar_from_rules(rules(RULE1)))
     assert aut.run((1,)) == 0
     assert not aut.accepts((1,))
-
-
-@pytest.mark.parametrize("text", SYSTEMS, ids=["rule1", "rule1-rule2", "order10"])
-def test_minimize_blocks_are_a_congruence(text):
-    aut = determinize(grammar_from_rules(rules(text)))
-    small = minimize(aut)
-    # the block of a state is where the minimized automaton sends a
-    # monomial reaching it; a missing transition is the sink's block
-    block = {s: small.run(w) for s, w in witnesses(aut).items()}
-    assert set(block.values()) == set(small.states)
-    block[SINK] = SINK
-    for s in aut.states:
-        assert block[aut.f_a[s]] == small.f_a[block[s]]
-        for t in aut.states:
-            assert block[aut.f_m(s, t)] == small.f_m(block[s], block[t])
-    for s in aut.states:
-        for s2 in aut.states:
-            if block[s] != block[s2]:
-                continue
-            assert block[aut.f_a[s]] == block[aut.f_a[s2]]
-            for t in aut.states:
-                assert block[aut.f_m(s, t)] == block[aut.f_m(s2, t)]
-                assert block[aut.f_m(t, s)] == block[aut.f_m(t, s2)]
-
-
-def test_minimized_automaton_accepts_what_determinize_accepts():
-    # every monomial of k a-vertices and l m-vertices with k + l <= 8, and
-    # the longer ones up to k + 2 l <= 10
-    for text in SYSTEMS:
-        aut = determinize(grammar_from_rules(rules(text)))
-        small = minimize(aut)
-        for k in range(11):
-            for l in range(11 - k):
-                if k + l > 8 and k + 2 * l > 10:
-                    continue
-                for c in enumerate_plane(k, l):
-                    assert small.accepts(c.word) == aut.accepts(c.word)
-
-
-def test_order_ten_system_has_28_classes():
-    small = minimize(determinize(grammar_from_rules(rules(ORDER_TEN.read_text()))))
-    assert len(small.states) == 28
-    assert small.run((1,)) == 0
-
-
-@pytest.mark.parametrize("text", ["", *SYSTEMS], ids=["empty", "rule1", "rule1-rule2", "order10"])
-def test_minimize_sends_the_leaf_to_class_zero(text):
-    aut = determinize(grammar_from_rules(rules(text)))
-    small = minimize(aut)
-    assert small.run((1,)) == 0
-    # the classes are numbered in the order of their first states
-    block = {s: small.run(w) for s, w in witnesses(aut).items()}
-    assert list(dict.fromkeys(block[s] for s in aut.states)) == list(small.states)
-
-
-def ref_minimize(aut: BottomUpAutomaton) -> BottomUpAutomaton:
-    """Moore refinement as ``minimize`` once ran it: the equal columns
-    merged and the table re-rowed before the first round, every row and
-    column tuple numbered in each round, and the result's rows read back
-    across the last round's column tuples."""
-    fa, n = aut.f_a, len(aut.f_a)
-    col, cols = _number(zip(*aut.table))
-    table = list(zip(*cols))
-    left, right = aut.left, [col[j] for j in aut.right]
-    block = [0] * n + [SINK]
-    count = 1
-    while True:
-        look = block.__getitem__
-        row, _ = _number(tuple(map(look, r)) for r in table)
-        col, cols_by_id = _number(tuple(map(look, c)) for c in cols)
-        new, sigs = _number(
-            (block[i], block[fa[i]], row[left[i]], col[right[i]]) for i in range(n)
-        )
-        block = new + [SINK]
-        if len(sigs) == count:
-            break
-        count = len(sigs)
-    reps = []
-    for i in range(n):
-        if block[i] == len(reps):
-            reps.append(i)
-    _, rows_by_id = _number(zip(*cols_by_id))
-    return BottomUpAutomaton(
-        [block[fa[i]] for i in reps],
-        [row[left[i]] for i in reps],
-        [col[right[i]] for i in reps],
-        [list(r) for r in rows_by_id],
-    )
-
-
-def assert_minimize_matches_reference(aut):
-    got, want = minimize(aut), ref_minimize(aut)
-    assert (got.f_a, got.left, got.right, got.table) == (
-        want.f_a, want.left, want.right, want.table
-    )
-
-
-@pytest.mark.parametrize("path", [ORDER_TEN, ORDER_TWELVE], ids=["order10", "order12"])
-def test_minimize_matches_the_reference_on_the_completed_systems(path):
-    assert_minimize_matches_reference(determinize(grammar_from_rules(rules(path.read_text()))))
-
-
-@settings(max_examples=200, deadline=None)
-@given(order_twelve_subsets())
-def test_minimize_matches_the_reference_on_order_twelve_subsets(rs):
-    assert_minimize_matches_reference(determinize(grammar_from_rules(rs)))
-
-
-def test_minimize_takes_repeated_rows_and_columns():
-    """Rows 0 and 2 are equal, and so are columns 0 and 2, which
-    ``determinize`` never gives; states 0 and 2 read them, so they share
-    a class."""
-    aut = BottomUpAutomaton(
-        f_a=[1, 1, 1],
-        left=[0, 1, 2],
-        right=[0, 1, 2],
-        table=[[1, SINK, 1], [2, 0, 2], [1, SINK, 1]],
-    )
-    assert_minimize_matches_reference(aut)
-    small = minimize(aut)
-    assert (small.f_a, small.left, small.right, small.table) == (
-        [1, 1], [0, 1], [0, 1], [[1, SINK], [0, 0]]
-    )
-
-
-@st.composite
-def small_automata(draw):
-    """An automaton of up to 6 states on a table of up to 4 rows and 4
-    columns, whose rows and columns may repeat."""
-    n = draw(st.integers(1, 6))
-    n_rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    target = st.integers(SINK, n - 1)
-    return BottomUpAutomaton(
-        draw(st.lists(target, min_size=n, max_size=n)),
-        draw(st.lists(st.integers(0, n_rows - 1), min_size=n, max_size=n)),
-        draw(st.lists(st.integers(0, n_cols - 1), min_size=n, max_size=n)),
-        draw(st.lists(
-            st.lists(target, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows
-        )),
-    )
-
-
-@settings(max_examples=300, deadline=None)
-@given(small_automata())
-def test_minimize_matches_the_reference_on_small_automata(aut):
-    assert_minimize_matches_reference(aut)

@@ -5,12 +5,17 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from homoperad.cli import main
+from homoperad.orders import LEX_MA
+from homoperad.rewrite import read_rules
+from homoperad.series import hilbert_series
+from homoperad.terms import grading
 
 
 def data_path(name):
@@ -288,6 +293,28 @@ def test_order_16_outputs_are_byte_identical_to_pinned_digests(capsys, tmp_path)
     assert sha256((tmp_path / "P.census.tsv").read_text()) == CENSUS_16
     assert sha256((tmp_path / "P.rules").read_text()) == RULES_16
     assert sha256((tmp_path / "P.log").read_text()) == LOG_16
+    _, rules = read_rules((tmp_path / "P.rules").read_text(), LEX_MA)
+    assert census_mismatches(rules, range(3, 17)) == []
+
+
+def census_mismatches(rules, degrees):
+    """The gradings of total degree k, for each k of ``degrees``, where the
+    count under the rules of order < k less the count under those of order
+    <= k is not the number of rules of order k of that grading.  A
+    homogeneous, inter-reduced system has none: a pattern of k vertices
+    fits a monomial of k vertices only as the whole word, and no left side
+    of order k is reducible by the rules below it.  This checks the
+    counter against completion's census, apart from the counts' digests."""
+    out = []
+    for k in degrees:
+        below = hilbert_series([r for r in rules if r.order < k], k)
+        upto = hilbert_series(rules, k)
+        census = Counter(grading(r.lhs) for r in rules if r.order == k)
+        for i in range(k + 1):
+            j = k - i
+            if below.coefficient(i, j) - upto.coefficient(i, j) != census[i, j]:
+                out.append((i, j))
+    return out
 
 
 # the degree-12 count of the order-12 system, pinned while every state pair

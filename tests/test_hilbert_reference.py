@@ -1,5 +1,5 @@
-"""The worklist subset construction and the degree-by-degree series count,
-checked against the frontier-and-refill construction, the fixed-point
+"""The subset construction by least degree and the degree-by-degree series
+count, checked against the frontier-and-refill construction, the fixed-point
 solve and the one-convolution-per-pair solve they replaced, which are kept
 here as references.  The reference construction publishes its states as
 sorted tuples of grammar states, with ``f_m`` keyed by pairs of them, and
@@ -19,12 +19,11 @@ from homoperad.automata import (
     BottomUpAutomaton,
     determinize,
     grammar_from_rules,
-    minimize,
 )
 from homoperad.completion import complete
 from homoperad.orders import LEX_MA
 from homoperad.rewrite import RewritingSystem, parse_rules
-from homoperad.series import BivariateSeries, solve_series
+from homoperad.series import BivariateSeries, hilbert_series, solve_series
 from homoperad.terms import HOM_SIGNATURE, sort_key
 from test_automata import assert_one_m_production_per_state
 
@@ -266,9 +265,22 @@ def test_solve_series_matches_per_pair_solve_on_the_order_twelve_system():
     assert solve_series(aut, 10) == ref_pair_solve(aut, 10)
 
 
+def assert_bounded_counts_match_the_state_series(rules):
+    """For each D <= 10, the count on the automaton bounded by D is the sum
+    of the state series of the whole automaton."""
+    g = solve_series(determinize(grammar_from_rules(rules)), 10)
+    for D in range(11):
+        want = sum((BivariateSeries(D, x.coeffs) for x in g), BivariateSeries(D))
+        assert hilbert_series(rules, D) == want
+
+
 @pytest.mark.parametrize("name,k", PREFIXES)
-def test_class_series_sum_to_the_state_series(name, k):
-    aut, _ = automata(rule_list(name)[:k])
-    zero = BivariateSeries(9)
-    by_class = sum(solve_series(minimize(aut), 9), zero)
-    assert by_class == sum(solve_series(aut, 9), zero)
+def test_bounded_count_is_the_sum_of_the_state_series(name, k):
+    assert_bounded_counts_match_the_state_series(rule_list(name)[:k])
+
+
+def test_bounded_count_is_the_sum_of_the_state_series_on_the_order_twelve_system():
+    path = Path(__file__).resolve().parents[1] / "bench" / "data" / "homass-o12.rules"
+    assert_bounded_counts_match_the_state_series(
+        parse_rules(path.read_text(), HOM_SIGNATURE, LEX_MA)
+    )
