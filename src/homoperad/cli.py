@@ -13,9 +13,10 @@ from its pattern's, all refused before any `--out` file is created, or an
 unwritable `--out`; for `hilbert --strict`, an inhomogeneous rule, refused
 before anything is printed; for `normalize` and `ambiguities`, a rule with
 a replacement monomial of more vertices than its pattern), 3 budget
-exhausted, 4 order failure (a rule, a candidate, or a `complete` input rule
-as the rules before it reduce it, could not be oriented by the active term
-order), 5 write error (writing or closing a `complete --out` file failed).
+exhausted, 4 order failure (a rule or a difference could not be oriented
+by the active term order; `complete` names the normalized difference it
+stopped at, which may be an older rule's, adjoined again), 5 write error
+(writing or closing a `complete --out` file failed).
 
 `hilbert --free` counts the empty rule set as `--rules` counts a file.
 `hilbert --strict` then lists the critical ambiguities of the rules of

@@ -125,17 +125,15 @@ class _SubtermIndex:
     which the system iterates them.  ``memo`` is ``normal_form``'s redex
     memo against the system, cleared by every edit.  ``largest`` is the
     most vertices of any lhs or rhs monomial ever added; removal leaves it,
-    since it only bounds the walks.  Built over a system that has rules,
-    the index only indexes them."""
+    since it only bounds the walks.  It starts empty, and ``add`` is the
+    only way in."""
 
-    def __init__(self, system: RewritingSystem):
-        self.system = system
+    def __init__(self, sig, order):
+        self.system = RewritingSystem(sig, order, [])
         self.trie = {}
         self.largest = 0
         self.rank, self._tick = {}, itertools.count()
         self.memo = {}
-        for rule in system:
-            self._index(rule)
 
     def _leaves(self, rule: Rule):
         """(leaf, vertices outside) of each subterm the index holds."""
@@ -148,15 +146,12 @@ class _SubtermIndex:
                     outside = lhs.order - lhs.sizes[p] if term is lhs else math.inf
                     yield trie_leaf(self.trie, word[p : ends[p]]), outside
 
-    def _index(self, rule: Rule):
+    def add(self, rule: Rule):
+        self.system.add(rule)
         self.rank[rule.id] = next(self._tick)
         self.largest = max(self.largest, rule.order, *(m.order for m in rule.rhs.support()))
         for leaf, outside in self._leaves(rule):
             leaf[rule.id] = min(outside, leaf.get(rule.id, outside))
-
-    def add(self, rule: Rule):
-        self.system.add(rule)
-        self._index(rule)
         self.memo.clear()
 
     def remove(self, rule: Rule):
@@ -212,12 +207,6 @@ class _SubtermIndex:
         return out
 
 
-@dataclass(frozen=True)
-class Failure:
-    diff: LinComb
-    reason: str
-
-
 def resolve(amb: Ambiguity, sys: RewritingSystem, memo=None) -> LinComb:
     """Reduce the site along both redexes and return the difference of the
     two normal forms, which is zero when the ambiguity resolves.  Both
@@ -242,7 +231,7 @@ def ambiguities(system: RewritingSystem, max_order=math.inf):
     order, site and rule pair.  Each is resolved with a memo of its own,
     which its two sides share: one memo for all of them would hold every
     monomial searched (+70 MB on the order-14 system's 22,442)."""
-    index = _SubtermIndex(RewritingSystem(system.sig, system.order, []))
+    index = _SubtermIndex(system.sig, system.order)
     rules = [r for r in system.rules if r.order <= max_order]
     bound = min(max_order, 2 * max((r.order for r in rules), default=0))
     ambs = []
@@ -273,7 +262,7 @@ class CompletionState:
     system: RewritingSystem
     status: str  # "complete" | "budget" | "order_failure"
     log: list = field(default_factory=list)
-    failure: Failure | None = None
+    failure: IncomparableLeading | None = None  # its diff did not orient
 
     def census(self) -> dict[int, int]:
         out = {}
@@ -291,12 +280,15 @@ def complete(
 ) -> CompletionState:
     """Run the critical-pairs/completion procedure up to sites of the given
     order.  The system starts empty and each input rule, in turn, is adjoined
-    as a derived one is: it may be reduced or dropped, every rule gets an id
-    ``r1``, ``r2``, ... (an envelope's named rules too), and an input rule the
-    order cannot orient is an ``order_failure``.  Ambiguities are taken in
-    increasing (site order, site word, rule pair) priority; a subterm index
-    finds each new rule's partners and the rules it reduces.  With
-    ``require_homogeneous`` an inhomogeneous input rule is a TermError first.
+    as a derived one is: it may be reduced or dropped, and every rule gets an
+    id ``r1``, ``r2``, ... (an envelope's named rules too).  Ambiguities are
+    taken in increasing (site order, site word, rule pair) priority; a
+    subterm index finds each new rule's partners and the rules it reduces.
+    With ``require_homogeneous`` an inhomogeneous input rule is a TermError
+    first.  A normalized difference that the order cannot orient stops
+    completion as an ``order_failure``, whether it came from an input rule,
+    an ambiguity or a rule that inter-reduction adjoins again; ``failure``
+    is the ``IncomparableLeading`` raised, and its ``diff`` that difference.
 
     Every normal form reads the index's redex memo, which maps each
     monomial searched to its first redexes and is cleared whenever a rule
@@ -305,13 +297,12 @@ def complete(
     order = initial.order
     if require_homogeneous:
         refuse_inhomogeneous(initial)
-    index = _SubtermIndex(RewritingSystem(initial.sig, order, []))
+    index = _SubtermIndex(initial.sig, order)
     system = index.system
     heap = []
     log = []
     seq, ids = itertools.count(), itertools.count(1)
-
-    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
+    deadline = math.inf if budget_seconds is None else time.monotonic() + budget_seconds
 
     def adjoin(diff: LinComb) -> list[Rule]:
         """Normalize, orient and add a difference, inter-reduce, and push each
@@ -345,15 +336,13 @@ def complete(
         return added
 
     for rule in initial:
-        diff = LinComb.monomial(rule.lhs) - rule.rhs
         try:
-            adjoin(diff)
+            adjoin(LinComb.monomial(rule.lhs) - rule.rhs)
         except IncomparableLeading as e:
-            diff = normal_form(diff, system, memo=index.memo)
-            return CompletionState(system, "order_failure", log, Failure(diff, str(e)))
+            return CompletionState(system, "order_failure", log, e)
 
     while heap:
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             return CompletionState(system, "budget", log)
         (key, _, amb) = heapq.heappop(heap)
         if amb.rule1 not in system or amb.rule2 not in system:
@@ -366,6 +355,6 @@ def complete(
             added = adjoin(diff)
         except IncomparableLeading as e:
             log.append((amb, "order_failure"))
-            return CompletionState(system, "order_failure", log, Failure(diff, str(e)))
+            return CompletionState(system, "order_failure", log, e)
         log.append((amb, "new_rule " + ",".join(r.id for r in added)))
     return CompletionState(system, "complete", log)

@@ -10,7 +10,11 @@ from .terms import Context, Permutation, TermError, act, compose, print_term, so
 
 
 class IncomparableLeading(ValueError):
-    """The active term order cannot single out a leading monomial."""
+    """The active term order cannot single out a leading monomial of ``diff``."""
+
+    def __init__(self, message: str, diff: "LinComb"):
+        super().__init__(message)
+        self.diff = diff
 
 
 class LinComb:
@@ -157,6 +161,6 @@ def leading_monomial(x: LinComb, order) -> tuple[Context, object]:
     top = maximal(x.terms, order)
     if len(top) > 1:
         raise IncomparableLeading(
-            f"no unique maximum: {' vs '.join(map(str, top))} under {order.name}"
+            f"no unique maximum: {' vs '.join(map(str, top))} under {order.name}", x
         )
     return top[0], x.terms[top[0]]

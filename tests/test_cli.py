@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from test_completion import READJOINED_FAILURES
+
 from homoperad.cli import main
 from homoperad.orders import LEX_MA
 from homoperad.rewrite import read_rules
@@ -159,6 +161,36 @@ def test_an_input_rule_the_order_cannot_orient_is_an_order_failure(capsys, tmp_p
     code, out, err = run(capsys, argv)
     assert (code, out) == (4, "3\t1\n")
     assert err == "order failure: cannot orient m m 1 a 2 a m 3 4 - m m 1 m 2 3 a a 4\n"
+
+
+@pytest.mark.parametrize(
+    "text, census, log, failed",
+    list(zip(
+        READJOINED_FAILURES,
+        ["2\t1\n", "2\t1\n", "3\t2\n4\t1\n"],
+        ["", "", "a m a m 1 2 3\tr3,r2\torder_failure\n"],
+        [
+            "-m a 1 a 2 + m a a 1 2",
+            "m 1 m 2 a 3 - m m 1 a 2 3",
+            "-m 1 m a 2 m 3 a 4 + m a a m 1 m 2 3 4",
+        ],
+    )),
+    ids=["inputs", "nested-inputs", "ambiguity"],
+)
+def test_an_order_failure_names_the_readjoined_difference_that_failed(
+    capsys, tmp_path, text, census, log, failed
+):
+    """A newer rule reduces an older one, whose difference, adjoined again,
+    is the one the order cannot orient: stderr names it, and not the
+    difference the older rule began from, which is zero in the first two
+    sets and in the third is oriented as `a m m 1 2 a 3 -> m a a m 1 2 3`."""
+    path = tmp_path / "input.rules"
+    path.write_text(text)
+    prefix = str(tmp_path / "run")
+    argv = ["complete", "--rules", str(path), "--max-order", "7", "--out", prefix]
+    assert run(capsys, argv) == (4, census, f"order failure: cannot orient {failed}\n")
+    assert (tmp_path / "run.census.tsv").read_text() == census
+    assert (tmp_path / "run.log").read_text() == log
 
 
 INHOMOGENEOUS = "op m 2\nop a 1\nop e 0\na e -> m e a e\na a e -> e\n"

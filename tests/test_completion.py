@@ -2,6 +2,7 @@ import pytest
 
 from homoperad import rewrite
 from homoperad.completion import complete, overlaps, refuse_inhomogeneous
+from homoperad.linear import IncomparableLeading, leading_monomial
 from homoperad.orders import LEX_MA, RIGHT_COMB
 from homoperad.rewrite import RewritingSystem, find_redexes, is_irreducible, parse_rules
 from homoperad.terms import (
@@ -185,12 +186,38 @@ def test_order_failure_under_right_comb():
     )
     state = complete(initial, max_order=8)
     assert state.status == "order_failure"
-    assert state.failure.reason.startswith("no unique maximum:")
+    assert str(state.failure).startswith("no unique maximum:")
     assert str(state.failure.diff) == "m m 1 a 2 a m 3 4 - m m 1 m 2 3 a a 4"
     amb, outcome = state.log[-1]
     assert (str(amb.site), amb.rule1, amb.rule2, outcome) == (
         "m a 1 m a 2 m 3 4", "r1", "r1", "order_failure"
     )
+
+
+# Under lex_ma, in each set a later rule reduces an earlier one, whose
+# difference is adjoined again and is the one the order cannot orient: the
+# first two while the input rules are adjoined, the third while an
+# ambiguity's new rule inter-reduces
+READJOINED_FAILURES = [
+    "a a m 1 2 -> m a 1 a 2\na m 1 2 -> m a 1 2\n",
+    "a m 1 m 2 3 -> m m 1 a 2 3\na m 1 2 -> m 1 a 2\n",
+    "a m m 1 m 2 3 a 4 -> m 1 m a 2 m 3 a 4\nm a m 1 2 3 -> m m 1 2 a 3\n"
+    "a m a 1 2 -> m a a 1 2\n",
+]
+
+
+@pytest.mark.parametrize(
+    "text", READJOINED_FAILURES, ids=["inputs", "nested-inputs", "ambiguity"]
+)
+def test_an_order_failure_carries_the_difference_that_did_not_orient(text):
+    initial = RewritingSystem(HOM_SIGNATURE, LEX_MA, parse_rules(text, HOM_SIGNATURE, LEX_MA))
+    state = complete(initial, max_order=7)
+    assert state.status == "order_failure"
+    diff = state.failure.diff
+    assert diff
+    assert is_irreducible(diff, state.system)
+    with pytest.raises(IncomparableLeading):
+        leading_monomial(diff, LEX_MA)
 
 
 def record_searches(monkeypatch):

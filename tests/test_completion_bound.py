@@ -354,13 +354,21 @@ def systems_with_prefixes():
     )
 
 
+def index_over(system):
+    """A subterm index that holds the rules of ``system``, added in turn."""
+    index = completion._SubtermIndex(system.sig, system.order)
+    for rule in system:
+        index.add(rule)
+    return index
+
+
 def assert_index_is_exact(system, max_order):
     """For every rule as the newest: the partners are the rules with a
     nonempty ``overlaps`` and the rule itself, and the instance hits are
     the rules that one-rule ``find_redexes`` finds in an lhs or else in an
     rhs monomial."""
     sig = system.sig
-    index = completion._SubtermIndex(system)
+    index = index_over(system)
     for new in system:
         want = {o.id for o in system if overlaps(new, o, max_order)} | {new.id}
         assert index.partners(new, max_order - new.order) == want
@@ -400,7 +408,7 @@ def test_instances_use_all_the_room_the_largest_monomial_leaves():
     sig = HOM_SIGNATURE
     old, new = parse_rules("m a 1 m 2 3 -> m m 1 2 a 3\nm a 1 2 -> 0", sig, LEX_MA)
     system = RewritingSystem(sig, LEX_MA, [old, new])
-    index = completion._SubtermIndex(system)
+    index = index_over(system)
     assert index.largest == 3
     assert index.instances(new.lhs) == {old.id: True, new.id: True}
     index.remove(old)
@@ -426,14 +434,14 @@ def index_entries(trie, sig):
 def test_index_remove_and_add_leave_the_index_of_the_rules_present():
     sig, order, rules = rule_file("homass-o12")
     system = RewritingSystem(sig, order, rules)
-    index = completion._SubtermIndex(system)
+    index = index_over(system)
     for r in rules[::2]:
         index.remove(r)
-    fresh = completion._SubtermIndex(RewritingSystem(sig, order, rules[1::2]))
+    fresh = index_over(RewritingSystem(sig, order, rules[1::2]))
     assert index_entries(index.trie, sig) == index_entries(fresh.trie, sig)
     for r in rules[::2]:
         index.add(r)
-    fresh = completion._SubtermIndex(RewritingSystem(sig, order, rules))
+    fresh = index_over(RewritingSystem(sig, order, rules))
     assert index_entries(index.trie, sig) == index_entries(fresh.trie, sig)
     assert index_entries(index.trie, sig)
 
@@ -481,7 +489,7 @@ def test_the_order_12_system_resolves_every_ambiguity_of_order_12():
 @settings(max_examples=60, deadline=None)
 @given(rule_systems(), st.integers(8, 16))
 def test_bounded_critical_pairs_equal_the_cut_reference(system, max_order):
-    index = completion._SubtermIndex(RewritingSystem(system.sig, system.order, []))
+    index = completion._SubtermIndex(system.sig, system.order)
     got = []
     for r in reversed(system.rules):  # each rule pairs with those after it, itself included
         index.add(r)
