@@ -390,18 +390,18 @@ def envelope_presentation(
     sig = Signature((("m", 2), ("a", 1)) + tuple((x, 0) for x in names))
 
     def const(i):
-        return Context((names[i],), sig)
+        return Context((names[i],), sig, 0)
 
     rules = []
     for i in range(L.dim):
-        lhs = Context(("a", names[i]), sig)
+        lhs = Context(("a", names[i]), sig, 0)
         rhs = LinComb(0, {const(j): L.alpha[j][i] for j in range(L.dim)})
         rules.append(make_rule(f"alpha_{names[i]}", lhs, rhs, order))
 
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
-            d = LinComb.monomial(Context(("m", names[i], names[j]), sig)) - (
-                LinComb.monomial(Context(("m", names[j], names[i]), sig))
+            d = LinComb.monomial(Context(("m", names[i], names[j]), sig, 0)) - (
+                LinComb.monomial(Context(("m", names[j], names[i]), sig, 0))
             )
             for k in range(L.dim):
                 d.add_term(const(k), -L.mult[i][j][k])

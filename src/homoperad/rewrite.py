@@ -113,7 +113,7 @@ def trie_walk(trie: dict, term: Context, starts, room=0, both=True, first=False)
     no root edge, as every box, is skipped; with ``first``, the walk stops
     after the first start that has a leaf.  The walk follows one path to
     its end and stacks the other edges it passes by."""
-    word, ends, arity = term.word, term.ends, term.sig._arity
+    word, ends, arity = term.word, term.ends, term.sig._arities
     out = []
     for i in starts:
         node = trie.get(word[i])
@@ -240,7 +240,7 @@ def apply_redex(t: Context, redex: Redex) -> LinComb:
                 mid.extend(bindings[tok - 1])
             else:
                 mid.append(tok)
-        out.add_term(Context(head + tuple(mid) + tail, t.sig, _checked=True, _arity=t.arity), coeff)
+        out.add_term(Context(head + tuple(mid) + tail, t.sig, t.arity), coeff)
     return out
 
 
@@ -260,8 +260,8 @@ def refuse_growing(rules):
 
 
 def is_irreducible(x: LinComb | Context, sys: RewritingSystem) -> bool:
-    monos = [x] if isinstance(x, Context) else list(x.support())
-    return all(not find_redexes(m, sys) for m in monos)
+    monos = [x] if isinstance(x, Context) else x.support()
+    return not any(find_redexes(m, sys, first=True) for m in monos)
 
 
 def _pick_greatest(monos, order):

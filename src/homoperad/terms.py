@@ -44,7 +44,7 @@ class Signature:
             if arity < 0:
                 raise TermError(f"negative arity for {name!r}")
             seen[name] = arity
-        object.__setattr__(self, "_arity", seen)
+        object.__setattr__(self, "_arities", seen)
         # the reader's token table: a name spells (name, arity), a one-digit
         # token its box; names hold no digit, so the two never meet
         tokens = {name: (name, arity) for name, arity in seen.items()}
@@ -57,12 +57,12 @@ class Signature:
 
     def arity(self, name: str) -> int:
         try:
-            return self._arity[name]
+            return self._arities[name]
         except KeyError:
             raise TermError(f"unknown symbol {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
-        return name in self._arity
+        return name in self._arities
 
     @staticmethod
     def parse(text: str) -> "Signature":
@@ -90,33 +90,18 @@ Token = str | int  # symbol name or box index
 
 class Context:
     """An n-context: a Polish word using each of Box_1..Box_n exactly once.
-    Its tables ``ends`` and ``sizes`` are built on first read and kept."""
+    The constructor trusts its caller to pass such a word over ``sig`` and
+    its box count n as ``arity``; a word from outside the program is read
+    and checked by ``parse_tokens``.  The tables ``ends`` and ``sizes`` are
+    built on first read and kept."""
 
     __slots__ = ("word", "sig", "arity", "_hash", "_ends", "_sizes")
 
-    def __init__(self, word: tuple[Token, ...], sig: Signature, _checked=False, _arity=None):
-        """``_checked`` trusts ``word`` to be a context, unvalidated; its box
-        count is then ``_arity`` when the caller knows it."""
+    def __init__(self, word: tuple[Token, ...], sig: Signature, arity: int):
         self.word = word
         self.sig = sig
+        self.arity = arity
         self._ends = self._sizes = None
-        if _checked:
-            if _arity is None:
-                _arity = sum(1 for t in word if isinstance(t, int))
-            self.arity = _arity
-        else:
-            boxes = [t for t in word if isinstance(t, int)]
-            n = len(boxes)
-            if sorted(boxes) != list(range(1, n + 1)):
-                raise TermError(f"boxes must be 1..{n} each once, got {boxes}")
-            need = 1
-            for t in word:
-                if need <= 0:
-                    raise TermError("trailing tokens after complete term")
-                need += (0 if isinstance(t, int) else sig.arity(t)) - 1
-            if need != 0:
-                raise TermError("truncated Polish term")
-            self.arity = n
         self._hash = hash(word)
 
     def __eq__(self, other):
@@ -165,7 +150,7 @@ def subterm_ends(word: tuple[Token, ...], sig: Signature) -> list[int]:
     """``ends[i]`` is one past the subterm rooted at ``word[i]``, for every
     position of a sequence of complete terms, in one right-to-left pass."""
     ends = [0] * len(word)
-    arity = sig._arity  # the word is a complete term, so every symbol is known
+    arity = sig._arities  # the word is a complete term, so every symbol is known
     stack = []  # ends of the complete subterms to the right, nearest last
     for i in range(len(word) - 1, -1, -1):
         t = word[i]
@@ -228,7 +213,7 @@ def parse_tokens(tokens, sig: Signature) -> Context:
         raise TermError("trailing tokens after complete term")
     if need:
         raise TermError("truncated Polish term")
-    return Context(tuple(word), sig, _checked=True, _arity=n)
+    return Context(tuple(word), sig, n)
 
 
 def _box(tok: str) -> int:
@@ -252,9 +237,17 @@ def print_term(word: tuple[Token, ...]) -> str:
 
 def compose(outer: Context, inners: list[Context]) -> Context:
     """Substitute ``inners[i-1]`` for Box_i of ``outer`` and renumber boxes,
-    keeping relative order within each inner and ordering blocks by i."""
+    keeping relative order within each inner and ordering blocks by i.  The
+    result is over ``outer.sig``, so an inner over another signature is
+    refused with ``unknown symbol`` when it holds a symbol that ``outer.sig``
+    does not declare with the same arity."""
     if len(inners) != outer.arity:
         raise TermError(f"need {outer.arity} inners, got {len(inners)}")
+    for inner in inners:
+        if inner.sig != outer.sig:
+            for t in inner.word:
+                if t.__class__ is str and outer.sig._tokens.get(t) != inner.sig._tokens[t]:
+                    raise TermError(f"unknown symbol {t!r}")
     offsets = [0] * (outer.arity + 1)
     for i, inner in enumerate(inners):
         offsets[i + 1] = offsets[i] + inner.arity
@@ -266,7 +259,7 @@ def compose(outer: Context, inners: list[Context]) -> Context:
                 word.append(u + off if isinstance(u, int) else u)
         else:
             word.append(t)
-    return Context(tuple(word), outer.sig)
+    return Context(tuple(word), outer.sig, offsets[-1])
 
 
 @dataclass(frozen=True)
@@ -304,7 +297,7 @@ def act(sigma: Permutation, c: Context) -> Context:
         raise TermError(f"degree {sigma.degree} != arity {c.arity}")
     inv = sigma.inverse()
     word = tuple(inv(t) if isinstance(t, int) else t for t in c.word)
-    return Context(word, c.sig, _checked=True)
+    return Context(word, c.sig, c.arity)
 
 
 def renumber(tokens, sig: Signature) -> Context:
@@ -312,7 +305,7 @@ def renumber(tokens, sig: Signature) -> Context:
     whatever their ints, numbered 1, 2, ... in reading order."""
     k = count(1)
     word = tuple(next(k) if isinstance(t, int) else t for t in tokens)
-    return Context(word, sig, _checked=True)
+    return Context(word, sig, next(k) - 1)
 
 
 def planarize(c: Context) -> tuple[Context, Permutation]:
@@ -353,8 +346,9 @@ def _plane_words(k: int, l: int) -> tuple[tuple[Token, ...], ...]:
     return tuple(out)
 
 
-def enumerate_plane(k: int, l: int, limit: int = 20) -> list[Context]:
-    """All plane contexts over {m/2, a/1} with k a-vertices and l m-vertices."""
-    if k + l > limit:
-        raise TermError(f"order {k + l} exceeds limit {limit}")
-    return [Context(w, HOM_SIGNATURE, _checked=True) for w in _plane_words(k, l)]
+def enumerate_plane(k: int, l: int) -> list[Context]:
+    """All plane contexts over {m/2, a/1} with k a-vertices and l m-vertices,
+    of order k + l at most 20; each has l + 1 boxes."""
+    if k + l > 20:
+        raise TermError(f"order {k + l} exceeds limit 20")
+    return [Context(w, HOM_SIGNATURE, l + 1) for w in _plane_words(k, l)]

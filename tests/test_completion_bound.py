@@ -60,7 +60,8 @@ def ref_merge(a, i, b, j, sig, ends_a, ends_b):
 
 def ref_renumber(tokens, sig):
     k = itertools.count(1)
-    return Context(tuple(next(k) if isinstance(t, int) else t for t in tokens), sig)
+    word = tuple(next(k) if isinstance(t, int) else t for t in tokens)
+    return Context(word, sig, sum(1 for t in word if isinstance(t, int)))
 
 
 def ref_superpositions(s1, s2, sig, ends1, ends2):

@@ -188,7 +188,7 @@ def test_rank_table_matches_per_call_ranks(name):
     pairs = set()
     for arity in range(3):
         contexts = [
-            Context(w, sig) for ops in range(3) for w in _words(sig, ops, arity)
+            Context(w, sig, arity) for ops in range(3) for w in _words(sig, ops, arity)
         ]
         for x in contexts:
             for y in contexts:
@@ -240,7 +240,7 @@ def _random_context(rng, sig, ops):
     boxes = list(range(1, word.count(0) + 1))
     rng.shuffle(boxes)
     k = iter(boxes)
-    return Context(tuple(next(k) if t == 0 else t for t in word), sig)
+    return Context(tuple(next(k) if t == 0 else t for t in word), sig, len(boxes))
 
 
 @pytest.mark.parametrize("sig", [

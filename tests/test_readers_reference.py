@@ -1,8 +1,8 @@
 """The one-pass readers against the readers they replaced, kept here as
-references: ``ref_parse`` checks each token, then builds a validating
-``Context``, which walks the word twice more; ``ref_parse_lincomb`` joins
-each summand's tokens back to text for it; ``ref_parse_scalar`` reads every
-scalar through ``_Parser``.  On every text the new reader gives an equal
+references: ``ref_parse`` checks each token, then makes the three checks
+of the validating ``Context`` constructor, which walk the word twice more;
+``ref_parse_lincomb`` joins each summand's tokens back to text for it;
+``ref_parse_scalar`` reads every scalar through ``_Parser``.  On every text the new reader gives an equal
 result, or raises the same exception class with the same message.  The
 printer's int sort key is checked against ``ref_word_key``, the
 Polish-lex key of tuples it replaced."""
@@ -47,7 +47,18 @@ def ref_parse(text, sig):
             if tok not in sig:
                 raise TermError(f"unknown symbol {tok!r}")
             word.append(tok)
-    return Context(tuple(word), sig)
+    boxes = [t for t in word if isinstance(t, int)]
+    n = len(boxes)
+    if sorted(boxes) != list(range(1, n + 1)):
+        raise TermError(f"boxes must be 1..{n} each once, got {boxes}")
+    need = 1
+    for t in word:
+        if need <= 0:
+            raise TermError("trailing tokens after complete term")
+        need += (0 if isinstance(t, int) else sig.arity(t)) - 1
+    if need != 0:
+        raise TermError("truncated Polish term")
+    return Context(tuple(word), sig, n)
 
 
 def ref_split_summands(tokens):

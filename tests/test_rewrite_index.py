@@ -37,6 +37,7 @@ from homoperad.terms import (
     TermError,
     act,
     enumerate_plane,
+    renumber,
 )
 
 
@@ -91,7 +92,7 @@ def ref_reduct(t: Context, rule: Rule, pos: int) -> LinComb:
         mid = []
         for tok in mono.word:
             mid.extend(bindings[tok - 1] if isinstance(tok, int) else (tok,))
-        out.add_term(Context(t.word[:pos] + tuple(mid) + t.word[end:], t.sig), coeff)
+        out.add_term(Context(t.word[:pos] + tuple(mid) + t.word[end:], t.sig, t.arity), coeff)
     return out
 
 
@@ -194,7 +195,7 @@ def plane_words(draw, sig: Signature, max_ops: int, boxes: bool = True):
             need -= 1
         word.append(sym)
     k = iter(range(1, len(word) + 1))
-    return Context(tuple(next(k) if t == 0 else t for t in word), sig)
+    return Context(tuple(next(k) if t == 0 else t for t in word), sig, word.count(0))
 
 
 @st.composite
@@ -213,8 +214,7 @@ def with_embedded_lhs(draw, name: str, max_ops: int):
             word.extend(lhs.word)
         else:
             word.append(t)
-    k = iter(range(1, len(word) + 1))
-    return Context(tuple(next(k) if isinstance(t, int) else t for t in word), sys_.sig)
+    return renumber(word, sys_.sig)
 
 
 def monomials(name, max_ops):
@@ -416,7 +416,7 @@ def graded_word(draw, sig: Signature, k: int, l: int):
         return ["m"] + grow(k1, l1) + grow(k - k1, l - 1 - l1)
 
     boxes = iter(range(1, k + 2 * l + 2))
-    return Context(tuple(next(boxes) if t == 0 else t for t in grow(k, l)), sig)
+    return Context(tuple(next(boxes) if t == 0 else t for t in grow(k, l)), sig, l + 1)
 
 
 @st.composite
@@ -506,7 +506,7 @@ def random_monomial(rng, k, l):
 
     boxes = iter(range(1, k + 2 * l + 2))
     word = tuple(next(boxes) if t == 0 else t for t in grow(k, l))
-    return Context(word, HOM_SIGNATURE)
+    return Context(word, HOM_SIGNATURE, l + 1)
 
 
 def thirty_term_sum(seed):

@@ -1,7 +1,8 @@
 """Each text format reads back what it writes: a plane monomial through
 ``print_term`` and ``parse``, a signed sum through ``LinComb.__str__`` and
 ``parse_lincomb``, and a rules file through ``format_rules`` and
-``read_rules``."""
+``read_rules``.  The ``Context`` constructor checks nothing, so every
+context the library builds without reading one is read back here too."""
 
 from fractions import Fraction
 
@@ -10,12 +11,32 @@ from test_homalgebra import NAMES
 from test_rewrite_index import plane_words
 from test_scalars import ratfuncs
 
+from homoperad.homalgebra import envelope_presentation, q_sl2
 from homoperad.linear import LinComb
 from homoperad.orders import GT, LEX_MA
-from homoperad.rewrite import format_rules, make_rule, parse_lincomb, read_rules
+from homoperad.rewrite import (
+    RewritingSystem,
+    apply_redex,
+    find_redexes,
+    format_rules,
+    make_rule,
+    parse_lincomb,
+    parse_rules,
+    read_rules,
+)
 from homoperad.scalars import RatFunc
 from homoperad.terms import (
-    HOM_SIGNATURE, Signature, enumerate_plane, parse, print_term, renumber
+    ASS_SIGNATURE,
+    HOM_SIGNATURE,
+    Permutation,
+    Signature,
+    act,
+    compose,
+    enumerate_plane,
+    parse,
+    planarize,
+    print_term,
+    renumber,
 )
 
 TERNARY = Signature((("m", 2), ("a", 1), ("t", 3), ("e", 0)))
@@ -26,6 +47,48 @@ TERNARY = Signature((("m", 2), ("a", 1), ("t", 3), ("e", 0)))
 def test_plane_monomial_reads_back(w):
     """Boxes past 9 print bracketed, as ``[12]``."""
     assert parse(print_term(w.word), w.sig) == w
+
+
+PLANE = [c for k in range(3) for l in range(4) for c in enumerate_plane(k, l)]
+ASS_PLANE = [parse(str(c), ASS_SIGNATURE) for c in PLANE if "a" not in c.word]
+HOMASS = RewritingSystem(
+    HOM_SIGNATURE, LEX_MA, parse_rules("m a 1 m 2 3 -> m m 1 2 a 3", HOM_SIGNATURE, LEX_MA)
+)
+ENVELOPE = envelope_presentation(q_sl2(RatFunc.q()), ["e", "f", "h"])
+CONSTANTS = sorted(
+    {m for r in ENVELOPE.rules for m in (r.lhs, *r.rhs.support()) if not m.arity}, key=str
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PLANE), st.data())
+def test_every_context_the_library_builds_reads_back_with_its_arity(c, data):
+    """What ``enumerate_plane``, ``act``, ``renumber``, ``planarize``,
+    ``compose``, ``apply_redex`` and ``envelope_presentation`` build: a
+    permuted plane monomial, its boxes renumbered from arbitrary ints, its
+    plane form, its composite with plane inners (some over ``m`` alone) and
+    with the envelope's constants, and every monomial of each redex's
+    reduct under hom-associativity and under the envelope's rules."""
+    sigma = Permutation(tuple(data.draw(st.permutations(range(1, c.arity + 1)))))
+    moved = act(sigma, c)
+    spread = tuple(10 * t + 7 if isinstance(t, int) else t for t in moved.word)
+    outer = parse(str(moved), ENVELOPE.sig)
+    ground = compose(outer, [data.draw(st.sampled_from(CONSTANTS)) for _ in range(c.arity)])
+    built = [
+        c,
+        moved,
+        renumber(spread, c.sig),
+        planarize(moved)[0],
+        compose(moved, [data.draw(st.sampled_from(PLANE + ASS_PLANE)) for _ in range(c.arity)]),
+        ground,
+        *CONSTANTS,
+    ]
+    for t, system in ((moved, HOMASS), (ground, ENVELOPE)):
+        for redex in find_redexes(t, system):
+            built.extend(apply_redex(t, redex).support())
+    for b in built:
+        back = parse(str(b), b.sig)
+        assert (back, back.arity) == (b, b.arity)
 
 
 FRACTIONS = st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 9))

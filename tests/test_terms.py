@@ -82,6 +82,17 @@ def test_compose_arity_mismatch():
         compose(t("m 1 2"), [t("1")])
 
 
+def test_compose_refuses_an_inner_symbol_the_outer_signature_lacks():
+    inner = parse("m x 1", Signature((("m", 2), ("x", 0))))
+    with pytest.raises(TermError, match="unknown symbol 'x'"):
+        compose(t("a 1"), [inner])
+
+
+def test_compose_takes_an_inner_over_a_signature_the_outer_contains():
+    c = compose(t("m 1 a 2"), [parse("m 2 m 1 3", ASS_SIGNATURE), t("a 1")])
+    assert (c, c.arity, c.sig) == (t("m m 2 m 1 3 a a 4"), 4, HOM_SIGNATURE)
+
+
 def test_act_examples():
     swap = Permutation((2, 1))
     assert act(swap, t("m 1 2")) == t("m 2 1")
@@ -137,6 +148,8 @@ def test_enumerate_plane_small_cases():
     got = {print_term(c.word) for c in enumerate_plane(0, 2)}
     assert got == {"m 1 m 2 3", "m m 1 2 3"}
     assert [print_term(c.word) for c in enumerate_plane(2, 0)] == ["a a 1"]
+    with pytest.raises(TermError, match="^order 21 exceeds limit 20$"):
+        enumerate_plane(11, 10)
 
 
 def test_enumerate_plane_counts_match_closed_form():
