@@ -2,28 +2,29 @@
 
 Exit codes: 0 success, 1 a failed check (`check-algebra` FAIL, or
 `hilbert --strict` with a count that an ambiguity which does not resolve
-leaves inexact), 2 parse error or refused input (input that is not UTF-8;
-a malformed rule, such as one whose sides differ in arity or whose pattern
+leaves inexact), 2 a usage error (argparse's: a missing option such as
+`--rules`, or an unknown one) or a parse error or refused input, a
+`TermError` or a file that cannot be read (input that is not UTF-8; a
+malformed rule, such as one whose sides differ in arity or whose pattern
 has no operation; a symbol name the rules format could not read back, such
 as `+`; a `hilbert --degree` that is not ASCII digits, such as `-1`, `５`
-or `1_0`; `hilbert --free` with `--rules`; for `complete`, such a
-`--max-order`, a `--budget` that is not >= 0 or an inhomogeneous rule, one
-with a replacement monomial whose (a, m) grading or vertex count differs
-from its pattern's, all refused before any `--out` file is created, or an
-unwritable `--out`; for `hilbert --strict`, an inhomogeneous rule, refused
-before anything is printed; for `normalize` and `ambiguities`, a rule with
-a replacement monomial of more vertices than its pattern), 3 budget
-exhausted, 4 order failure (a rule or a difference could not be oriented
-by the active term order; `complete` names the normalized difference it
+or `1_0`; for `complete`, such a `--max-order`, a `--budget` that is not
+>= 0 or an inhomogeneous rule, one with a replacement monomial whose
+(a, m) grading or vertex count differs from its pattern's, all refused
+before any `--out` file is created, or an unwritable `--out`; for
+`hilbert --strict`, an inhomogeneous rule, refused before anything is
+printed; for `normalize` and `ambiguities`, a rule with a replacement
+monomial of more vertices than its pattern), 3 budget exhausted, 4 order
+failure, a `RuleError` (a rule or a difference could not be oriented by
+the active term order; `complete` names the normalized difference it
 stopped at, which may be an older rule's, adjoined again), 5 write error
 (writing or closing a `complete --out` file failed).
 
-`hilbert --free` counts the empty rule set as `--rules` counts a file.
-`hilbert --strict` then lists the critical ambiguities of the rules of
-order <= D, where D is `--degree`, and warns at every grading at or above,
-in both a and m, one that does not resolve: by the Diamond Lemma the other
-counts are exact.  Free counts are exact, so neither `--free` nor a file of
-no rules warns.
+`hilbert --strict` lists the critical ambiguities of the rules of order
+<= D, where D is `--degree`, and warns at every grading at or above, in
+both a and m, one that does not resolve: by the Diamond Lemma the other
+counts are exact.  A rules file of no rules, such as `/dev/null`, counts
+the free operad, whose counts are exact, so it does not warn.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import sys
 
 from .completion import ambiguities, complete, refuse_inhomogeneous
 from .homalgebra import (
-    AlgebraFormatError,
     check_hom_associative,
     check_hom_jacobi,
     check_multiplicative,
@@ -42,18 +42,17 @@ from .homalgebra import (
     envelope_presentation,
     load_algebra,
 )
-from .linear import IncomparableLeading, leading_monomial
+from .linear import IncomparableLeading, RuleError, leading_monomial
 from .orders import ORDERS, get_order
 from .rewrite import (
     RewritingSystem,
-    RuleError,
     format_rules,
     normal_form,
     parse_lincomb,
     read_rules,
     refuse_growing,
 )
-from .scalars import ScalarParseError, format_scalar
+from .scalars import format_scalar
 from .series import format_series, hilbert_series
 from .terms import HOM_SIGNATURE, TermError, _is_ascii_decimal, grading, sort_key
 
@@ -68,8 +67,6 @@ def load_rules_path(path: str, order_name: str):
     """Read a rules file with ``read_rules``; leading `op` lines override
     the default hom signature, so enveloping presentations are
     self-contained."""
-    if path is None:
-        raise TermError("--rules is required")
     with open(path) as f:
         text = f.read()
     order = get_order(order_name)
@@ -149,15 +146,10 @@ def cmd_ambiguities(args) -> int:
 
 def cmd_hilbert(args) -> int:
     degree = _parse_count(args.degree, "--degree", "D")
-    if args.free:
-        if args.rules is not None:
-            raise TermError("--free counts the empty rule set and reads no --rules")
-        sig, order, rules = HOM_SIGNATURE, get_order(args.order), []
-    else:  # load_rules_path refuses a missing --rules
-        sig, order, rules = load_rules_path(args.rules, args.order)
-        if set(sig.symbols) != set(HOM_SIGNATURE.symbols):
-            got = ", ".join(f"{name}/{n}" for name, n in sig.symbols)
-            raise TermError(f"hilbert counts over m/2, a/1; the rules are over {got}")
+    sig, order, rules = load_rules_path(args.rules, args.order)
+    if set(sig.symbols) != set(HOM_SIGNATURE.symbols):
+        got = ", ".join(f"{name}/{n}" for name, n in sig.symbols)
+        raise TermError(f"hilbert counts over m/2, a/1; the rules are over {got}")
     if args.strict:
         refuse_inhomogeneous(rules)
     sys.stdout.write(format_series(hilbert_series(rules, degree)))
@@ -211,12 +203,7 @@ def cmd_check_algebra(args) -> int:
 def cmd_envelope(args) -> int:
     with open(args.algebra) as f:
         L = load_algebra(f.read())
-    try:
-        system = envelope_presentation(L, args.names.split(","), get_order(args.order))
-    except (TermError, IncomparableLeading):
-        raise
-    except (TypeError, ValueError) as e:  # not a bracket table, not skew, name count
-        raise TermError(str(e)) from None
+    system = envelope_presentation(L, args.names.split(","), get_order(args.order))
     sys.stdout.write(format_rules(system.rules, system.sig))
     return EXIT_OK
 
@@ -229,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--rules", help="rules file")
+        sp.add_argument("--rules", required=True, help="rules file")
         sp.add_argument("--order", default="lex_ma", choices=sorted(ORDERS))
 
     sp = sub.add_parser("normalize", help="reduce a term to its normal form")
@@ -251,9 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("hilbert", help="irreducible plane monomial counts")
     common(sp)
     sp.add_argument("--degree", required=True)
-    sp.add_argument(
-        "--free", action="store_true", help="free series: the count of the empty rule set"
-    )
     sp.add_argument("--strict", action="store_true", help="exit 1 unless every count is exact")
     sp.set_defaults(fn=cmd_hilbert)
 
@@ -282,12 +266,10 @@ def main(argv=None) -> int:
     args = _parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (RuleError, IncomparableLeading) as e:  # RuleError is a TermError
+    except RuleError as e:
         print(f"order failure: {e}", file=sys.stderr)
         return EXIT_ORDER
-    except (
-        ScalarParseError, AlgebraFormatError, TermError, OSError, UnicodeDecodeError
-    ) as e:
+    except (TermError, OSError, UnicodeDecodeError) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
 

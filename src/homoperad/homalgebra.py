@@ -21,7 +21,7 @@ from .linear import LinComb
 from .orders import LEX_MA, TermOrder
 from .rewrite import RewritingSystem, make_rule, orient
 from .scalars import ScalarParseError, format_scalar, parse_scalar
-from .terms import Context, Signature, parse
+from .terms import Context, Signature, TermError, parse
 
 
 def _zeros(n):
@@ -338,7 +338,7 @@ def algebra_from_dict(doc: dict) -> FiniteHomAlgebra:
     return FiniteHomAlgebra(n, mult, alpha, bracket=bracket)
 
 
-class AlgebraFormatError(ValueError):
+class AlgebraFormatError(TermError):
     """An algebra document that is not JSON or lacks a well-formed field."""
 
 
@@ -382,11 +382,11 @@ def envelope_presentation(
     hom-associativity rule over the signature {m/2, a/1} plus one constant
     per basis element, as one rewriting system."""
     if not L.bracket:
-        raise TypeError("enveloping presentation expects a bracket table")
+        raise TermError("enveloping presentation expects a bracket table")
     if check_skew(L):
-        raise ValueError("bracket table is not skew-symmetric")
+        raise TermError("bracket table is not skew-symmetric")
     if len(names) != L.dim:
-        raise ValueError("need one constant name per basis element")
+        raise TermError("need one constant name per basis element")
     sig = Signature((("m", 2), ("a", 1)) + tuple((x, 0) for x in names))
 
     def const(i):
@@ -405,7 +405,8 @@ def envelope_presentation(
             )
             for k in range(L.dim):
                 d.add_term(const(k), -L.mult[i][j][k])
-            rules.append(orient(f"comm_{names[i]}_{names[j]}", d, order))
+            # a name holds no whitespace, so no two pairs share an id
+            rules.append(orient(f"comm({names[i]} {names[j]})", d, order))
 
     homass = make_rule(
         "hom_assoc",

@@ -9,7 +9,14 @@ from .scalars import RatFunc, format_scalar
 from .terms import Context, Permutation, TermError, act, compose, print_term, sort_key
 
 
-class IncomparableLeading(ValueError):
+class RuleError(ValueError):
+    """A refusal by the term order, which the command line exits 4 on: a
+    rule whose replacement is not strictly below its pattern, or whose
+    pattern occurs in its own replacement, and a sum without a unique
+    leading monomial.  A refusal of input is a ``TermError``."""
+
+
+class IncomparableLeading(RuleError):
     """The active term order cannot single out a leading monomial of ``diff``."""
 
     def __init__(self, message: str, diff: "LinComb"):

@@ -5,18 +5,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linear import LinComb, leading_monomial, maximal
+from .linear import LinComb, RuleError, leading_monomial, maximal
 from .orders import GT, TermOrder
 from .scalars import parse_scalar
 from .terms import (
     HOM_SIGNATURE, Context, Signature, TermError, parse, parse_tokens, planarize, sort_key
 )
-
-
-class RuleError(TermError):
-    """A rule the term order refuses (a replacement monomial not strictly
-    below its pattern, or the pattern inside its own replacement), or a
-    duplicate rule id.  A malformed rule is a plain TermError."""
 
 
 @dataclass(frozen=True)
@@ -165,7 +159,7 @@ class RewritingSystem:
 
     def add(self, rule: Rule):
         if rule.id in self._rules:
-            raise RuleError(f"duplicate rule id {rule.id}")
+            raise TermError(f"duplicate rule id {rule.id}")
         self._rules[rule.id] = rule
         trie_leaf(self._trie, rule.lhs.word)[rule.id] = rule
 

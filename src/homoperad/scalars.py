@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .terms import TermError
+
 
 # --- integer polynomials: int tuples, constant term first, no trailing 0 ----
 
@@ -327,8 +329,8 @@ class RatFunc:
 _ZERO = RatFunc((), _checked=True)
 
 
-class ScalarParseError(ValueError):
-    pass
+class ScalarParseError(TermError):
+    """A scalar text that does not parse, or that divides by zero."""
 
 
 class _Parser:

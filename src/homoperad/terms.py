@@ -15,7 +15,10 @@ from math import factorial
 
 
 class TermError(ValueError):
-    """Malformed signature, term, or composition request."""
+    """A refusal of input, which the command line exits 2 on: a malformed
+    signature, term, rule, rules file, scalar or algebra document, a
+    composition request that does not fit, or a duplicate rule id.  A
+    refusal by the term order is a ``RuleError``."""
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ QSL2 = data_path("qsl2.json")
 DATA = data_path("")
 HOMASS_O10 = str(Path(__file__).resolve().parents[1] / "bench" / "data" / "homass-o10.rules")
 HOMASS_O12 = str(Path(__file__).resolve().parents[1] / "bench" / "data" / "homass-o12.rules")
+# a rules file with no rules, whose counts are the free operad's
+NO_RULES = os.devnull
 
 
 def run(capsys, argv):
@@ -461,11 +463,11 @@ LAB_DIGESTS = {
 PINNED_DIGESTS = {
     **LAB_DIGESTS,
     "free-12": (
-        ["hilbert", "--free", "--degree", "12"], 0,
+        ["hilbert", "--rules", NO_RULES, "--degree", "12"], 0,
         "7b28b047ae33888c9b4c5dbd0718eadedf62288fda67ae0f1871b3eb18a76b4b",
     ),
     "free-20": (
-        ["hilbert", "--free", "--degree", "20"], 0,
+        ["hilbert", "--rules", NO_RULES, "--degree", "20"], 0,
         "0ae02a917f6769b682066a2624a17795867623793e5ef984427e3d894b9540a6",
     ),
 }
@@ -570,7 +572,7 @@ def test_ambiguities_of_no_rules_print_nothing(capsys, tmp_path):
 
 
 def test_hilbert_free(capsys):
-    code, out, _ = run(capsys, ["hilbert", "--free", "--degree", "5"])
+    code, out, _ = run(capsys, ["hilbert", "--rules", NO_RULES, "--degree", "5"])
     assert code == 0
     assert "a^0 m^5\t42" in out.splitlines()
 
@@ -682,13 +684,14 @@ def test_repeated_main_calls_share_no_state():
 
 @pytest.mark.parametrize("strict", [[], ["--strict"]], ids=["plain", "strict"])
 def test_hilbert_on_no_rules_is_the_free_count(capsys, tmp_path, strict):
-    """`--free` is the empty rule set: a rules file with no rules prints
-    the same lines, and neither warns, since the free counts are exact."""
-    path = tmp_path / "empty.rules"
-    path.write_text("")
-    free = run(capsys, ["hilbert", "--free", "--degree", "5", *strict])
-    assert run(capsys, ["hilbert", "--rules", str(path), "--degree", "5", *strict]) == free
+    """An empty rules file, and one of comments only, print the free
+    counts, and neither warns, since the free counts are exact."""
+    free = run(capsys, ["hilbert", "--rules", NO_RULES, "--degree", "5", *strict])
     assert free[0] == 0 and free[2] == ""
+    for text in ("", "# no rules\n"):
+        path = tmp_path / "empty.rules"
+        path.write_text(text)
+        assert run(capsys, ["hilbert", "--rules", str(path), "--degree", "5", *strict]) == free
 
 
 def test_hilbert_reads_no_pattern_longer_than_the_degree(capsys, tmp_path):
@@ -698,7 +701,7 @@ def test_hilbert_reads_no_pattern_longer_than_the_degree(capsys, tmp_path):
     path.write_text("a " * n + "m 1 2 -> " + "a " * (n - 1) + "m 1 2\n")
     code, out, _ = run(capsys, ["hilbert", "--rules", str(path), "--degree", "3"])
     assert code == 0
-    assert out == run(capsys, ["hilbert", "--free", "--degree", "3"])[1]
+    assert out == run(capsys, ["hilbert", "--rules", NO_RULES, "--degree", "3"])[1]
 
 
 GROWING = "op m 2\nop a 1\nop e 0\na e -> m e a e\n"
@@ -722,13 +725,11 @@ MALFORMED = {
         '{"dim": 1, "mult": [[[0]]], "alpha": [["1"]]}',
         ["check-algebra", "FILE", "--identities", "skew"],
     ),
-    "negative-degree": (None, ["hilbert", "--free", "--degree", "-1"]),
-    # --free is the empty rule set, so a rules file given with it is refused
-    "hilbert-free-with-rules": (None, ["hilbert", "--free", "--rules", HOMASS, "--degree", "3"]),
+    "negative-degree": (None, ["hilbert", "--rules", NO_RULES, "--degree", "-1"]),
     "negative-max-order": (None, ["complete", "--rules", HOMASS, "--max-order", "-3"]),
     # --degree and --max-order are ASCII decimals, as boxes and arities are
-    "degree-fullwidth-digit": (None, ["hilbert", "--free", "--degree", "\uff15"]),
-    "degree-underscore": (None, ["hilbert", "--free", "--degree", "1_0"]),
+    "degree-fullwidth-digit": (None, ["hilbert", "--rules", NO_RULES, "--degree", "\uff15"]),
+    "degree-underscore": (None, ["hilbert", "--rules", NO_RULES, "--degree", "1_0"]),
     "max-order-fullwidth-digit": (None, ["complete", "--rules", HOMASS, "--max-order", "\uff15"]),
     "max-order-underscore": (None, ["complete", "--rules", HOMASS, "--max-order", "1_0"]),
     "negative-budget": (None, ["complete", "--rules", HOMASS, "--max-order", "3", "--budget", "-1"]),
@@ -743,10 +744,6 @@ MALFORMED = {
     ),
     "rules-directory": (None, ["normalize", "--rules", DATA, "--term", "1"]),
     "algebra-directory": (None, ["check-algebra", DATA, "--identities", "skew"]),
-    "hilbert-no-rules": (None, ["hilbert", "--degree", "3"]),
-    "normalize-no-rules": (None, ["normalize", "--term", "m 1 2"]),
-    "ambiguities-no-rules": (None, ["ambiguities"]),
-    "complete-no-rules": (None, ["complete", "--max-order", "3"]),
     "identity-after-known": (None, ["check-algebra", QSL2, "--identities", "skew,nope"]),
     "rules-line-without-arrow": ("m a 1 m 2 3\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
     "hilbert-assoc-signature": (
@@ -991,6 +988,26 @@ def test_envelope_leading_minus_rule_reads_back(capsys, tmp_path):
     assert (code, out, err) == (0, "-m x 1\n", "")
 
 
+def test_envelope_names_that_join_alike_give_distinct_rules(capsys, tmp_path):
+    """The pairs (x, y_z) and (x_y, z) each have their commutator rule:
+    a rule id joins two names with a character that no name holds."""
+    table = tmp_path / "abelian.json"
+    table.write_text(json.dumps({
+        "dim": 4,
+        "mult": [[["0"] * 4] * 4] * 4,
+        "alpha": [[str(int(i == j)) for j in range(4)] for i in range(4)],
+        "bracket": True,
+    }))
+    code, out, err = run(capsys, ["envelope", str(table), "--names", "x,y_z,x_y,z"])
+    assert (code, err) == (0, "")
+    assert "m z x_y -> m x_y z" in out.splitlines()
+    rules = tmp_path / "abelian.rules"
+    rules.write_text(out)
+    assert len(read_rules(out, LEX_MA)[1]) == 4 + 6 + 1
+    argv = ["normalize", "--rules", str(rules), "--term", "m y_z x - m x y_z"]
+    assert run(capsys, argv) == (0, "0\n", "")
+
+
 def test_normal_form_with_leading_minus_reads_back(capsys):
     code, out, _ = run(capsys, ["normalize", "--rules", HOMASS, "--term", "- m 1 2"])
     assert (code, out) == (0, "-m 1 2\n")
@@ -998,6 +1015,31 @@ def test_normal_form_with_leading_minus_reads_back(capsys):
     assert (code, again, err) == (0, out, "")
     code, out, _ = run(capsys, ["normalize", "--rules", HOMASS, "--term", "-m a 1 m 2 3 + -2 * a m 1 m 2 3"])
     assert (code, out) == (0, "-2 * a m 1 m 2 3 - m m 1 2 a 3\n")
+
+
+# argparse refuses a missing --rules, and the --free that a rules file with
+# no rules replaced, with its usage line
+REQUIRED_RULES = "the following arguments are required: --rules"
+USAGE_ERRORS = {
+    "hilbert-no-rules": (["hilbert", "--degree", "3"], REQUIRED_RULES),
+    "normalize-no-rules": (["normalize", "--term", "m 1 2"], REQUIRED_RULES),
+    "ambiguities-no-rules": (["ambiguities"], REQUIRED_RULES),
+    "complete-no-rules": (["complete", "--max-order", "3"], REQUIRED_RULES),
+    "hilbert-free": (
+        ["hilbert", "--free", "--rules", NO_RULES, "--degree", "3"],
+        "unrecognized arguments: --free",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_a_missing_or_unknown_option_is_a_usage_error(capsys, case):
+    argv, message = USAGE_ERRORS[case]
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (e.value.code, out) == (2, "")
+    assert err.startswith("usage: homoperad ") and err.endswith(f"error: {message}\n")
 
 
 def test_help_and_unknown_flag(capsys):

@@ -1,8 +1,10 @@
 """Any argv of the six commands ends in an exit code of 0 to 5, never in
-an uncaught exception: flags and values come from small fixed sets of good
-and bad inputs, and the rules and algebra files from the bundled ones, a
-directory, a missing path and malformed files."""
+an uncaught exception, and a refusal's first words on stderr name its
+code: flags and values come from small fixed sets of good and bad inputs,
+and the rules and algebra files from the bundled ones, a directory, a
+missing path and malformed files."""
 
+import contextlib
 import io
 import os
 from unittest import mock
@@ -92,7 +94,7 @@ def argvs(draw, path, outs):
             "--out": outs,
         }
     elif command == "hilbert":
-        options |= {"--degree": COUNTS, "--free": st.just(None), "--strict": st.just(None)}
+        options |= {"--degree": COUNTS, "--strict": st.just(None)}
     words = []
     for flag, values in options.items():
         if draw(NINE_IN_TEN if flag in REQUIRED else st.booleans()):
@@ -109,17 +111,25 @@ STDIN = st.sampled_from([
 ])
 
 
-def run_main(argv, stdin) -> int:
-    """``main``'s exit code; argparse's ``SystemExit`` counts as its code."""
+def run_main(argv, stdin) -> tuple[int, str]:
+    """``main``'s exit code and stderr; argparse's ``SystemExit`` counts as
+    its code."""
     if isinstance(stdin, bytes):
         stream = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
     else:
         stream = io.StringIO(stdin)
-    with mock.patch("sys.stdin", stream):
+    err = io.StringIO()
+    with mock.patch("sys.stdin", stream), contextlib.redirect_stderr(err):
         try:
-            return main(argv)
+            code = main(argv)
         except SystemExit as e:
-            return e.code
+            code = e.code
+    return code, err.getvalue()
+
+
+# exit 2 is a refusal of input, a TermError or an unreadable file, or
+# argparse's usage error; exit 4 a refusal by the term order, a RuleError
+REFUSALS = {2: ("parse error:", "usage:"), 4: ("order failure:",)}
 
 
 @settings(max_examples=1000, deadline=None)
@@ -127,5 +137,6 @@ def run_main(argv, stdin) -> int:
 def test_every_argv_exits_with_a_documented_code(paths, data):
     files, outs = paths
     argv = data.draw(argvs(files, outs), label="argv")
-    rc = run_main(argv, data.draw(STDIN, label="stdin"))
+    rc, err = run_main(argv, data.draw(STDIN, label="stdin"))
     assert rc in range(6), argv
+    assert err.startswith(REFUSALS.get(rc, "")), (argv, rc, err)

@@ -214,7 +214,7 @@ def test_envelope_rules_read_back_under_every_accepted_name(names):
 
 
 def test_envelope_presentation_rejects_plain_tables():
-    with pytest.raises(TypeError):
+    with pytest.raises(TermError, match="^enveloping presentation expects a bracket table$"):
         envelope_presentation(example1(Fraction(1), Fraction(2)), ["x", "y", "z"])
 
 

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from homoperad.linear import LinComb
+from homoperad.homalgebra import AlgebraFormatError
+from homoperad.linear import IncomparableLeading, LinComb
 from homoperad.orders import LEX_MA, RIGHT_COMB
 from homoperad.rewrite import (
     Redex,
@@ -20,7 +21,10 @@ from homoperad.rewrite import (
     parse_rules,
     read_rules,
 )
-from homoperad.terms import ASS_SIGNATURE, HOM_SIGNATURE, Context, Permutation, act, parse
+from homoperad.scalars import ScalarParseError
+from homoperad.terms import (
+    ASS_SIGNATURE, HOM_SIGNATURE, Context, Permutation, TermError, act, parse
+)
 
 
 def th(text):
@@ -153,6 +157,17 @@ def test_dsm_violation_rejected():
     with pytest.raises(RuleError):
         # lhs appears in its own replacement
         parse_rules("m a 1 m 2 3 -> m a 1 m 2 3", HOM_SIGNATURE, LEX_MA)
+
+
+def test_each_refusal_is_a_term_error_or_a_rule_error():
+    """The command line exits 2 on a TermError and 4 on a RuleError: a
+    refusal of input is the one, a refusal by the term order the other,
+    and no class is both."""
+    for cls in (ScalarParseError, AlgebraFormatError):
+        assert issubclass(cls, TermError) and not issubclass(cls, RuleError)
+    assert issubclass(IncomparableLeading, RuleError)
+    assert not issubclass(IncomparableLeading, TermError)
+    assert not issubclass(RuleError, TermError) and not issubclass(TermError, RuleError)
 
 
 def test_non_plane_lhs_is_planarized():

@@ -383,14 +383,16 @@ def test_edited_system_matches_a_fresh_one(seed, ts):
 
 
 def test_adding_a_present_id_is_an_error():
+    """A refusal of input, exit 2 at the command line, not of the order."""
     base = homass12()
     sys_ = RewritingSystem(base.sig, base.order, base.rules[:2])
     first, second = base.rules[:2]
-    with pytest.raises(RuleError):
+    with pytest.raises(TermError, match=f"^duplicate rule id {first.id}$") as e:
         sys_.add(first)
-    with pytest.raises(RuleError):
+    assert not isinstance(e.value, RuleError)
+    with pytest.raises(TermError):
         sys_.add(Rule(first.id, second.lhs, second.rhs))
-    with pytest.raises(RuleError):
+    with pytest.raises(TermError):
         RewritingSystem(base.sig, base.order, [first, second, first])
     assert sys_.rules == (first, second)
     assert find_redexes(second.lhs, sys_) == ref_find_redexes(second.lhs, sys_)
