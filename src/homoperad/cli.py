@@ -6,7 +6,8 @@ leaves inexact), 2 a usage error (argparse's: a missing option such as
 `--rules`, or an unknown one) or a parse error or refused input, a
 `TermError` or a file that cannot be read (input that is not UTF-8; a
 malformed rule, such as one whose sides differ in arity or whose pattern
-has no operation; a symbol name the rules format could not read back, such
+has no operation; a sum, in a `--term` or a rule, that ends in `+` or
+`-`; a symbol name the rules format could not read back, such
 as `+`; a `hilbert --degree` that is not ASCII digits, such as `-1`, `５`
 or `1_0`; for `complete`, such a `--max-order`, a `--budget` that is not
 >= 0 or an inhomogeneous rule, one with a replacement monomial whose

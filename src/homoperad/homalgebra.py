@@ -395,7 +395,8 @@ def envelope_presentation(
     rules = []
     for i in range(L.dim):
         lhs = Context(("a", names[i]), sig, 0)
-        rhs = LinComb(0, {const(j): L.alpha[j][i] for j in range(L.dim)})
+        column = [L.alpha[j][i] for j in range(L.dim)]
+        rhs = LinComb(0, {const(j): c for j, c in enumerate(column) if c})
         rules.append(make_rule(f"alpha_{names[i]}", lhs, rhs, order))
 
     for i in range(L.dim):

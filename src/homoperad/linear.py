@@ -25,25 +25,21 @@ class IncomparableLeading(RuleError):
 
 
 class LinComb:
-    """A finite Context -> scalar map; zero coefficients are never stored."""
+    """A finite Context -> scalar map of one arity; zero coefficients are
+    never stored.  The constructor trusts its caller to keep both rules, as
+    every builder in the library does, and stores the dict it is given;
+    ``parse_lincomb`` checks a sum read from text, and ``make_rule`` the
+    two sides of a rule against each other."""
 
     __slots__ = ("arity", "terms")
 
     def __init__(self, arity: int, terms: dict | None = None):
         self.arity = arity
-        self.terms = {}
-        if terms:
-            for ctx, c in terms.items():
-                if ctx.arity != arity:
-                    raise TermError(
-                        f"mixed arities {ctx.arity} and {arity} in one combination"
-                    )
-                if c:
-                    self.terms[ctx] = c
+        self.terms = {} if terms is None else terms
 
     @staticmethod
     def monomial(ctx: Context, coeff=Fraction(1)) -> "LinComb":
-        return LinComb(ctx.arity, {ctx: coeff})
+        return LinComb(ctx.arity, {ctx: coeff} if coeff else {})
 
     def __bool__(self):
         return bool(self.terms)
@@ -61,8 +57,7 @@ class LinComb:
     def __add__(self, other: "LinComb") -> "LinComb":
         if self.arity != other.arity:
             raise TermError("arity mismatch in addition")
-        out = LinComb(self.arity)
-        out.terms = dict(self.terms)
+        out = LinComb(self.arity, dict(self.terms))  # add_term edits it
         for ctx, c in other.terms.items():
             out.add_term(ctx, c)
         return out
@@ -76,23 +71,18 @@ class LinComb:
             self.terms.pop(ctx, None)
 
     def __neg__(self):
-        out = LinComb(self.arity)
-        out.terms = {ctx: -c for ctx, c in self.terms.items()}
-        return out
+        return LinComb(self.arity, {ctx: -c for ctx, c in self.terms.items()})
 
     def __sub__(self, other: "LinComb") -> "LinComb":
         return self + (-other)
 
     def scale(self, c) -> "LinComb":
-        out = LinComb(self.arity)
-        if c:
-            out.terms = {ctx: c * v for ctx, v in self.terms.items()}
-        return out
+        if not c:
+            return LinComb(self.arity)
+        return LinComb(self.arity, {ctx: c * v for ctx, v in self.terms.items()})
 
     def act(self, sigma: Permutation) -> "LinComb":
-        out = LinComb(self.arity)
-        out.terms = {act(sigma, ctx): c for ctx, c in self.terms.items()}
-        return out
+        return LinComb(self.arity, {act(sigma, ctx): c for ctx, c in self.terms.items()})
 
     def support(self):
         return self.terms.keys()

@@ -58,8 +58,7 @@ def orient(rule_id: str, diff: LinComb, order: TermOrder) -> Rule:
     """The rule that ``diff = 0`` gives: its leading monomial, with
     coefficient c, rewrites to the rest of ``diff`` scaled by -1/c."""
     lead, coeff = leading_monomial(diff, order)
-    rest = LinComb(diff.arity)
-    rest.terms = {m: c for m, c in diff.terms.items() if m != lead}
+    rest = LinComb(diff.arity, {m: c for m, c in diff.terms.items() if m != lead})
     return make_rule(rule_id, lead, rest.scale(-1 / coeff), order)
 
 
@@ -337,16 +336,15 @@ def normal_form(x: LinComb, sys: RewritingSystem, rng=None, memo=None) -> LinCom
             else:
                 del terms[m]
                 reducible.pop(m, None)
-    out = LinComb(x.arity)
-    out.terms = terms
-    return out
+    return LinComb(x.arity, terms)
 
 
 # --- rule file format -------------------------------------------------------
 
 
 def _split_summands(tokens):
-    """Split a signed-sum token list at top-level + and - separators."""
+    """Split a signed-sum token list at top-level + and - separators.  A
+    sign may lead a summand, but a sum that ends in one is refused."""
     out, current, sign, depth = [], [], 1, 0
     for tok in tokens:
         if depth == 0 and (tok == "+" or tok == "-"):
@@ -359,8 +357,9 @@ def _split_summands(tokens):
         if "(" in tok or ")" in tok:
             depth += tok.count("(") - tok.count(")")
         current.append(tok)
-    if current:
-        out.append((sign, current))
+    if not current:
+        raise TermError(f"linear combination ends in {tokens[-1]!r}")
+    out.append((sign, current))
     return out
 
 
@@ -369,7 +368,12 @@ def parse_lincomb(text: str, sig: Signature) -> LinComb:
     into one sum in place.  In a summand without `*`, a `-` glued to its
     first token is its sign, as ``LinComb.__str__`` writes a leading -1
     (`-m 1 2`); no symbol name starts with `-`.  A lone `0` is the zero
-    sum, as ``LinComb.__str__`` writes it, of arity 0."""
+    sum, as ``LinComb.__str__`` writes it, of arity 0.
+
+    This is where a sum from outside is checked, since the ``LinComb``
+    constructor trusts its caller: each term by ``parse_tokens``, each
+    scalar by ``parse_scalar``, one arity for all, and no zero coefficient
+    kept (`0 * m 1 2` is no term)."""
     tokens = text.split()
     if tokens == ["0"]:
         return LinComb(0)
@@ -392,8 +396,6 @@ def parse_lincomb(text: str, sig: Signature) -> LinComb:
             raise TermError("arity mismatch in addition")
         else:
             result.add_term(ctx, coeff)
-    if result is None:
-        raise TermError(f"cannot parse linear combination {text!r}")
     return result
 
 

@@ -15,6 +15,10 @@ remainder sequence (pseudo-division; Knuth, TAOCP vol. 2, 4.6.1).
 denominator), ``const``, ``subs`` and printing.  Mixed arithmetic reads an
 int or a ``Fraction`` p/r as the canonical tuples (p,) and (r,), and builds
 no constant function for it.
+
+The ``RatFunc`` constructor trusts its caller to pass trimmed int tuples,
+as every operation here does; a scalar text from outside is checked where
+it enters, by ``parse_scalar``.
 """
 
 from __future__ import annotations
@@ -122,16 +126,6 @@ def _exact_div(a, b):
     return tuple(quo)
 
 
-def _integral(num, den):
-    """Trimmed int tuples with the same ratio as the rational tuples given."""
-    num, den = [Fraction(c) for c in num], [Fraction(c) for c in den]
-    m = math.lcm(*(c.denominator for c in num + den))
-    return (
-        _trim([c.numerator * (m // c.denominator) for c in num]),
-        _trim([c.numerator * (m // c.denominator) for c in den]),
-    )
-
-
 def _horner(p, value):
     out = Fraction(0)
     for c in reversed(p):
@@ -155,16 +149,15 @@ def _poly_str(p):
 
 
 class RatFunc:
-    """A rational function in one indeterminate q over the rationals."""
+    """A rational function in one indeterminate q over the rationals.  The
+    constructor checks nothing but a zero denominator; ``parse_scalar``
+    checks a scalar from outside."""
 
     __slots__ = ("_n", "_d")
 
-    def __init__(self, num, den=(1,), _checked=False):
-        """``num``/``den`` are coefficient sequences, constant term first, of
-        anything ``Fraction`` accepts.  With ``_checked`` they are trimmed
-        int tuples already, and only the reduction to canonical form runs."""
-        if not _checked:
-            num, den = _integral(num, den)
+    def __init__(self, num, den=(1,)):
+        """``num``/``den`` are trimmed int tuples, constant term first, and
+        are trusted as such: only the reduction to canonical form runs."""
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
@@ -198,11 +191,11 @@ class RatFunc:
     @staticmethod
     def const(c) -> "RatFunc":
         c = Fraction(c)
-        return RatFunc((c.numerator,) if c else (), (c.denominator,), _checked=True)
+        return RatFunc((c.numerator,) if c else (), (c.denominator,))
 
     @staticmethod
     def q() -> "RatFunc":
-        return RatFunc((0, 1), _checked=True)
+        return RatFunc((0, 1))
 
     @staticmethod
     def _parts(x):
@@ -239,12 +232,9 @@ class RatFunc:
     def _sum(n1, d1, n2, d2):
         """n1/d1 + n2/d2, for trimmed int tuples."""
         if d1 == d2:  # a common denominator, 1 for every polynomial
-            return RatFunc(_poly_add(n1, n2), d1, _checked=True)
-        return RatFunc(
-            _poly_add(_poly_mul(n1, d2), _poly_mul(n2, d1)),
-            _poly_mul(d1, d2),
-            _checked=True,
-        )
+            return RatFunc(_poly_add(n1, n2), d1)
+        num = _poly_add(_poly_mul(n1, d2), _poly_mul(n2, d1))
+        return RatFunc(num, _poly_mul(d1, d2))
 
     def __add__(self, other):
         o = self._parts(other)
@@ -259,7 +249,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(_poly_neg(self._n), self._d, _checked=True)
+        return RatFunc(_poly_neg(self._n), self._d)
 
     def __sub__(self, other):
         o = self._parts(other)
@@ -281,9 +271,7 @@ class RatFunc:
             return NotImplemented
         if not self._n or not o[0]:
             return _ZERO
-        return RatFunc(
-            _poly_mul(self._n, o[0]), _poly_mul(self._d, o[1]), _checked=True
-        )
+        return RatFunc(_poly_mul(self._n, o[0]), _poly_mul(self._d, o[1]))
 
     __rmul__ = __mul__
 
@@ -293,9 +281,7 @@ class RatFunc:
             return NotImplemented
         if not o[0]:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(
-            _poly_mul(self._n, o[1]), _poly_mul(self._d, o[0]), _checked=True
-        )
+        return RatFunc(_poly_mul(self._n, o[1]), _poly_mul(self._d, o[0]))
 
     def __rtruediv__(self, other):
         o = self._parts(other)
@@ -303,9 +289,7 @@ class RatFunc:
             return NotImplemented
         if not self._n:
             raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(
-            _poly_mul(o[0], self._d), _poly_mul(o[1], self._n), _checked=True
-        )
+        return RatFunc(_poly_mul(o[0], self._d), _poly_mul(o[1], self._n))
 
     def __pow__(self, n: int):
         num, den = self._n, self._d
@@ -313,7 +297,7 @@ class RatFunc:
             if not num:
                 raise ZeroDivisionError("division by zero rational function")
             num, den, n = den, num, -n
-        return RatFunc(_poly_pow(num, n), _poly_pow(den, n), _checked=True)
+        return RatFunc(_poly_pow(num, n), _poly_pow(den, n))
 
     def subs(self, value):
         """Evaluate at a rational value of q."""
@@ -326,7 +310,7 @@ class RatFunc:
         return f"({n})/({_poly_str(self.den)})"
 
 
-_ZERO = RatFunc((), _checked=True)
+_ZERO = RatFunc(())
 
 
 class ScalarParseError(TermError):

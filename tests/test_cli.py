@@ -746,6 +746,9 @@ MALFORMED = {
     "algebra-directory": (None, ["check-algebra", DATA, "--identities", "skew"]),
     "identity-after-known": (None, ["check-algebra", QSL2, "--identities", "skew,nope"]),
     "rules-line-without-arrow": ("m a 1 m 2 3\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
+    # a sum that ends in a sign is refused, not read without it
+    "term-trailing-minus": (None, ["normalize", "--rules", HOMASS, "--term", "m 1 2 -"]),
+    "rule-trailing-plus": ("m a 1 m 2 3 -> m m 1 2 a 3 +\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
     "hilbert-assoc-signature": (
         None,
         ["hilbert", "--rules", ASSOC, "--order", "right_comb", "--degree", "3"],

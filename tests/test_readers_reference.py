@@ -1,7 +1,9 @@
 """The one-pass readers against the readers they replaced, kept here as
 references: ``ref_parse`` checks each token, then makes the three checks
 of the validating ``Context`` constructor, which walk the word twice more;
-``ref_parse_lincomb`` joins each summand's tokens back to text for it;
+``ref_parse_lincomb`` joins each summand's tokens back to text for it,
+and adds every summand, the first too, by ``add_term``, which drops a
+zero coefficient as ``LinComb.monomial`` must;
 ``ref_parse_scalar`` reads every scalar through ``_Parser``.  On every text the new reader gives an equal
 result, or raises the same exception class with the same message.  The
 printer's int sort key is checked against ``ref_word_key``, the
@@ -74,8 +76,9 @@ def ref_split_summands(tokens):
             continue
         depth += tok.count("(") - tok.count(")")
         current.append(tok)
-    if current:
-        out.append((sign, current))
+    if not current:
+        raise TermError(f"linear combination ends in {tokens[-1]!r}")
+    out.append((sign, current))
     return out
 
 
@@ -97,13 +100,10 @@ def ref_parse_lincomb(text, sig):
             toks = [toks[0][1:], *toks[1:]]
         ctx = ref_parse(" ".join(toks), sig)
         if result is None:
-            result = LinComb.monomial(ctx, coeff)
+            result = LinComb(ctx.arity)
         elif ctx.arity != result.arity:
             raise TermError("arity mismatch in addition")
-        else:
-            result.add_term(ctx, coeff)
-    if result is None:
-        raise TermError(f"cannot parse linear combination {text!r}")
+        result.add_term(ctx, coeff)
     return result
 
 
@@ -198,7 +198,11 @@ def terms_of(x):
 @given(
     sum_texts()
     | sums().map(str)
-    | st.sampled_from(["0", "", " 0 ", "- 0", "1/0 * m 1 2", "(1 + q)/2 * m 1 2 - q * m 2 1"])
+    | st.sampled_from([
+        "0", "", " 0 ", "- 0", "1/0 * m 1 2", "(1 + q)/2 * m 1 2 - q * m 2 1",
+        # a zero coefficient is no term, first or later
+        "0 * m 1 2 + m 2 1", "m 1 2 + 0 * m 2 1",
+    ])
 )
 def test_sum_reader_equals_the_reference(text):
     got = outcome(parse_lincomb, text, TERNARY)
