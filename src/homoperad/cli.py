@@ -4,16 +4,17 @@ Exit codes: 0 success, 1 a failed check (`check-algebra` FAIL, or
 `hilbert --strict` with a count that an ambiguity which does not resolve
 leaves inexact), 2 a usage error (argparse's: a missing option such as
 `--rules`, or an unknown one) or a parse error or refused input, a
-`TermError` or a file that cannot be read (input that is not UTF-8; a
-malformed rule, such as one whose sides differ in arity or whose pattern
-has no operation; a sum, in a `--term` or a rule, that ends in `+` or
-`-`; a symbol name the rules format could not read back, such
-as `+`; a `hilbert --degree` that is not ASCII digits, such as `-1`, `５`
-or `1_0`; for `complete`, such a `--max-order`, a `--budget` that is not
->= 0 or an inhomogeneous rule, one with a replacement monomial whose
-(a, m) grading or vertex count differs from its pattern's, all refused
-before any `--out` file is created, or an unwritable `--out`; for
-`hilbert --strict`, an inhomogeneous rule, refused before anything is
+`TermError` or a file that cannot be read (input that is not UTF-8; an
+algebra array whose length is not `dim`; a malformed rule, such as one
+whose sides differ in arity or whose pattern has no operation; a sum, in
+a `--term` or a rule, that ends in `+` or `-`; a symbol name the rules
+format could not read back, such as `+`; a `hilbert --degree` that is not
+ASCII digits, such as `-1`, `５` or `1_0`; for `complete`, such a
+`--max-order`, a `--budget` that is not ASCII digits with at most one
+`.`, such as `inf`, or an inhomogeneous rule, one with a replacement
+monomial whose (a, m) grading or vertex count differs from its pattern's,
+all refused before any `--out` file is created, or an unwritable `--out`;
+for `hilbert --strict`, an inhomogeneous rule, refused before anything is
 printed; for `normalize` and `ambiguities`, a rule with a replacement
 monomial of more vertices than its pattern), 3 budget exhausted, 4 order
 failure, a `RuleError` (a rule or a difference could not be oriented by
@@ -85,17 +86,20 @@ def cmd_normalize(args) -> int:
     return EXIT_OK
 
 
-def _parse_count(text: str, option: str, name: str) -> int:
-    """A non-negative integer in ASCII digits, the value of ``option``."""
-    if not _is_ascii_decimal(text):
+def _parse_count(text: str, option: str, name: str, point: bool = False):
+    """A non-negative number in ASCII digits, the value of ``option``: an
+    int, or with ``point`` a float of at most one `.`."""
+    digits = text.replace(".", "", 1) if point else text
+    if not _is_ascii_decimal(digits):
         raise TermError(f"{option} expects {name} >= 0, got {text}")
-    return int(text)
+    return float(text) if point else int(text)
 
 
 def cmd_complete(args) -> int:
     max_order = _parse_count(args.max_order, "--max-order", "N")
-    if args.budget is not None and not args.budget >= 0:  # NaN too
-        raise TermError(f"--budget expects seconds >= 0, got {args.budget}")
+    budget = args.budget
+    if budget is not None:
+        budget = _parse_count(budget, "--budget", "seconds", point=True)
     sig, order, rules = load_rules_path(args.rules, args.order)
     refuse_inhomogeneous(rules)  # before any --out file is created
     exts = (".rules", ".census.tsv", ".log") if args.out else ()
@@ -103,7 +107,7 @@ def cmd_complete(args) -> int:
         # opened before completion, so an unwritable --out prefix fails first
         outs = [stack.enter_context(open(args.out + ext, "w")) for ext in exts]
         state = complete(
-            RewritingSystem(sig, order, rules), max_order, budget_seconds=args.budget
+            RewritingSystem(sig, order, rules), max_order, budget_seconds=budget
         )
         census = "".join(f"{o}\t{n}\n" for o, n in state.census().items())
         sys.stdout.write(census)
@@ -228,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("complete", help="run critical-pairs completion")
     common(sp)
     sp.add_argument("--max-order", required=True)
-    sp.add_argument("--budget", type=float, default=None, help="seconds")
+    sp.add_argument("--budget", help="seconds")
     sp.add_argument("--out", help="prefix for .rules/.census.tsv/.log outputs")
     sp.set_defaults(fn=cmd_complete)
 
@@ -261,6 +265,8 @@ _parser = None  # built by the first call of main
 def main(argv=None) -> int:
     """Run one command; may be called many times in one process, which
     builds the argument parser once and keeps no other state between calls."""
+    if hasattr(sys, "set_int_max_str_digits"):  # exact scalars print every digit
+        sys.set_int_max_str_digits(0)
     global _parser
     if _parser is None:
         _parser = build_parser()

@@ -86,18 +86,14 @@ def _apply(cols, x):
 
 class FiniteHomAlgebra:
     """A triplet (A, m, alpha) given by structure constants over an exact
-    scalar field.  ``bracket`` marks tables meant as a bracket product."""
+    scalar field.  ``bracket`` marks tables meant as a bracket product.
+    The constructor trusts its caller and stores the dim x dim lists it is
+    given, unchecked and uncopied; ``_parse_table`` checks outside input."""
 
     def __init__(self, dim: int, mult, alpha, bracket: bool = False):
         self.dim = dim
-        if len(mult) != dim or any(
-            len(row) != dim or any(len(v) != dim for v in row) for row in mult
-        ):
-            raise ValueError("structure constant array has wrong shape")
-        if len(alpha) != dim or any(len(row) != dim for row in alpha):
-            raise ValueError("alpha matrix has wrong shape")
-        self.mult = [[list(mult[i][j]) for j in range(dim)] for i in range(dim)]
-        self.alpha = [list(row) for row in alpha]
+        self.mult = mult
+        self.alpha = alpha
         self.bracket = bracket
         # the nonzero structure constants (k, c) of m(e_i, e_j)
         self._terms = [[[(k, c) for k, c in enumerate(v) if c] for v in row]
@@ -124,13 +120,11 @@ class FiniteHomAlgebra:
 
     @staticmethod
     def bracket_from_pairs(dim: int, pairs: dict, alpha) -> "FiniteHomAlgebra":
-        """Build a skew table from brackets [e_i, e_j] for i < j only; the
-        diagonal is forced to zero and j > i entries are the negatives."""
+        """Build a skew table from brackets [e_i, e_j], trusted to be given
+        for i < j only; the diagonal is zero and [e_j, e_i] = -[e_i, e_j]."""
         mult = [[_zeros(dim) for _ in range(dim)] for _ in range(dim)]
         for (i, j), v in pairs.items():
-            if not i < j:
-                raise ValueError(f"bracket pairs must have i < j, got ({i},{j})")
-            mult[i][j] = list(v)
+            mult[i][j] = v
             mult[j][i] = vec_scale(Fraction(-1), v)
         return FiniteHomAlgebra(dim, mult, alpha, bracket=True)
 
@@ -230,7 +224,7 @@ def yau_twist(A: FiniteHomAlgebra, beta) -> FiniteHomAlgebra:
         [A.apply_matrix(beta, A.mult[i][j]) for j in range(n)] for i in range(n)
     ]
     cols = [A.apply_matrix(beta, [row[j] for row in A.alpha]) for j in range(n)]
-    return FiniteHomAlgebra(n, mult, list(zip(*cols)), bracket=A.bracket)
+    return FiniteHomAlgebra(n, mult, [list(r) for r in zip(*cols)], bracket=A.bracket)
 
 
 def commutator_algebra(A: FiniteHomAlgebra) -> FiniteHomAlgebra:
@@ -309,9 +303,10 @@ def example1(a, b) -> FiniteHomAlgebra:
 # --- JSON file interface ----------------------------------------------------
 
 
-def _parse_table(x, field: str, depth: int):
-    """The scalars of ``field``: JSON arrays nested ``depth`` deep around
-    one JSON string per scalar."""
+def _parse_table(x, field: str, depth: int, dim: int):
+    """The scalars of ``field``: JSON arrays of ``dim`` entries, nested
+    ``depth`` deep around one JSON string per scalar.  The one check of a
+    table from outside; an error names the first entry that is wrong."""
     if depth == 0:
         if not isinstance(x, str):
             raise TypeError(f"{field} is not a string")
@@ -321,7 +316,9 @@ def _parse_table(x, field: str, depth: int):
             raise ValueError(f"{field}: {e}") from None
     if not isinstance(x, list):
         raise TypeError(f"{field} is not an array")
-    return [_parse_table(v, f"{field}[{i}]", depth - 1) for i, v in enumerate(x)]
+    if len(x) != dim:
+        raise ValueError(f"{field} has length {len(x)}, not dim {dim}")
+    return [_parse_table(v, f"{field}[{i}]", depth - 1, dim) for i, v in enumerate(x)]
 
 
 def algebra_from_dict(doc: dict) -> FiniteHomAlgebra:
@@ -330,8 +327,8 @@ def algebra_from_dict(doc: dict) -> FiniteHomAlgebra:
     n = doc["dim"]
     if type(n) is not int:
         raise TypeError("dim is not an integer")
-    mult = _parse_table(doc["mult"], "mult", 3)
-    alpha = _parse_table(doc["alpha"], "alpha", 2)
+    mult = _parse_table(doc["mult"], "mult", 3, n)
+    alpha = _parse_table(doc["alpha"], "alpha", 2, n)
     bracket = doc.get("bracket", False)
     if type(bracket) is not bool:
         raise TypeError("bracket is not a boolean")
@@ -347,7 +344,7 @@ def load_algebra(text: str) -> FiniteHomAlgebra:
         return algebra_from_dict(json.loads(text))
     except KeyError as e:
         raise AlgebraFormatError(f"algebra document has no field {e}") from None
-    except (IndexError, TypeError, ValueError) as e:
+    except (TypeError, ValueError) as e:
         raise AlgebraFormatError(f"malformed algebra document: {e}") from None
     except RecursionError:
         raise AlgebraFormatError("malformed algebra document: nested too deeply") from None

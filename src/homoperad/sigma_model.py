@@ -19,9 +19,9 @@ class TruncationOverflow(ValueError):
 
 
 class SigmaDerivationModel:
+    """K[t]/(t^N), sigma and D_q; the constructor trusts that N >= 1."""
+
     def __init__(self, N: int, q):
-        if N < 1:
-            raise ValueError("truncation bound must be at least 1")
         self.N = N
         self.q = q
         self.q_powers = [q**n for n in range(N)]

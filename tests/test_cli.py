@@ -244,8 +244,34 @@ def test_complete_refuses_a_bad_budget_before_any_out_file(capsys, tmp_path, bud
     argv = ["complete", "--rules", HOMASS, "--max-order", "4", "--budget", budget]
     code, out, err = run(capsys, argv + ["--out", str(tmp_path / "run")])
     assert (code, out) == (2, "")
-    assert err == f"parse error: --budget expects seconds >= 0, got {float(budget)}\n"
+    assert err == f"parse error: --budget expects seconds >= 0, got {budget}\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("budget", ["2", "1.5", "60.", "007"])
+def test_complete_reads_a_budget_of_ascii_digits_and_one_point(capsys, budget):
+    argv = ["complete", "--rules", HOMASS, "--max-order", "4", "--budget", budget]
+    assert run(capsys, argv) == run(capsys, argv[:-2])
+
+
+def test_a_long_coefficient_prints_every_digit(tmp_path):
+    """Python's limit on int/str conversions is lifted: a coefficient of
+    thousands of digits is read from a term and from a rule, and printed,
+    in a fresh interpreter that starts with the limit on."""
+    rules = tmp_path / "big.rules"
+    rules.write_text("m a 1 m 2 3 -> 3^9999 * m m 1 2 a 3\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for path, term, want in [
+        (HOMASS, "7" * 5000 + " * m 1 2", 5000),
+        (HOMASS, "3^9999 * m 1 2", 4771),
+        (str(rules), "m a 1 m 2 3", 4771),
+    ]:
+        argv = [sys.executable, "-m", "homoperad.cli", "normalize", "--rules", path, "--term", term]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        coefficient, _, monomial = proc.stdout.partition(" * ")
+        assert len(coefficient) == want and coefficient.isdecimal()
+        assert monomial in ("m 1 2\n", "m m 1 2 a 3\n")
 
 
 def test_complete_refuses_unwritable_out_before_completing(capsys, tmp_path):
@@ -725,6 +751,23 @@ MALFORMED = {
         '{"dim": 1, "mult": [[[0]]], "alpha": [["1"]]}',
         ["check-algebra", "FILE", "--identities", "skew"],
     ),
+    # every array of an algebra holds dim entries
+    "algebra-short-mult": (
+        '{"dim": 2, "mult": [[["0", "0"], ["0", "0"]]], "alpha": [["1", "0"], ["0", "1"]]}',
+        ["check-algebra", "FILE", "--identities", "skew"],
+    ),
+    "algebra-short-row": (
+        '{"dim": 2, "mult": [[["0", "0"], ["0", "0"]], [["0", "0"]]], "alpha": [["1", "0"], ["0", "1"]]}',
+        ["check-algebra", "FILE", "--identities", "skew"],
+    ),
+    "algebra-short-alpha": (
+        '{"dim": 2, "mult": [[["0", "0"], ["0", "0"]], [["0", "0"], ["0", "0"]]], "alpha": [["1", "0"], ["0"]]}',
+        ["envelope", "FILE", "--names", "x,y"],
+    ),
+    "algebra-negative-dim": (
+        '{"dim": -1, "mult": [], "alpha": []}',
+        ["check-algebra", "FILE", "--identities", "skew"],
+    ),
     "negative-degree": (None, ["hilbert", "--rules", NO_RULES, "--degree", "-1"]),
     "negative-max-order": (None, ["complete", "--rules", HOMASS, "--max-order", "-3"]),
     # --degree and --max-order are ASCII decimals, as boxes and arities are
@@ -734,6 +777,10 @@ MALFORMED = {
     "max-order-underscore": (None, ["complete", "--rules", HOMASS, "--max-order", "1_0"]),
     "negative-budget": (None, ["complete", "--rules", HOMASS, "--max-order", "3", "--budget", "-1"]),
     "nan-budget": (None, ["complete", "--rules", HOMASS, "--max-order", "3", "--budget", "nan"]),
+    # --budget is ASCII digits with at most one `.`
+    "budget-fullwidth-digit": (None, ["complete", "--rules", HOMASS, "--max-order", "3", "--budget", "\uff15"]),
+    "budget-underscore": (None, ["complete", "--rules", HOMASS, "--max-order", "3", "--budget", "1_0"]),
+    "budget-inf": (None, ["complete", "--rules", HOMASS, "--max-order", "3", "--budget", "inf"]),
     # a malformed rule is a parse error, not an order failure
     "rule-arity-mismatch": ("m 1 2 -> a 1\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
     "rule-without-operation": ("1 -> 1\n", ["normalize", "--rules", "FILE", "--term", "m 1 2"]),
@@ -807,6 +854,10 @@ def test_malformed_input_is_a_parse_error(capsys, tmp_path, case):
     ("algebra-string-vector", "mult[0][0] is not an array"),
     ("algebra-string-row", "alpha[0] is not an array"),
     ("algebra-number-scalar", "mult[0][0][0] is not a string"),
+    ("algebra-short-mult", "mult has length 1, not dim 2"),
+    ("algebra-short-row", "mult[1] has length 1, not dim 2"),
+    ("algebra-short-alpha", "alpha[1] has length 1, not dim 2"),
+    ("algebra-negative-dim", "mult has length 0, not dim -1"),
     ("algebra-bracket-string", "bracket is not a boolean"),
     ("algebra-deep-arrays", "nested too deeply"),
 ])

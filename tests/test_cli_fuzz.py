@@ -29,6 +29,9 @@ MALFORMED = {
     "unorientable.rules": "m m 1 2 3 -> m 1 m 2 3\n",
     "division.json": '{"dim": 1, "mult": [[["1/0"]]], "alpha": [["1"]]}\n',
     "short.json": '{"dim": 2, "mult": [], "alpha": []}\n',
+    "short-row.json": '{"dim": 2, "mult": [[["0", "0"], ["0", "0"]], [["0", "0"]]], "alpha": [["1", "0"], ["0", "1"]]}\n',
+    "short-alpha.json": '{"dim": 1, "mult": [[["0"]]], "alpha": [[]], "bracket": true}\n',
+    "negative-dim.json": '{"dim": -1, "mult": [], "alpha": []}\n',
     "deep.json": "[" * 100_000 + "]" * 100_000,
 }
 NOT_UTF8 = b"m a 1 m 2 3 -> \xff\xfe m m 1 2 a 3\n"
@@ -54,6 +57,9 @@ def paths(tmp_path_factory):
 TERMS = st.sampled_from([
     "", "0", "-", "2 +", "(", "m 1", "m 1 2 3", "a 1 ->", "1/0 * m 1 2",
     "q * m a 1 2 - m 1 a 2", "m [10] 1", "m 1 [0]", "m ² 1", "a " * 300 + "1",
+]) | st.sampled_from([
+    # coefficients of more digits than Python's default int/str limit
+    "7" * 5000 + " * m 1 2", "3^9999 * m 1 2",
 ]) | sums().map(str)
 COUNTS = st.sampled_from(["0", "4", "6"]) | st.sampled_from(["-1", "５", "1_0", "x", ""])
 IDENTITIES = st.sampled_from(["hom-associative", "hom-jacobi", "skew,multiplicative"]) | (
@@ -90,7 +96,7 @@ def argvs(draw, path, outs):
     elif command == "complete":
         options |= {
             "--max-order": COUNTS,
-            "--budget": st.sampled_from(["0", "1", "inf"]) | st.sampled_from(["-1", "nan", "x"]),
+            "--budget": st.sampled_from(["0", "1", "0.5"]) | st.sampled_from(["-1", "nan", "x", "inf"]),
             "--out": outs,
         }
     elif command == "hilbert":

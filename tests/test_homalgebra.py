@@ -1,11 +1,14 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from homoperad.homalgebra import (
+    AlgebraFormatError,
     FiniteHomAlgebra,
+    algebra_from_dict,
     associator,
     algebra_to_dict,
     centroid_violations,
@@ -164,8 +167,67 @@ def test_json_round_trip():
 
 
 def test_algebra_from_dict_shape_errors():
-    with pytest.raises(ValueError):
-        FiniteHomAlgebra(2, [[[Fraction(0)] * 2] * 2], [[Fraction(0)] * 2] * 2)
+    doc = {"dim": 2, "mult": [[["0", "0"]] * 2], "alpha": [["0", "0"]] * 2}
+    with pytest.raises(ValueError, match=r"^mult has length 1, not dim 2$"):
+        algebra_from_dict(doc)
+
+
+DOC_SCALARS = st.sampled_from(["0", "1", "-1/2", "q", "1 + q"])
+# a string that is no scalar, or a JSON value that is no string
+ODD_VALUES = st.sampled_from(["", "1/0", "x", 0, None, [], {}])
+
+
+def one_in(n):
+    return st.sampled_from([True] + [False] * (n - 1))
+
+
+@st.composite
+def json_tables(draw, depth, dim):
+    """JSON arrays nested ``depth`` deep around scalars, of ``dim`` entries
+    each; one entry in 50 is an odd value, and one array in 50 has a
+    length from 0 to 5."""
+    if draw(one_in(50)):
+        return draw(ODD_VALUES)
+    if depth == 0:
+        return draw(DOC_SCALARS)
+    k = draw(st.integers(0, 5)) if draw(one_in(50)) else dim
+    return [draw(json_tables(depth - 1, dim)) for _ in range(k)]
+
+
+@st.composite
+def algebra_documents(draw):
+    """An algebra document with dim from -1 to 4, or one time in ten no
+    integer, each field missing one time in ten, and now and then an array
+    in place of the object; most tables have the shape that dim says."""
+    dim = draw(ODD_VALUES if draw(one_in(10)) else st.integers(-1, 4))
+    n = dim if type(dim) is int else 2
+    fields = {
+        "dim": st.just(dim),
+        "mult": json_tables(3, n),
+        "alpha": json_tables(2, n),
+        "bracket": st.booleans() | st.sampled_from(["false", 0, None]),
+    }
+    doc = {k: draw(v) for k, v in fields.items() if not draw(one_in(10))}
+    return list(doc.values()) if draw(one_in(20)) else doc
+
+
+@settings(max_examples=1000, deadline=None)
+@given(algebra_documents())
+@example(json.loads(dump_algebra(q_sl2(q))))
+def test_the_reader_refuses_or_returns_the_shape_dim_says(doc):
+    """``load_algebra`` is the one check of a table from outside: it raises
+    only ``AlgebraFormatError``, and a table it returns has dim entries at
+    every level and reads back through ``dump_algebra`` unchanged."""
+    try:
+        A = load_algebra(json.dumps(doc))
+    except AlgebraFormatError:
+        return
+    n = doc["dim"]
+    assert A.dim == n and A.bracket == doc.get("bracket", False)
+    assert len(A.mult) == n and all(len(row) == n for row in A.mult)
+    assert all(len(v) == n for row in A.mult for v in row)
+    assert len(A.alpha) == n and all(len(row) == n for row in A.alpha)
+    assert algebra_to_dict(load_algebra(dump_algebra(A))) == algebra_to_dict(A)
 
 
 def test_envelope_presentation_text():
