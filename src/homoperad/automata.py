@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from itertools import count
+from typing import NamedTuple
 
 from .terms import TermError
 
@@ -36,8 +36,7 @@ LEAF = ("leaf",)
 SINK = -1  # where every reducible monomial goes; never a state number
 
 
-@dataclass(frozen=True)
-class TreeGrammar:
+class TreeGrammar(NamedTuple):
     states: tuple[int, ...]
     productions: dict  # state -> frozenset of ("leaf",) | ("a", c) | ("m", c, d)
 
@@ -89,8 +88,7 @@ def grammar_from_rules(rules) -> TreeGrammar:
     return TreeGrammar(states, {b: frozenset(p) for b, p in prods.items()})
 
 
-@dataclass(frozen=True)
-class BottomUpAutomaton:
+class BottomUpAutomaton(NamedTuple):
     """A DFA on the live states, numbered 0..n-1 with the leaf's state 0.
     ``f_a[c]`` is the state of a(c), or SINK when it is reducible.  The
     state of m(c, d) depends on c only through its row ``left[c]`` and on

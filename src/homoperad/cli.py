@@ -20,7 +20,8 @@ monomial of more vertices than its pattern), 3 budget exhausted, 4 order
 failure, a `RuleError` (a rule or a difference could not be oriented by
 the active term order; `complete` names the normalized difference it
 stopped at, which may be an older rule's, adjoined again), 5 write error
-(writing or closing a `complete --out` file failed).
+(writing or closing a `complete --out` file failed, or writing to stdout
+did, as into a pipe whose reader has gone).
 
 `hilbert --strict` lists the critical ambiguities of the rules of order
 <= D, where D is `--degree`, and warns at every grading at or above, in
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 
 from .completion import ambiguities, complete, refuse_inhomogeneous
@@ -65,14 +67,22 @@ EXIT_ORDER = 4
 EXIT_WRITE = 5
 
 
+def read_input(path: str | None = None) -> str:
+    """The text of the file ``path``, or of stdin without one; a file that
+    cannot be opened, read or decoded is refused input, a ``TermError``."""
+    try:
+        with open(path) if path is not None else contextlib.nullcontext(sys.stdin) as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise TermError(str(e)) from e
+
+
 def load_rules_path(path: str, order_name: str):
     """Read a rules file with ``read_rules``; leading `op` lines override
     the default hom signature, so enveloping presentations are
     self-contained."""
-    with open(path) as f:
-        text = f.read()
     order = get_order(order_name)
-    sig, rules = read_rules(text, order)
+    sig, rules = read_rules(read_input(path), order)
     return sig, order, rules
 
 
@@ -80,7 +90,7 @@ def cmd_normalize(args) -> int:
     sig, order, rules = load_rules_path(args.rules, args.order)
     refuse_growing(rules)  # a rule that grows its monomial may never stop
     system = RewritingSystem(sig, order, rules)
-    text = args.term if args.term is not None else sys.stdin.read()
+    text = args.term if args.term is not None else read_input()
     x = parse_lincomb(text.strip(), sig)
     print(normal_form(x, system))
     return EXIT_OK
@@ -104,8 +114,10 @@ def cmd_complete(args) -> int:
     refuse_inhomogeneous(rules)  # before any --out file is created
     exts = (".rules", ".census.tsv", ".log") if args.out else ()
     with contextlib.ExitStack() as stack:
-        # opened before completion, so an unwritable --out prefix fails first
-        outs = [stack.enter_context(open(args.out + ext, "w")) for ext in exts]
+        try:  # before completion, so an unwritable --out prefix fails first
+            outs = [stack.enter_context(open(args.out + ext, "w")) for ext in exts]
+        except OSError as e:
+            raise TermError(str(e)) from e
         state = complete(
             RewritingSystem(sig, order, rules), max_order, budget_seconds=budget
         )
@@ -186,8 +198,7 @@ _IDENTITY_CHECKS = {
 
 
 def cmd_check_algebra(args) -> int:
-    with open(args.algebra) as f:
-        A = load_algebra(f.read())
+    A = load_algebra(read_input(args.algebra))
     names = args.identities.split(",")
     for name in names:
         if name not in _IDENTITY_CHECKS:
@@ -206,8 +217,7 @@ def cmd_check_algebra(args) -> int:
 
 
 def cmd_envelope(args) -> int:
-    with open(args.algebra) as f:
-        L = load_algebra(f.read())
+    L = load_algebra(read_input(args.algebra))
     system = envelope_presentation(L, args.names.split(","), get_order(args.order))
     sys.stdout.write(format_rules(system.rules, system.sig))
     return EXIT_OK
@@ -272,13 +282,20 @@ def main(argv=None) -> int:
         _parser = build_parser()
     args = _parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # so a failed write to stdout is caught here
+        return code
     except RuleError as e:
         print(f"order failure: {e}", file=sys.stderr)
         return EXIT_ORDER
-    except (TermError, OSError, UnicodeDecodeError) as e:
+    except TermError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
+    except OSError as e:  # a write to stdout: an unreadable file is a TermError
+        if sys.stdout is sys.__stdout__:  # so the flush at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"write error: {e}", file=sys.stderr)
+        return EXIT_WRITE
 
 
 if __name__ == "__main__":

@@ -6,7 +6,8 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from collections import Counter
+from typing import NamedTuple
 
 from .linear import IncomparableLeading, LinComb
 from .rewrite import (
@@ -23,8 +24,7 @@ from .rewrite import (
 from .terms import Context, TermError, grading, renumber, sort_key
 
 
-@dataclass(frozen=True)
-class Ambiguity:
+class Ambiguity(NamedTuple):
     """A plane site reducible by two overlapping rule applications: the lhs
     of ``rule1`` at the root of the site, the lhs of ``rule2`` rooted at
     token ``pos2``."""
@@ -257,18 +257,14 @@ def refuse_inhomogeneous(rules):
             raise TermError(f"rule {r.id} is not homogeneous")
 
 
-@dataclass
-class CompletionState:
+class CompletionState(NamedTuple):
     system: RewritingSystem
     status: str  # "complete" | "budget" | "order_failure"
-    log: list = field(default_factory=list)
+    log: list
     failure: IncomparableLeading | None = None  # its diff did not orient
 
     def census(self) -> dict[int, int]:
-        out = {}
-        for r in self.system:
-            out[r.order] = out.get(r.order, 0) + 1
-        return dict(sorted(out.items()))
+        return dict(sorted(Counter(r.order for r in self.system).items()))
 
 
 def complete(

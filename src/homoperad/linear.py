@@ -108,9 +108,7 @@ class LinComb:
 
 
 def _is_negative(c) -> bool:
-    if isinstance(c, Fraction):
-        return c < 0
-    return False  # a non-constant rational function prints its sign inside
+    return isinstance(c, Fraction) and c < 0  # a RatFunc prints its sign inside
 
 
 def _fmt(c) -> str:

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .linear import LinComb, RuleError, leading_monomial, maximal
 from .orders import GT, TermOrder
@@ -13,8 +13,7 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(NamedTuple):
     """An oriented pair: a plane monomial pattern and its replacement."""
 
     id: str
@@ -184,8 +183,7 @@ class RewritingSystem:
         return iter(self._rules.values())
 
 
-@dataclass(frozen=True)
-class Redex:
+class Redex(NamedTuple):
     """A match of a rule pattern inside a term: the rule, and the token of
     the term at which its lhs is rooted."""
 
@@ -214,8 +212,8 @@ def apply_redex(t: Context, redex: Redex) -> LinComb:
     one lockstep walk with t its k-th box binds the k-th subterm met; a
     symbol it does not match raises a TermError.  Box numbering of t is
     untouched."""
-    word, ends, rule = t.word, t.ends, redex.rule
-    bindings, j = [], redex.position
+    word, ends, (rule, pos) = t.word, t.ends, redex
+    bindings, j = [], pos
     for tok in rule.lhs.word:
         if isinstance(tok, int):
             bindings.append(word[j : ends[j]])
@@ -223,8 +221,8 @@ def apply_redex(t: Context, redex: Redex) -> LinComb:
         elif word[j] == tok:
             j += 1
         else:
-            raise TermError(f"rule {rule.id} does not match {t} at token {redex.position}")
-    head, tail = word[: redex.position], word[j:]
+            raise TermError(f"rule {rule.id} does not match {t} at token {pos}")
+    head, tail = word[:pos], word[j:]
     out = LinComb(t.arity)
     for mono, coeff in rule.rhs.terms.items():
         mid = []

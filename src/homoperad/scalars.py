@@ -415,8 +415,6 @@ def parse_scalar(text: str):
     p = _Parser(text)
     try:
         v = p.expr()
-    except IndexError as e:
-        raise ScalarParseError(str(e)) from e
     except ZeroDivisionError:  # Fraction's and RatFunc's own texts differ
         raise ScalarParseError("division by zero") from None
     except RecursionError:

@@ -8,10 +8,10 @@ equality and hashing are therefore O(n) tuple operations.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, count
 from math import factorial
+from typing import NamedTuple
 
 
 class TermError(ValueError):
@@ -21,7 +21,6 @@ class TermError(ValueError):
     refusal by the term order is a ``RuleError``."""
 
 
-@dataclass(frozen=True)
 class Signature:
     """Operation symbols with arities.  Constants (arity 0) are allowed.  A
     name is refused if the rules-file format could not read it back: one
@@ -29,11 +28,11 @@ class Signature:
     or a parenthesis, or one starting as a box token, a comment or a `-`,
     which a sum reads as the sign of its summand."""
 
-    symbols: tuple[tuple[str, int], ...]
+    __slots__ = ("symbols", "_arities", "_tokens", "_sort_keys")
 
-    def __post_init__(self):
+    def __init__(self, symbols: tuple[tuple[str, int], ...]):
         seen = {}
-        for name, arity in self.symbols:
+        for name, arity in symbols:
             if (
                 not name
                 or name in ("+", "*", "op")
@@ -44,19 +43,22 @@ class Signature:
                 raise TermError(f"bad symbol name {name!r}")
             if name in seen:
                 raise TermError(f"duplicate symbol {name!r}")
-            if arity < 0:
-                raise TermError(f"negative arity for {name!r}")
             seen[name] = arity
-        object.__setattr__(self, "_arities", seen)
+        self.symbols = symbols
+        self._arities = seen
         # the reader's token table: a name spells (name, arity), a one-digit
         # token its box; names hold no digit, so the two never meet
-        tokens = {name: (name, arity) for name, arity in seen.items()}
-        tokens.update((str(i), i) for i in range(1, 10))
-        object.__setattr__(self, "_tokens", tokens)
+        self._tokens = {name: (name, arity) for name, arity in seen.items()}
+        self._tokens.update((str(i), i) for i in range(1, 10))
         # the printer's sort key of a name: its rank among the names, above
         # every box, since a box index is at most the length of its word
-        ranks = {name: sys.maxsize + r for r, name in enumerate(sorted(seen))}
-        object.__setattr__(self, "_sort_keys", ranks)
+        self._sort_keys = {name: sys.maxsize + r for r, name in enumerate(sorted(seen))}
+
+    def __eq__(self, other):
+        return isinstance(other, Signature) and self.symbols == other.symbols
+
+    def __hash__(self):
+        return hash(self.symbols)
 
     def arity(self, name: str) -> int:
         try:
@@ -140,13 +142,8 @@ class Context:
         return self._sizes
 
     def is_plane(self) -> bool:
-        expect = 1
-        for t in self.word:
-            if isinstance(t, int):
-                if t != expect:
-                    return False
-                expect += 1
-        return True
+        boxes = [t for t in self.word if isinstance(t, int)]
+        return boxes == list(range(1, len(boxes) + 1))
 
 
 def subterm_ends(word: tuple[Token, ...], sig: Signature) -> list[int]:
@@ -265,8 +262,7 @@ def compose(outer: Context, inners: list[Context]) -> Context:
     return Context(tuple(word), outer.sig, offsets[-1])
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(NamedTuple):
     """A bijection of {1..n}; ``images[i-1]`` is the image of i.  The
     constructor trusts its caller that ``images`` holds 1..n each once."""
 
@@ -317,9 +313,7 @@ def planarize(c: Context) -> tuple[Context, Permutation]:
 
 def grading(c: Context) -> tuple[int, int]:
     """(count of unary a-vertices, count of binary m-vertices)."""
-    k = sum(1 for t in c.word if t == "a")
-    l = sum(1 for t in c.word if t == "m")
-    return k, l
+    return c.word.count("a"), c.word.count("m")
 
 
 def plane_count(k: int, l: int) -> int:

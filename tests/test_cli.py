@@ -533,6 +533,58 @@ def test_complete_write_failure_is_a_write_error(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def cli_process(argv, **kwargs):
+    """``python -m homoperad.cli`` on ``argv`` with this tree's ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.Popen([sys.executable, "-m", "homoperad.cli", *argv], env=env, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_failed_write_to_stdout_is_a_write_error():
+    """One line on stderr, and no traceback or ``Exception ignored`` when
+    the interpreter flushes stdout again at exit."""
+    with open("/dev/full", "w") as full:
+        proc = cli_process(["hilbert", "--rules", NO_RULES, "--degree", "12"],
+                           stdout=full, stderr=subprocess.PIPE, text=True)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 5
+    assert err.startswith("write error:") and err.count("\n") == 1, err
+
+
+def test_a_pipe_closed_after_the_first_line_is_a_write_error():
+    """The order-12 listing is far longer than a pipe holds, so the
+    command is still writing when the reader goes."""
+    proc = cli_process(["ambiguities", "--rules", HOMASS_O12],
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline() == "m a 1 m a 2 m 3 4\tr1,r1\tresolved\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 5
+    assert err.startswith("write error:") and err.count("\n") == 1, err
+
+
+def test_an_unreadable_rules_file_is_still_a_parse_error():
+    proc = cli_process(["ambiguities", "--rules", "/nonexistent"],
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (2, "")
+    assert err.startswith("parse error:") and err.count("\n") == 1, err
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/mem"), reason="no /proc/self/mem")
+@pytest.mark.parametrize("argv", [
+    ["ambiguities", "--rules", "/proc/self/mem"],
+    ["check-algebra", "/proc/self/mem", "--identities", "skew"],
+])
+def test_a_file_that_opens_but_cannot_be_read_is_a_parse_error(argv):
+    """Reading the process's own memory from offset 0 opens, then fails
+    with EIO: an error without a file name, which is still refused input."""
+    proc = cli_process(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (2, "")
+    assert err.startswith("parse error:") and err.count("\n") == 1, err
+
+
 def test_ambiguities_listing(capsys):
     code, out, _ = run(
         capsys, ["ambiguities", "--rules", ASSOC, "--order", "right_comb"]

@@ -134,8 +134,9 @@ def run_main(argv, stdin) -> tuple[int, str]:
 
 
 # exit 2 is a refusal of input, a TermError or an unreadable file, or
-# argparse's usage error; exit 4 a refusal by the term order, a RuleError
-REFUSALS = {2: ("parse error:", "usage:"), 4: ("order failure:",)}
+# argparse's usage error; exit 4 a refusal by the term order, a RuleError;
+# exit 5 a failed write
+REFUSALS = {2: ("parse error:", "usage:"), 4: ("order failure:",), 5: ("write error:",)}
 
 
 @settings(max_examples=1000, deadline=None)

@@ -12,7 +12,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "homoperad"
 MODULES = sorted(PACKAGE.glob("*.py"))
-CHECKING = {"Signature.__post_init__", "RatFunc.__init__"}
+CHECKING = {"Signature.__init__", "RatFunc.__init__"}
 
 
 def raising_constructors(source: str) -> list[str]:
