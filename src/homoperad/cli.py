@@ -4,14 +4,15 @@ Exit codes: 0 success, 1 a failed check (`check-algebra` FAIL, or
 `hilbert --strict` with a count that an ambiguity which does not resolve
 leaves inexact), 2 a usage error (argparse's: a missing option such as
 `--rules`, or an unknown one) or a parse error or refused input, a
-`TermError` or a file that cannot be read (input that is not UTF-8; an
-algebra array whose length is not `dim`; a malformed rule, such as one
-whose sides differ in arity or whose pattern has no operation; a sum, in
-a `--term` or a rule, that ends in `+` or `-`; a symbol name the rules
-format could not read back, such as `+`; a `hilbert --degree` that is not
-ASCII digits, such as `-1`, `５` or `1_0`; for `complete`, such a
-`--max-order`, a `--budget` that is not ASCII digits with at most one
-`.`, such as `inf`, or an inhomogeneous rule, one with a replacement
+`TermError` or a file that cannot be read (input that is not UTF-8; a
+closed stdin; an algebra array whose length is not `dim`; a malformed
+rule, such as one whose sides differ in arity or whose pattern has no
+operation; a sum, in a `--term` or a rule, that ends in `+` or `-`; a
+symbol name the rules format could not read back, such as `+`; a
+`hilbert --degree` that is not ASCII digits, such as `-1`, `５` or
+`1_0`; for `complete`, such a `--max-order`, a `--budget` that is not
+ASCII digits with at most one `.`, such as `inf`, or an inhomogeneous
+rule, one with a replacement
 monomial whose (a, m) grading or vertex count differs from its pattern's,
 all refused before any `--out` file is created, or an unwritable `--out`;
 for `hilbert --strict`, an inhomogeneous rule, refused before anything is
@@ -69,7 +70,10 @@ EXIT_WRITE = 5
 
 def read_input(path: str | None = None) -> str:
     """The text of the file ``path``, or of stdin without one; a file that
-    cannot be opened, read or decoded is refused input, a ``TermError``."""
+    cannot be opened, read or decoded, or a closed stdin, is refused input,
+    a ``TermError``."""
+    if path is None and sys.stdin is None:
+        raise TermError("no input: stdin is closed")
     try:
         with open(path) if path is not None else contextlib.nullcontext(sys.stdin) as f:
             return f.read()

@@ -8,6 +8,7 @@ free series is the count of the empty rule set, by the same automaton.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from operator import mul
 
 from .automata import SINK, BottomUpAutomaton, determinize, grammar_from_rules
@@ -87,7 +88,8 @@ def solve_series(aut: BottomUpAutomaton, D: int) -> list:
     monomials that the automaton sends to state b, listed by state:
     G_b = [b = 0] + a * sum_{f_a(c)=b} G_c + m * sum_{f_m(c,d)=b} G_c G_d,
     state 0 being the leaf's.  An automaton built with a degree bound
-    gives them only up to that degree."""
+    gives them only up to that degree.  The states must be numbered by
+    least degree, as ``determinize`` numbers them."""
     g, W = _packed_series(aut, D)
     return [_unpack(xs, D, W) for xs in g]
 
@@ -103,6 +105,19 @@ def _packed_series(aut: BottomUpAutomaton, D: int) -> tuple[list, int]:
     row's states, and the same for its column.  The entries of one column
     with one target share one product, with the sum of their rows' series.
 
+    The pass works only where a count can be nonzero.  ``determinize``
+    numbers the states by least degree, so the states first reached at
+    degree n are the next ones in number order, those whose count of
+    degree n is their first nonzero one; rows and columns, numbered as
+    their first states appear, come in the same order.  A row or column is
+    summed from its least degree on, and one of a single state reads that
+    state's counts.  The group of a column of least degree k whose first
+    row has least degree lo is zero below degree lo + k + 1: it starts
+    there, and at degree n pairs only the row degrees lo..n-1-k with the
+    column's, filling the sum of its rows up to degree n-1-k as it goes,
+    each row from its own least degree on (a group of one row reads that
+    row's sums).  States that degree D does not reach keep a zero series.
+
     The counts of one state at degree n are packed into one int, the count
     with i a-vertices at bit W * i (Kronecker substitution), so an a-move
     is a shift by W and the product of two packed ints is the convolution
@@ -115,35 +130,98 @@ def _packed_series(aut: BottomUpAutomaton, D: int) -> tuple[list, int]:
     W = 1 + largest.bit_length()
     g = [[0] * (D + 1) for _ in aut.states]
     g[0][0] = 1
-    a_moves = [(g[c], g[b]) for c, b in enumerate(aut.f_a) if b != SINK]
     in_row = [[] for _ in aut.table]
     in_col = [[] for _ in range(max(aut.right) + 1)]
-    for c in aut.states:
-        in_row[aut.left[c]].append(g[c])
-        in_col[aut.right[c]].append(g[c])
-    # at degree n, the sums of a row's states by degree 0..n-1, and of a
-    # column's by degree n-1..0, so that one map pairs the degrees to n - 1
-    row_sums = [[] for _ in in_row]
-    col_sums = [[] for _ in in_col]
-    # one m-move per column and target: the rows whose entries in that
-    # column are the target, and the sums of their series by degree
+    for x, l, r in zip(g, aut.left, aut.right):
+        in_row[l].append(x)
+        in_col[r].append(x)
+    # the counts of a row's or a column's states summed by degree; only a
+    # row or column of several states keeps its list of states to sum
+    row_sums = [xs[0] if len(xs) == 1 else [0] * (D + 1) for xs in in_row]
+    col_sums = [xs[0] if len(xs) == 1 else [0] * (D + 1) for xs in in_col]
+    in_row = [xs if len(xs) > 1 else None for xs in in_row]
+    in_col = [xs if len(xs) > 1 else None for xs in in_col]
+    # one m-move per column and target, keyed by target * cols + column:
+    # the rows whose entries in that column are the target; the table is
+    # read by rows, so each group's rows, and the groups by their first
+    # rows, come in row order
+    cols = len(in_col)
     groups = {}
     for l, targets in enumerate(aut.table):
         for r, b in enumerate(targets):
             if b != SINK:
-                groups.setdefault((r, b), []).append(row_sums[l])
-    m_moves = [(rows, [], col_sums[r], g[b]) for (r, b), rows in groups.items()]
+                groups.setdefault(b * cols + r, []).append(l)
+    keys = list(groups)
+    firsts = [rows[0] for rows in groups.values()]
+    several = [rows if len(rows) > 1 else () for rows in groups.values()]
+    del groups
+    by_col = [[] for _ in range(cols)]  # the groups of each column, in order
+    for j, key in enumerate(keys):
+        by_col[key % cols].append(j)
 
+    row_deg, col_deg = [], []  # the least degree of each row, column reached
+    summed = []  # (sums, states) of each row and column reached of several states
+    a_from, a_to = [], []
+    starts = [[] for _ in range(D + 1)]  # [n]: the groups that start at degree n
+    # the m-moves started, one list per field, which keeps the garbage
+    # collector's work to a few large lists: the sums of the rows by degree,
+    # the rows when there are several, the column's sums, the target, the
+    # first row's least degree lo and the column's k
+    hists, rowss, yss, zs, los, ks = [], [], [], [], [], []
+    rows_at = [0]  # [j]: the number of rows of least degree below j
+
+    reached = i = 0  # the states reached; the first group not started by its row
     for n in range(1, D + 1):
-        for sums, states in zip(row_sums, in_row):
-            sums.append(sum(x[n - 1] for x in states))
-        for sums, states in zip(col_sums, in_col):
-            sums.insert(0, sum(x[n - 1] for x in states))
-        for x, y in a_moves:
-            y[n] += x[n - 1] << W
-        for rows, sums, ys, z in m_moves:
-            sums.append(sum(xs[n - 1] for xs in rows))
-            z[n] += sum(map(mul, sums, ys))
+        # the states first reached at degree n - 1, their rows and columns,
+        # and the groups whose first row and column both are now reached
+        d, old_cols = n - 1, len(col_deg)
+        while reached < len(g) and g[reached][d]:
+            c, x = reached, g[reached]
+            reached += 1
+            l, r = aut.left[c], aut.right[c]
+            if l == len(row_deg):
+                row_deg.append(d)
+                if in_row[l]:
+                    summed.append((row_sums[l], in_row[l]))
+            if r == len(col_deg):
+                col_deg.append(d)
+                if in_col[r]:
+                    summed.append((col_sums[r], in_col[r]))
+            if c < len(aut.f_a) and aut.f_a[c] != SINK:
+                a_from.append(x)
+                a_to.append(g[aut.f_a[c]])
+        rows_at.append(len(row_deg))
+        while i < len(firsts) and firsts[i] < len(row_deg):
+            r = keys[i] % cols
+            if r < len(col_deg) and d + col_deg[r] < D:
+                starts[d + col_deg[r] + 1].append(i)
+            i += 1
+        for r in range(old_cols, len(col_deg)):
+            for j in by_col[r]:
+                if firsts[j] >= rows_at[d]:
+                    break
+                if row_deg[firsts[j]] + d < D:
+                    starts[row_deg[firsts[j]] + d + 1].append(j)
+
+        for sums, xs in summed:
+            sums[d] = sum(x[d] for x in xs)
+        for x, y in zip(a_from, a_to):
+            y[n] += x[d] << W
+        for j in starts[n]:
+            (b, r), l, rows = divmod(keys[j], cols), firsts[j], several[j]
+            lo = row_deg[l]
+            hists.append([0] * lo if rows else row_sums[l])
+            rowss.append(rows)
+            yss.append(col_sums[r])
+            zs.append(g[b])
+            los.append(lo)
+            ks.append(col_deg[r])
+        for hist, rows, ys, z, lo, k in zip(hists, rowss, yss, zs, los, ks):
+            if rows:
+                # only the rows of least degree <= d - k add to degree d - k
+                live = rows[: bisect_left(rows, rows_at[n - k])]
+                hist.append(sum(row_sums[l][d - k] for l in live))
+            z[n] += sum(map(mul, hist[lo : n - k], reversed(ys[k : n - lo])))
     return g, W
 
 

@@ -563,6 +563,17 @@ def test_a_pipe_closed_after_the_first_line_is_a_write_error():
     assert err.startswith("write error:") and err.count("\n") == 1, err
 
 
+@pytest.mark.skipif(os.name != "posix", reason="closes fd 0 in the child")
+def test_normalize_with_stdin_closed_is_a_parse_error():
+    """With fd 0 closed, ``sys.stdin`` is None in the child: refused input,
+    not a traceback."""
+    proc = cli_process(["normalize", "--rules", HOMASS], preexec_fn=lambda: os.close(0),
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (2, "")
+    assert err.startswith("parse error:") and err.count("\n") == 1, err
+
+
 def test_an_unreadable_rules_file_is_still_a_parse_error():
     proc = cli_process(["ambiguities", "--rules", "/nonexistent"],
                        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)

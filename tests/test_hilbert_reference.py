@@ -12,6 +12,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from homoperad.automata import (
     LEAF,
@@ -118,7 +119,8 @@ def ref_solve_series(aut: TupleAutomaton, D: int) -> dict:
 
 
 def ref_pair_solve(aut: BottomUpAutomaton, D: int) -> list:
-    """Degree by degree, with one convolution per m-transition."""
+    """Degree by degree, with one convolution per m-transition, over every
+    state and pair of states."""
     g = [[[0] * (n + 1) for n in range(D + 1)] for _ in aut.states]
     g[0][0][0] = 1
     for n in range(1, D + 1):
@@ -129,8 +131,12 @@ def ref_pair_solve(aut: BottomUpAutomaton, D: int) -> list:
             for i, k in enumerate(g[c][n - 1]):
                 row[i + 1] += k
         for c in aut.states:
+            targets = aut.table[aut.left[c]]
             for d in aut.states:
-                b = aut.f_m(c, d)
+                # an automaton built with a degree bound has no entry for a
+                # pair whose least degrees sum past it: it adds nothing here
+                r = aut.right[d]
+                b = targets[r] if r < len(targets) else SINK
                 if b == SINK:
                     continue
                 row = g[b][n]
@@ -284,3 +290,83 @@ def test_bounded_count_is_the_sum_of_the_state_series_on_the_order_twelve_system
     assert_bounded_counts_match_the_state_series(
         parse_rules(path.read_text(), HOM_SIGNATURE, LEX_MA)
     )
+
+
+# --- the solve's windows ----------------------------------------------------
+
+ORDER_TWELVE = Path(__file__).resolve().parents[1] / "bench" / "data" / "homass-o12.rules"
+
+
+@lru_cache(maxsize=None)
+def order_twelve_rules():
+    return tuple(parse_rules(ORDER_TWELVE.read_text(), HOM_SIGNATURE, LEX_MA))
+
+
+@st.composite
+def order_twelve_prefixes(draw):
+    """The first rules of the order-12 system, in file order or shuffled."""
+    rules = order_twelve_rules()
+    if draw(st.booleans()):
+        rules = tuple(draw(st.permutations(rules)))
+    return rules[: draw(st.integers(1, len(rules)))]
+
+
+def window_shapes(aut: BottomUpAutomaton, D: int) -> set:
+    """Which of the shapes that the solve's windows treat apart occur in
+    the count to degree D: a row or a column of several states, a (column,
+    target) group of several rows, and a group whose column is reached
+    after its first row, or before it.  Least degrees are read off the
+    reference series."""
+    series = ref_pair_solve(aut, D)
+    reached = [c for c in aut.states if series[c].coeffs]
+    row_deg, col_deg = {}, {}
+    for c in reached:
+        degree = min(i + j for i, j in series[c].coeffs)
+        row_deg.setdefault(aut.left[c], degree)
+        col_deg.setdefault(aut.right[c], degree)
+    shapes = set()
+    if len(row_deg) < len(reached):
+        shapes.add("row of several states")
+    if len(col_deg) < len(reached):
+        shapes.add("column of several states")
+    groups = {}
+    for l, targets in enumerate(aut.table):
+        for r, b in enumerate(targets):
+            if b != SINK and row_deg.get(l, D) + col_deg.get(r, D) < D:
+                groups.setdefault((r, b), []).append(l)
+    for (r, _), rows in groups.items():
+        if len(rows) > 1:
+            shapes.add("group of several rows")
+        if col_deg[r] > row_deg[rows[0]]:
+            shapes.add("column reached after its first row")
+        if col_deg[r] < row_deg[rows[0]]:
+            shapes.add("first row reached after its column")
+    return shapes
+
+
+def test_the_order_twelve_system_has_every_window_shape():
+    aut = determinize(grammar_from_rules(order_twelve_rules()), 11)
+    assert window_shapes(aut, 11) == {
+        "row of several states",
+        "column of several states",
+        "group of several rows",
+        "column reached after its first row",
+        "first row reached after its column",
+    }
+
+
+@settings(max_examples=12, deadline=None)
+@given(order_twelve_prefixes())
+@example(order_twelve_rules())
+def test_solve_series_matches_per_pair_solve_at_every_degree(rules):
+    """The solve starts each row, column and group at its least degree and
+    convolves only where both factors can be nonzero; at every degree d <=
+    11 it must still agree with one convolution per pair, on the automaton
+    bounded at d and on the whole automaton asked at d."""
+    g = grammar_from_rules(rules)
+    whole = determinize(g)
+    want = ref_pair_solve(whole, 11)
+    for d in range(12):
+        bounded = determinize(g, d)
+        assert solve_series(bounded, d) == ref_pair_solve(bounded, d)
+        assert solve_series(whole, d) == [BivariateSeries(d, x.coeffs) for x in want]
