@@ -5,10 +5,12 @@ Exit codes: 0 success, 1 a failed check (`check-algebra` FAIL, or
 leaves inexact), 2 a usage error (argparse's: a missing option such as
 `--rules`, or an unknown one) or a parse error or refused input, a
 `TermError` or a file that cannot be read (input that is not UTF-8; a
-closed stdin; an algebra array whose length is not `dim`; a malformed
-rule, such as one whose sides differ in arity or whose pattern has no
-operation; a sum, in a `--term` or a rule, that ends in `+` or `-`; a
-symbol name the rules format could not read back, such as `+`; a
+closed stdin; a scalar exponent above 10000, such as `q^99999999`, in a
+`--term`, a rule or an algebra entry; an algebra array whose length is
+not `dim`; a malformed rule, such as one whose sides differ in arity
+or whose pattern has no operation; a sum, in a `--term` or a rule,
+that ends in `+` or `-`; a symbol name the rules format could not read
+back, such as `+`; a
 `hilbert --degree` that is not ASCII digits, such as `-1`, `５` or
 `1_0`; for `complete`, such a `--max-order`, a `--budget` that is not
 ASCII digits with at most one `.`, such as `inf`, or an inhomogeneous

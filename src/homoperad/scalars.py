@@ -317,6 +317,11 @@ class ScalarParseError(TermError):
     """A scalar text that does not parse, or that divides by zero."""
 
 
+# the largest exponent literal computed; a larger one is refused unread,
+# since q^99999999 alone would take gigabytes
+MAX_EXPONENT = 10_000
+
+
 class _Parser:
     """Recursive-descent parser for `+ - * / ^ ( ) q <int>` expressions."""
 
@@ -379,6 +384,8 @@ class _Parser:
             e = self.take()
             if not isinstance(e, int):
                 raise ScalarParseError("exponent must be an integer literal")
+            if e > MAX_EXPONENT:
+                raise ScalarParseError(f"exponent above {MAX_EXPONENT}")
             v = v**e
         return v
 

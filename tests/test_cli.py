@@ -13,6 +13,7 @@ import pytest
 
 from test_completion import READJOINED_FAILURES
 
+from homoperad import scalars
 from homoperad.cli import main
 from homoperad.orders import LEX_MA
 from homoperad.rewrite import read_rules
@@ -948,6 +949,28 @@ def test_division_by_zero_has_one_message(capsys, tmp_path, scalar):
     path.write_text(json.dumps({"dim": 1, "mult": [[[scalar]]], "alpha": [["1"]]}))
     assert run(capsys, ["check-algebra", str(path), "--identities", "skew"]) == (
         2, "", "parse error: malformed algebra document: mult[0][0][0]: division by zero\n"
+    )
+
+
+def test_an_exponent_above_ten_thousand_is_refused_before_it_is_computed(
+    capsys, monkeypatch, tmp_path
+):
+    """q^99999999 took gigabytes; in a `--term`, a rule and an algebra entry
+    it is a parse error, and no power of a polynomial is taken."""
+    def no_power(p, n):
+        raise AssertionError(f"power {n} computed")
+
+    monkeypatch.setattr(scalars, "_poly_pow", no_power)
+    refused = (2, "", "parse error: exponent above 10000\n")
+    argv = ["normalize", "--rules", HOMASS, "--term", "q^99999999 * m 1 2"]
+    assert run(capsys, argv) == refused
+    rules = tmp_path / "big.rules"
+    rules.write_text("m a 1 m 2 3 -> q^99999999 * m m 1 2 a 3\n")
+    assert run(capsys, ["normalize", "--rules", str(rules), "--term", "m 1 2"]) == refused
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"dim": 1, "mult": [[["q^99999999"]]], "alpha": [["1"]]}))
+    assert run(capsys, ["check-algebra", str(path), "--identities", "skew"]) == (
+        2, "", "parse error: malformed algebra document: mult[0][0][0]: exponent above 10000\n"
     )
 
 

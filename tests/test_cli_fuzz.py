@@ -27,7 +27,9 @@ MALFORMED = {
     "division.rules": "m a 1 m 2 3 -> 1/0 * m m 1 2 a 3\n",
     "growing.rules": "a m 1 2 -> m a 1 m 2 2\n",
     "unorientable.rules": "m m 1 2 3 -> m 1 m 2 3\n",
+    "exponent.rules": "m a 1 m 2 3 -> q^99999999 * m m 1 2 a 3\n",
     "division.json": '{"dim": 1, "mult": [[["1/0"]]], "alpha": [["1"]]}\n',
+    "exponent.json": '{"dim": 1, "mult": [[["q^99999999"]]], "alpha": [["1"]]}\n',
     "short.json": '{"dim": 2, "mult": [], "alpha": []}\n',
     "short-row.json": '{"dim": 2, "mult": [[["0", "0"], ["0", "0"]], [["0", "0"]]], "alpha": [["1", "0"], ["0", "1"]]}\n',
     "short-alpha.json": '{"dim": 1, "mult": [[["0"]]], "alpha": [[]], "bracket": true}\n',
@@ -60,6 +62,9 @@ TERMS = st.sampled_from([
 ]) | st.sampled_from([
     # coefficients of more digits than Python's default int/str limit
     "7" * 5000 + " * m 1 2", "3^9999 * m 1 2",
+]) | st.sampled_from([
+    # an exponent above 10000, refused before the power is taken
+    "q^99999999 * m 1 2",
 ]) | sums().map(str)
 COUNTS = st.sampled_from(["0", "4", "6"]) | st.sampled_from(["-1", "５", "1_0", "x", ""])
 IDENTITIES = st.sampled_from(["hom-associative", "hom-jacobi", "skew,multiplicative"]) | (

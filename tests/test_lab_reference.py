@@ -31,6 +31,7 @@ from homoperad.homalgebra import (
 from homoperad.scalars import RatFunc, format_scalar
 from homoperad.sigma_model import (
     SigmaDerivationModel,
+    TruncationOverflow,
     check_six_term_jacobi,
     sigma_bracket,
 )
@@ -188,7 +189,19 @@ class RefSigmaModel:
         v[n] = coeff
         return v
 
+    def degree(self, vec):
+        d = -1
+        for n, c in enumerate(vec):
+            if c:
+                d = n
+        return d
+
     def multiply(self, x, y):
+        dx, dy = self.degree(x), self.degree(y)
+        if dx >= 0 and dy >= 0 and dx + dy > self.N - 1:
+            raise TruncationOverflow(
+                f"degree {dx} * degree {dy} product exceeds t^{self.N - 1}"
+            )
         out = self.zero()
         for i, a in enumerate(x):
             if not a:
@@ -427,3 +440,70 @@ def test_sigma_model_matches_per_call_powers(qv):
             ref_check_six_term_jacobi(R, a, b, c),
             (i, j, k),
         )
+
+
+# every kind of entry: zero twice, as a Fraction and as the zero RatFunc,
+# rationals, polynomials in q and a rational function that is not one
+SPARSE_ENTRIES = [
+    Fraction(0), q - q, Fraction(3, 2), Fraction(-2), Fraction(1, 3),
+    1 + q, q * q - 3, 2 * q, q / (1 + q),
+]
+
+
+def same_or_same_overflow(got, want, *args):
+    """got(*args) and want(*args) return the same typed vector, or both
+    raise TruncationOverflow with the same message."""
+    try:
+        expected = want(*args)
+    except TruncationOverflow as e:
+        with pytest.raises(TruncationOverflow) as raised:
+            got(*args)
+        assert str(raised.value) == str(e), args
+        return False
+    assert_same_typed(got(*args), expected, args)
+    return True
+
+
+@pytest.mark.parametrize(
+    "qv", [Fraction(2), Fraction(1, 3), q, 3], ids=["2", "1_over_3", "q", "int_3"]
+)
+def test_sigma_model_matches_the_reference_on_sparse_vectors(qv):
+    """Products, brackets and Jacobi defects of seeded sparse vectors of
+    every kind of entry, at N = 7 .. 10, equal the reference's in value and
+    in the type of each entry, or overflow with the reference's message."""
+    rng = random.Random(12)
+    symbolic = isinstance(qv, RatFunc)  # the reference is slow on these
+    fitted = overflowed = 0
+    for N in range(7, 11):
+        M, R = SigmaDerivationModel(N, qv), RefSigmaModel(N, qv)
+
+        def vector(top):
+            v = R.zero()
+            for n in range(top + 1):
+                if n == top or rng.random() < 0.4:
+                    v[n] = rng.choice(SPARSE_ENTRIES)
+            return v
+
+        def degrees(count, total):
+            """count degrees below N of sum total, or one more for an
+            overflow."""
+            total += rng.random() < 0.25
+            cuts = sorted(rng.randint(0, total) for _ in range(count - 1))
+            return [min(b - a, N - 1) for a, b in zip([0, *cuts], [*cuts, total])]
+
+        for _ in range(10 if symbolic else 25):
+            x, y = (vector(d) for d in degrees(2, N - 1))
+            for got, want in ((M.multiply, R.multiply),
+                              (lambda a, b: sigma_bracket(M, a, b),
+                               lambda a, b: ref_sigma_bracket(R, a, b))):
+                ok = same_or_same_overflow(got, want, x, y)
+                fitted, overflowed = fitted + ok, overflowed + (not ok)
+        for _ in range(4 if symbolic else 10):
+            x, y, z = (vector(d) for d in degrees(3, N + 1))
+            ok = same_or_same_overflow(
+                lambda *v: check_six_term_jacobi(M, *v),
+                lambda *v: ref_check_six_term_jacobi(R, *v),
+                x, y, z,
+            )
+            fitted, overflowed = fitted + ok, overflowed + (not ok)
+    assert fitted >= 3 * overflowed > 0

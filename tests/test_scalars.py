@@ -104,6 +104,21 @@ def test_a_scalar_that_ends_early_says_so(text):
         parse_scalar(text)
 
 
+@pytest.mark.parametrize("text", ["q^99999999", "(1 + q)^10001", "2*q + q^" + "9" * 50])
+def test_an_exponent_above_ten_thousand_is_refused_unread(monkeypatch, text):
+    def no_power(p, n):
+        raise AssertionError(f"power {n} computed")
+
+    monkeypatch.setattr("homoperad.scalars._poly_pow", no_power)
+    with pytest.raises(ScalarParseError, match="^exponent above 10000$"):
+        parse_scalar(text)
+
+
+def test_an_exponent_of_ten_thousand_is_computed():
+    assert parse_scalar("q^10000") == RatFunc((0,) * 10000 + (1,))
+    assert parse_scalar("3^9999") == Fraction(3) ** 9999
+
+
 @given(ratfuncs())
 def test_format_parse_round_trip(x):
     v = parse_scalar(format_scalar(x))

@@ -84,3 +84,26 @@ def test_truncation_overflow():
 def test_multiplying_by_zero_never_overflows():
     M = SigmaDerivationModel(3, Fraction(2))
     assert M.multiply(M.zero(), M.monomial(2)) == M.zero()
+
+
+def test_bracket_of_monomials_has_its_closed_form():
+    """[t^i, t^j] = (q^i [j]_q - q^j [i]_q) t^(i+j-1) for i + j <= N, with
+    the right side built as an integer polynomial in q."""
+    N = 8
+    M = SigmaDerivationModel(N, RatFunc.q())
+    for i in range(N):
+        for j in range(min(N - i + 1, N)):
+            coeffs = [0] * N
+            for n in range(i, i + j):  # q^i [j]_q = q^i + ... + q^(i+j-1)
+                coeffs[n] += 1
+            for n in range(j, j + i):
+                coeffs[n] -= 1
+            while coeffs and not coeffs[-1]:
+                coeffs.pop()
+            got = sigma_bracket(M, M.monomial(i), M.monomial(j))
+            for n, c in enumerate(got):
+                if n != i + j - 1 or not coeffs:
+                    assert not c, (i, j, n)
+                else:
+                    assert c.den == (Fraction(1),), (i, j)
+                    assert c.num == tuple(map(Fraction, coeffs)), (i, j)
